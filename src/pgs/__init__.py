@@ -27,7 +27,6 @@ from .groups import (
     EnumeratedSubgroup,
     FiniteGroup,
     center,
-    centralizer,
     commutator,
     direct_factor_search,
     direct_product,
@@ -35,8 +34,8 @@ from .groups import (
     enumerate_group,
     generated_by_order_p,
     is_pth_power,
-    normal_closure,
     omega1_subgroup,
+    order_p_elements,
     quotient_group,
     subgroup_closure,
 )
@@ -63,6 +62,7 @@ from .series import (
 from .verify import (
     find_question_witness,
     random_recipes,
+    run_check,
     run_paper_suite,
     verify_eq_powers,
     verify_lemma2,

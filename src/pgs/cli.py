@@ -14,19 +14,9 @@ import argparse
 import json
 import os
 import sys
-import time
 
-from .constructions import build_from_description, parse_description
-from .errors import (
-    BadParameters,
-    NotCentral,
-    ParameterTooLarge,
-    ParseError,
-    PreconditionFailed,
-    ResourceLimit,
-    ToolkitError,
-    WrongOrder,
-)
+from .constructions import build_from_description, evaluate_word, parse_description
+from .errors import ParseError, ResourceLimit, ToolkitError
 from .groups import (
     DEFAULT_DECOMPOSE_BOUND,
     DEFAULT_MAX_ORDER,
@@ -34,12 +24,13 @@ from .groups import (
     direct_factor_search,
     enumerate_group,
 )
-from .series import lower_central_series, spectrum, upper_central_series
+from .series import lower_central_series, nilpotence_class, spectrum, upper_central_series
 from .verify import (
     DEFAULT_SEED,
     CheckRecord,
-    _jsonable,
+    SuiteReport,
     find_question_witness,
+    run_check,
     run_paper_suite,
     verify_eq_powers,
     verify_lemma2,
@@ -50,23 +41,17 @@ from .verify import (
     verify_theorem_part1,
 )
 
-_INVALID_INPUT = (
-    ParseError,
-    BadParameters,
-    ParameterTooLarge,
-    NotCentral,
-    WrongOrder,
-)
 
-
-def _env_max_order() -> int:
-    raw = os.environ.get("PGS_MAX_ORDER")
-    if raw is None:
-        return DEFAULT_MAX_ORDER
+def _max_order(flag: int | None) -> int:
+    """The --max-order flag, else PGS_MAX_ORDER, else the default; must be positive."""
+    raw = os.environ.get("PGS_MAX_ORDER", DEFAULT_MAX_ORDER) if flag is None else flag
     try:
-        return int(raw)
+        bound = int(raw)
     except ValueError:
         raise ParseError(f"PGS_MAX_ORDER must be an integer, got {raw!r}")
+    if bound < 1:
+        raise ParseError(f"the order bound must be positive, got {bound}")
+    return bound
 
 
 def _load_description(path: str):
@@ -160,22 +145,8 @@ def _verify_records_for(desc_obj, args) -> list[CheckRecord]:
     records = []
 
     def run(name, params, thunk):
-        if args.check and not any(f in name for f in args.check):
-            return
-        t0 = time.perf_counter()
-        try:
-            passed, witness, details, err = *thunk(), None
-        except ResourceLimit as exc:
-            passed, witness, details, err = False, None, {"message": str(exc)}, "ResourceLimit"
-        except PreconditionFailed as exc:
-            details = {"message": str(exc)}
-            if exc.report:
-                details["report"] = _jsonable(exc.report)
-            passed, witness, err = False, None, "PreconditionFailed"
-        millis = int((time.perf_counter() - t0) * 1000)
-        records.append(
-            CheckRecord(name, _jsonable(params), passed, _jsonable(witness), _jsonable(details), millis, err)
-        )
+        if not args.check or any(f in name for f in args.check):
+            records.append(run_check(name, params, thunk))
 
     G = build_from_description(desc, max_order)
 
@@ -189,8 +160,7 @@ def _verify_records_for(desc_obj, args) -> list[CheckRecord]:
     if len(center(G, max_order)) < len(enumerate_group(G, max_order)):
         run("question_witness", {}, _question)
 
-    chain = upper_central_series(G, max_order)
-    if chain.length <= G.prime - 1:
+    if nilpotence_class(G, max_order) <= G.prime - 1:
         run(
             "regularity_power",
             {},
@@ -218,14 +188,13 @@ def _verify_records_for(desc_obj, args) -> list[CheckRecord]:
         and len(desc.inner.factors) == 2
         and desc.word.count("*") == 1
     ):
+        t1, t2 = desc.word.split("*")
+        if not t1.startswith("f0.") or not t2.startswith("f1."):
+            raise ParseError("prop_same needs a word of the form f0.<w>*f1.<w>")
+
         def _prop():
             G1 = build_from_description(desc.inner.factors[0], max_order)
             G2 = build_from_description(desc.inner.factors[1], max_order)
-            t1, t2 = desc.word.split("*")
-            from .constructions import evaluate_word
-
-            if not t1.startswith("f0.") or not t2.startswith("f1."):
-                raise ParseError("prop_same needs a word of the form f0.<w>*f1.<w>")
             z1 = evaluate_word(G1, t1[3:])
             z2 = evaluate_word(G2, t2[3:])
             return _unpack(verify_prop_same(G1, G2, z1, z2, max_order, seed=args.seed))
@@ -264,9 +233,7 @@ def cmd_verify(args) -> int:
     if args.check and not records:
         raise ParseError(f"no checks matched filter {','.join(args.check)!r}")
     _print_records(records, args)
-    if any(r.error == "ResourceLimit" for r in records):
-        return 3
-    return 0 if all(r.passed for r in records) else 1
+    return SuiteReport(args.seed, records).exit_status
 
 
 def cmd_suite(args) -> int:
@@ -276,6 +243,8 @@ def cmd_suite(args) -> int:
         seed=args.seed,
         only=args.check,
     )
+    if args.check and not report.records:
+        raise ParseError(f"no checks matched filter {','.join(args.check)!r}")
     if args.json:
         print(json.dumps(report.as_dict(args.timings), sort_keys=True, indent=2))
     else:
@@ -352,23 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.max_order is None:
-        try:
-            args.max_order = _env_max_order()
-        except ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
+        args.max_order = _max_order(args.max_order)
         return args.func(args)
-    except _INVALID_INPUT as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except PreconditionFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,6 +29,7 @@ from .errors import (
     NotCentral,
     ParseError,
     PthPowerViolation,
+    ResourceLimit,
     WrongOrder,
 )
 from .groups import (
@@ -42,12 +43,17 @@ from .groups import (
     quotient_group,
     subgroup_closure,
 )
-from .linalg import ModMatrix, matrix_power_order
+from .linalg import ModMatrix, check_prime, det_mod_p, matrix_power_order
 
 
-def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-        raise BadParameters(f"p = {p} is not prime")
+def _check_order(p: int, exponent: int, max_order: int, what: str) -> None:
+    """Refuse a group of order at least p^exponent above the bound, without
+    computing p^exponent in full; run before any primality test or table."""
+    order = 1
+    for _ in range(exponent if p >= 2 else 0):
+        order *= p
+        if order > max_order:
+            raise ResourceLimit(f"{what} has more than {max_order} elements")
 
 
 class SemidirectGroup(FiniteGroup):
@@ -69,7 +75,7 @@ class SemidirectGroup(FiniteGroup):
         named=None,
         description="",
     ):
-        _check_prime(p)
+        check_prime(p)
         mods = tuple(int(m) for m in bottom_moduli)
         rank = len(mods)
         if top_order < 1:
@@ -84,7 +90,7 @@ class SemidirectGroup(FiniteGroup):
                 if (mods[i] * rows[i][j]) % mods[j]:
                     raise InternalInconsistency("action is not well defined on the bottom")
         # invertibility mod p
-        if rank and _det_mod_p(rows, p) == 0:
+        if rank and det_mod_p(rows, p) == 0:
             raise BadParameters("action matrix is singular mod p")
 
         self.top_order = top_order
@@ -135,9 +141,6 @@ class SemidirectGroup(FiniteGroup):
             out.append(s % mods[j])
         return tuple(out)
 
-    def bottom_element(self, v):
-        return (0,) + tuple(int(x) % m for x, m in zip(v, self._mods))
-
 
 def _compose(A, B, mods, rank):
     return tuple(
@@ -148,29 +151,10 @@ def _compose(A, B, mods, rank):
     )
 
 
-def _det_mod_p(rows, p):
-    a = [[x % p for x in row] for row in rows]
-    n = len(a)
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = (det * a[col][col]) % p
-        inv = pow(a[col][col], -1, p)
-        for r in range(col + 1, n):
-            f = (a[r][col] * inv) % p
-            if f:
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
-    return det % p
-
-
-def make_cyclic(p: int, e: int, name: str = "d") -> SemidirectGroup:
+def make_cyclic(p: int, e: int, name: str = "d", max_order: int = DEFAULT_MAX_ORDER) -> SemidirectGroup:
     """Cyclic group of order p^e with a single named generator."""
-    _check_prime(p)
+    _check_order(p, e, max_order, f"C{p}^{e}")
+    check_prime(p)
     if e < 1:
         raise BadParameters("e must be >= 1")
     return SemidirectGroup(
@@ -183,14 +167,15 @@ def make_cyclic(p: int, e: int, name: str = "d") -> SemidirectGroup:
     )
 
 
-def make_Dc(p: int, c: int) -> SemidirectGroup:
+def make_Dc(p: int, c: int, max_order: int = DEFAULT_MAX_ORDER) -> SemidirectGroup:
     """Split metacyclic group <x, y : x^(p^c), y^(p^c), [x, y] = x^p>.
 
     For p = 2 the top has order 2^(c-1) and the action is x -> x^3; the
     pair (2, 2) is rejected because the resulting dihedral group of order 8
     does not have Omega_1 = Z, which every group of this family must.
     """
-    _check_prime(p)
+    _check_order(p, 2 * c - (p == 2), max_order, f"Dc({p},{c})")
+    check_prime(p)
     if p == 2:
         if c < 3:
             raise BadParameters("Dc for p = 2 requires c >= 3")
@@ -220,7 +205,8 @@ def make_Mc(p: int, c: int, max_order: int = DEFAULT_MAX_ORDER) -> SemidirectGro
     root of unity.  The images of the descending unit chain are exposed as
     named elements "s1" ... "sc".
     """
-    _check_prime(p)
+    _check_order(p, c + 1, max_order, f"Mc({p},{c})")
+    check_prime(p)
     if c < 2:
         raise BadParameters("Mc requires c >= 2")
     R = ring_make(p, c, max_order=max_order)
@@ -253,7 +239,9 @@ def make_homocyclic(p: int, k: int, e: int, s: int, max_order: int = DEFAULT_MAX
     returned group is the subgroup generated by a_1^p ... a_s^p,
     a_(s+1) ... a_k and b, which lowers the class from k*e to k*e - s.
     """
-    _check_prime(p)
+    # the bottom part alone has p^(k*e - s) elements and the top at least p
+    _check_order(p, k * e - s + 1, max_order, f"homocyclic({p},{k},{e},{s})")
+    check_prime(p)
     if not (1 <= k <= p - 1):
         raise BadParameters("k must satisfy 1 <= k <= p - 1")
     if e < 1 or not (0 <= s < k):
@@ -328,7 +316,7 @@ class LieBCHGroup(FiniteGroup):
     """
 
     def __init__(self, p: int, k: int):
-        _check_prime(p)
+        check_prime(p)
         if not (2 <= k <= min(p - 1, 4)):
             raise BadParameters("k must satisfy 2 <= k <= min(p - 1, 4)")
         dim = _HALL_DIMS[k]
@@ -399,7 +387,11 @@ class LieBCHGroup(FiniteGroup):
         return tuple((-x) % p for x in a)
 
 
-def make_B2(p: int, k: int) -> LieBCHGroup:
+def make_B2(p: int, k: int, max_order: int | None = None) -> LieBCHGroup:
+    """B2(p, k).  It needs no tables, so only a given ``max_order`` bounds it,
+    checked before p is tested for primality; B2(7,4) has 7^8 elements."""
+    if max_order is not None:
+        _check_order(p, _HALL_DIMS.get(k, 0), max_order, f"B2({p},{k})")
     return LieBCHGroup(p, k)
 
 
@@ -443,8 +435,8 @@ def make_second_example(
         raise BadParameters("k must satisfy 2 <= k <= min(p - 1, 4)")
     if c < k:
         raise BadParameters("need c >= k")
-    G1 = make_Dc(p, c)
-    G2 = make_B2(p, k)
+    G1 = make_Dc(p, c, max_order)
+    G2 = make_B2(p, k, max_order)
     d = G2.named_elements["t"]
     s = G2.named_elements["s"]
     for _ in range(k - 1):
@@ -462,7 +454,7 @@ def make_second_example(
 
 
 def _check_partb_params(p, cs, c):
-    _check_prime(p)
+    check_prime(p)
     cs = list(cs)
     if not cs or any(cs[i] >= cs[i + 1] for i in range(len(cs) - 1)):
         raise BadParameters("cs must be strictly increasing")
@@ -480,11 +472,10 @@ def make_partb_decomposable(p, cs, c, max_order: int = DEFAULT_MAX_ORDER):
     cs = _check_partb_params(p, cs, c)
     factors = [make_Mc(p, ci, max_order) for ci in cs]
     if c != cs[-1]:
-        factors.append(make_Dc(p, c))
+        factors.append(make_Dc(p, c, max_order))
     if len(factors) == 1:
         return factors[0]
-    H = direct_product(factors, description=f"partb_dec({p},{cs},{c})")
-    return H
+    return direct_product(factors, description=f"partb_dec({p},{cs},{c})")
 
 
 def make_partb_indecomposable(p, cs, c, max_order: int = DEFAULT_MAX_ORDER):
@@ -502,7 +493,7 @@ def make_partb_indecomposable(p, cs, c, max_order: int = DEFAULT_MAX_ORDER):
     if len(cs) == 1 and cs[0] == c == p:
         return make_Mc(p, p, max_order)
     n = len(cs)
-    factors = [make_Mc(p, ci, max_order) for ci in cs] + [make_Dc(p, c)]
+    factors = [make_Mc(p, ci, max_order) for ci in cs] + [make_Dc(p, c, max_order)]
     H = direct_product(factors, description=f"partb_dec({p},{cs},{c})")
 
     a = H.identity
@@ -629,17 +620,17 @@ def build_from_description(desc, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGr
     if d.kind == "Mc":
         return make_Mc(d.params["p"], d.params["c"], max_order)
     if d.kind == "Dc":
-        return make_Dc(d.params["p"], d.params["c"])
+        return make_Dc(d.params["p"], d.params["c"], max_order)
     if d.kind == "homocyclic":
         return make_homocyclic(
             d.params["p"], d.params["k"], d.params["e"], d.params["s"], max_order
         )
     if d.kind == "B2":
-        return make_B2(d.params["p"], d.params["k"])
+        return make_B2(d.params["p"], d.params["k"], max_order)
     if d.kind == "second_example":
         return make_second_example(d.params["p"], d.params["k"], d.params["c"], max_order)
     if d.kind == "cyclic":
-        return make_cyclic(d.params["p"], d.params["e"])
+        return make_cyclic(d.params["p"], d.params["e"], max_order=max_order)
     if d.kind == "partb":
         maker = (
             make_partb_indecomposable

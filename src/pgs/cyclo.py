@@ -15,6 +15,7 @@ from .linalg import (
     AbelianInvariants,
     EchelonBasis,
     ModMatrix,
+    check_prime,
     echelonize,
     quotient_structure,
     submodule_member,
@@ -51,8 +52,7 @@ class CycloRing:
     """Z[w]/(Phi_p(w), p^N) with the ideal filtration I^k, I = (w - 1)."""
 
     def __init__(self, p: int, c: int, max_order: int = 2_000_000) -> None:
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-            raise BadParameters(f"p = {p} is not prime")
+        check_prime(p)
         if c < 1:
             raise BadParameters("c must be >= 1")
         if p**c > max_order:

@@ -8,12 +8,15 @@ subgroups) reuse the parent coordinates, which keeps canonical coset
 representatives and witness selection deterministic across runs.
 
 Everything here is exhaustive and exact: closures are breadth-first over
-generator multiplication, centralizers test against generators only, and
-quotients store the byte-lexicographic minimum of each coset.
+generator multiplication, the center tests against generators only, and
+quotients store the byte-lexicographic minimum of each coset.  Each group
+caches its carrier, center, upper central series and order-p elements, so
+every analysis of one group object shares them.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 
 from .errors import (
@@ -35,10 +38,12 @@ class FiniteGroup:
 
     Subclasses provide ``multiply``/``invert`` on element tuples plus the
     metadata attributes set in ``_init_group``.  Instances are immutable
-    after construction; the enumeration cache is write-once.
+    after construction; the per-group caches are write-once.
     """
 
-    def _init_group(self, prime, identity, moduli, generators, named=None, known_order=None, description=""):
+    def _init_group(
+        self, prime, identity, moduli, generators, named=None, known_order=None, description="", carrier=None
+    ):
         self.prime = prime
         self.identity = tuple(identity)
         self.coordinate_moduli = tuple(moduli)
@@ -55,8 +60,10 @@ class FiniteGroup:
         self.known_order = known_order
         self.description = description
         self._widths = tuple(max(1, ((m - 1).bit_length() + 7) // 8) for m in self.coordinate_moduli)
-        self._enumeration = None
+        self._enumeration = None if carrier is None else EnumeratedSubgroup(self, carrier)
         self._center = None
+        self._ucs = None
+        self._order_p = None
 
     def multiply(self, a, b):
         raise NotImplementedError
@@ -93,15 +100,21 @@ class FiniteGroup:
 class EnumeratedSubgroup:
     """Explicit carrier of a subgroup, with O(1) membership.
 
-    Iteration is in canonical (tuple-lexicographic) order.
+    Iteration is in canonical (tuple-lexicographic) order.  The group is
+    held by weak reference: groups cache their subgroups, and a strong
+    back-reference would leave every analyzed group to the cycle collector.
     """
 
-    __slots__ = ("group", "_set", "_sorted")
+    __slots__ = ("_group", "_set", "_sorted")
 
     def __init__(self, group: FiniteGroup, elements) -> None:
-        self.group = group
+        self._group = weakref.ref(group)
         self._set = frozenset(elements)
         self._sorted = None
+
+    @property
+    def group(self) -> FiniteGroup:
+        return self._group()
 
     @property
     def elements(self) -> tuple:
@@ -166,19 +179,14 @@ def subgroup_closure(G: FiniteGroup, elements, max_order: int | None = None) -> 
 
 def enumerate_group(G: FiniteGroup, max_order: int | None = None) -> EnumeratedSubgroup:
     """Full carrier of G (closure of its generators), cached on the group."""
-    if G._enumeration is not None:
-        return G._enumeration
-    carrier = getattr(G, "_precomputed_carrier", None)
-    if carrier is not None:
-        E = EnumeratedSubgroup(G, carrier)
-    else:
+    if G._enumeration is None:
         E = subgroup_closure(G, [g for _, g in G.generators], max_order)
-    if G.known_order is not None and len(E) != G.known_order:
-        raise InternalInconsistency(
-            f"{G!r}: enumerated {len(E)} elements, expected {G.known_order}"
-        )
-    G._enumeration = E
-    return E
+        if G.known_order is not None and len(E) != G.known_order:
+            raise InternalInconsistency(
+                f"{G!r}: enumerated {len(E)} elements, expected {G.known_order}"
+            )
+        G._enumeration = E
+    return G._enumeration
 
 
 def element_order(G: FiniteGroup, g) -> int:
@@ -198,20 +206,35 @@ def commutator(G: FiniteGroup, x, y):
     return mult(mult(G.invert(x), G.invert(y)), mult(x, y))
 
 
-def centralizer(G: FiniteGroup, elements, max_order: int | None = None) -> EnumeratedSubgroup:
-    """Centralizer of a set, tested against that set only."""
-    E = enumerate_group(G, max_order)
-    mult = G.multiply
-    elems = [tuple(s) for s in elements]
-    out = [g for g in E.as_set if all(mult(g, s) == mult(s, g) for s in elems)]
-    return EnumeratedSubgroup(G, out)
-
-
 def center(G: FiniteGroup, max_order: int | None = None) -> EnumeratedSubgroup:
     """Center, as the centralizer of the generators (cached)."""
     if G._center is None:
-        G._center = centralizer(G, [g for _, g in G.generators], max_order)
+        E = enumerate_group(G, max_order)
+        mult = G.multiply
+        gens = [g for _, g in G.generators]
+        G._center = EnumeratedSubgroup(
+            G, [g for g in E.as_set if all(mult(g, s) == mult(s, g) for s in gens)]
+        )
     return G._center
+
+
+def order_p_elements(G: FiniteGroup, max_order: int | None = None) -> tuple:
+    """Elements of order exactly p, in canonical order (cached)."""
+    if G._order_p is None:
+        p = G.prime
+        identity = G.identity
+        mult = G.multiply
+        out = []
+        for g in enumerate_group(G, max_order).elements:
+            if g == identity:
+                continue
+            x = g
+            for _ in range(p - 1):
+                x = mult(x, g)
+            if x == identity:
+                out.append(g)
+        G._order_p = tuple(out)
+    return G._order_p
 
 
 class QuotientGroup(FiniteGroup):
@@ -235,8 +258,8 @@ class QuotientGroup(FiniteGroup):
             named=named,
             known_order=len(rep_map) // len(kernel),
             description=description or f"{parent!r}/N{len(kernel)}",
+            carrier=reps,
         )
-        self._precomputed_carrier = frozenset(reps)
 
     def multiply(self, a, b):
         return self._rep[self.parent.multiply(a, b)]
@@ -293,20 +316,13 @@ class DirectProductGroup(FiniteGroup):
         self._parts = tuple(parts)
         identity = tuple(x for f in factors for x in f.identity)
         moduli = tuple(m for f in factors for m in f.coordinate_moduli)
-
-        def embed(i, g):
-            out = []
-            for j, f in enumerate(factors):
-                out.extend(g if j == i else f.identity)
-            return tuple(out)
-
         gens = []
         named = {}
         for i, f in enumerate(factors):
             for name, g in f.generators:
-                gens.append((f"f{i}.{name}", embed(i, g)))
+                gens.append((f"f{i}.{name}", self.embed(i, g)))
             for name, g in f.named_elements.items():
-                named[f"f{i}.{name}"] = embed(i, g)
+                named[f"f{i}.{name}"] = self.embed(i, g)
         order = 1
         for f in factors:
             if f.known_order is None:
@@ -356,7 +372,6 @@ class SubgroupGroup(FiniteGroup):
     def __init__(self, parent: FiniteGroup, carrier, generators, description=""):
         self.parent = parent
         carrier = frozenset(carrier)
-        self._precomputed_carrier = carrier
         self._init_group(
             parent.prime,
             parent.identity,
@@ -364,6 +379,7 @@ class SubgroupGroup(FiniteGroup):
             generators,
             known_order=len(carrier),
             description=description or f"subgroup({len(carrier)}) of {parent!r}",
+            carrier=carrier,
         )
 
     def multiply(self, a, b):
@@ -384,33 +400,14 @@ def is_pth_power(G: FiniteGroup, z, max_order: int | None = None) -> bool:
 def omega1_subgroup(G: FiniteGroup, max_order: int | None = None) -> EnumeratedSubgroup:
     """Subgroup generated by all elements of order dividing p."""
     E = enumerate_group(G, max_order)
-    p = G.prime
-    identity = G.identity
-    small = [g for g in E.elements if G.power(g, p) == identity]
-    if len(small) == len(E):
+    small = order_p_elements(G, max_order)
+    if len(small) + 1 == len(E):
         return E
     return subgroup_closure(G, small, max_order)
 
 
 def generated_by_order_p(G: FiniteGroup, max_order: int | None = None) -> bool:
     return len(omega1_subgroup(G, max_order)) == len(enumerate_group(G, max_order))
-
-
-def normal_closure(G: FiniteGroup, g, max_order: int | None = None) -> EnumeratedSubgroup:
-    """Smallest normal subgroup containing g: the closure of its conjugacy class."""
-    gens = [(name, h) for name, h in G.generators]
-    orbit = {tuple(g)}
-    stack = [tuple(g)]
-    while stack:
-        x = stack.pop()
-        for _, h in gens:
-            y = G.conjugate(x, h)
-            if y not in orbit:
-                orbit.add(y)
-                stack.append(y)
-                if len(orbit) > (max_order or DEFAULT_MAX_ORDER):
-                    raise ResourceLimit("conjugacy orbit exceeded the order bound")
-    return subgroup_closure(G, sorted(orbit), max_order)
 
 
 def _conjugacy_classes_idx(n, mul, inv_of, gen_idx):

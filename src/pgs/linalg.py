@@ -34,7 +34,8 @@ def valuation(x: int, p: int) -> int:
     return v
 
 
-def _check_prime(p: int) -> None:
+def check_prime(p: int) -> None:
+    """Raise BadParameters unless p is prime (trial division)."""
     if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         raise BadParameters(f"p = {p} is not prime")
 
@@ -49,7 +50,7 @@ class ModMatrix:
     __slots__ = ("p", "N", "rows", "cols", "entries")
 
     def __init__(self, p: int, N: int, entries) -> None:
-        _check_prime(p)
+        check_prime(p)
         if N < 1:
             raise BadParameters("N must be >= 1")
         mod = p**N
@@ -108,11 +109,10 @@ class ModMatrix:
         return f"ModMatrix(p={self.p}, N={self.N}, {list(map(list, self.entries))})"
 
 
-def _det_mod_p(M: ModMatrix) -> int:
-    """Determinant of a square matrix reduced mod p, by elimination over F_p."""
-    p = M.p
-    a = [[x % p for x in row] for row in M.entries]
-    n = M.rows
+def det_mod_p(rows, p: int) -> int:
+    """Determinant of a square integer matrix reduced mod p, by elimination over F_p."""
+    a = [[x % p for x in row] for row in rows]
+    n = len(a)
     det = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] % p), None)
@@ -149,7 +149,7 @@ def matrix_power_order(M: ModMatrix) -> int:
     """
     if M.rows != M.cols:
         raise BadParameters("order is defined for square matrices only")
-    if _det_mod_p(M) == 0:
+    if det_mod_p(M.entries, M.p) == 0:
         raise NotInvertible("matrix is singular mod p")
     if M.is_identity():
         return 1
@@ -228,7 +228,7 @@ def echelonize(p: int, N: int, vectors, width: int | None = None) -> EchelonBasi
     p^(N-v) * row re-enters the queue so that the span is fully captured.
     The result is order-insensitive and idempotent.
     """
-    _check_prime(p)
+    check_prime(p)
     if N < 1:
         raise BadParameters("N must be >= 1")
     mod = p**N

@@ -2,10 +2,10 @@
 
 The upper central series is computed through successive quotients with
 canonical coset representatives: Z_(i+1) is the preimage of the center of
-G/Z_i.  The spectrum scans every element of order exactly p and assigns it
-the index of the first upper-central term containing it; witnesses are the
-canonically smallest qualifying elements, so reports are reproducible
-bit for bit.
+G/Z_i; its terms are cached on the group.  The spectrum assigns every element
+of order exactly p (the group's cached list) the index of the first
+upper-central term containing it; witnesses are the canonically smallest
+qualifying elements, so reports are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .groups import (
     center,
     commutator,
     enumerate_group,
+    order_p_elements,
     quotient_group,
     subgroup_closure,
 )
@@ -50,7 +51,9 @@ class CentralSeriesChain:
 
 
 def upper_central_series(G: FiniteGroup, max_order: int | None = None) -> CentralSeriesChain:
-    """Z_0 = 1 < Z_1 < ... < Z_c = G via centers of successive quotients."""
+    """Z_0 = 1 < Z_1 < ... < Z_c = G via centers of successive quotients (cached)."""
+    if G._ucs is not None:
+        return CentralSeriesChain(G, G._ucs, "upper")
     E = enumerate_group(G, max_order)
     terms = [EnumeratedSubgroup(G, [G.identity])]
     current = terms[0]
@@ -69,7 +72,8 @@ def upper_central_series(G: FiniteGroup, max_order: int | None = None) -> Centra
             )
         terms.append(nxt)
         current = nxt
-    return CentralSeriesChain(G, tuple(terms), "upper")
+    G._ucs = tuple(terms)  # the terms only: a cached chain would point back at G
+    return CentralSeriesChain(G, G._ucs, "upper")
 
 
 def lower_central_series(G: FiniteGroup, max_order: int | None = None) -> CentralSeriesChain:
@@ -137,26 +141,11 @@ class SpectrumReport:
 def spectrum(G: FiniteGroup, max_order: int | None = None) -> SpectrumReport:
     """Exact scan of all order-p elements, each assigned its ucs layer."""
     chain = upper_central_series(G, max_order)
-    E = enumerate_group(G, max_order)
-    p = G.prime
-    identity = G.identity
-    mult = G.multiply
     occupied: dict[int, tuple] = {}
-    for g in E.elements:  # ascending, so the first hit per layer is the witness
-        if g == identity:
-            continue
-        x = g
-        for _ in range(p - 1):
-            x = mult(x, g)
-        if x != identity:
-            continue
-        for i in range(1, len(chain.terms)):
-            if g in chain.terms[i]:
-                if i not in occupied:
-                    occupied[i] = g
-                break
+    for g in order_p_elements(G, max_order):  # ascending: first hit per layer is the witness
+        occupied.setdefault(layer_index(chain, g), g)
     return SpectrumReport(
-        p=p,
+        p=G.prime,
         klass=chain.length,
         spectrum=tuple(sorted(occupied)),
         witnesses=occupied,

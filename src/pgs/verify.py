@@ -26,7 +26,7 @@ from .constructions import (
     make_second_example,
 )
 from .cyclo import eq_powers_witness, ring_make
-from .errors import PreconditionFailed, ResourceLimit, ToolkitError
+from .errors import PreconditionFailed, ToolkitError
 from .groups import (
     DEFAULT_DECOMPOSE_BOUND,
     DEFAULT_MAX_ORDER,
@@ -40,6 +40,7 @@ from .groups import (
     enumerate_group,
     generated_by_order_p,
     is_pth_power,
+    order_p_elements,
     subgroup_closure,
 )
 from .series import (
@@ -54,23 +55,6 @@ from .series import (
 
 DEFAULT_SEED = 20240601
 _EXHAUSTIVE_PAIRS = 2_000_000
-
-
-def _order_p_elements(G: FiniteGroup, max_order=None):
-    E = enumerate_group(G, max_order)
-    p = G.prime
-    identity = G.identity
-    mult = G.multiply
-    out = []
-    for g in E.elements:
-        if g == identity:
-            continue
-        x = g
-        for _ in range(p - 1):
-            x = mult(x, g)
-        if x == identity:
-            out.append(g)
-    return out
 
 
 def verify_theorem_part1(G: FiniteGroup, max_order=None) -> dict:
@@ -100,9 +84,8 @@ def verify_lemma2(G: FiniteGroup, max_order=None) -> dict:
     applicable = G.prime != 2 and not abelian and generated_by_order_p(G, max_order)
     if not applicable:
         return {"applicable": False, "passed": True, "witness": None}
-    chain = upper_central_series(G, max_order)
-    z1, z2 = chain.terms[1].as_set, chain.terms[2].as_set
-    witness = next((g for g in _order_p_elements(G, max_order) if g in z2 and g not in z1), None)
+    # the smallest order-p element of Z_2 \ Z_1 is the spectrum's layer-2 witness
+    witness = spectrum(G, max_order).witnesses.get(2)
     return {"applicable": True, "passed": witness is not None, "witness": witness}
 
 
@@ -115,7 +98,7 @@ def find_question_witness(G: FiniteGroup, max_order=None):
     mult = G.multiply
     identity = G.identity
     p = G.prime
-    elems = _order_p_elements(G, max_order)
+    elems = order_p_elements(G, max_order)
     for x in elems:
         for y in elems:
             xy = mult(x, y)
@@ -142,7 +125,7 @@ def verify_regularity_power(
     if cls > p - 1:
         raise PreconditionFailed(f"class {cls} exceeds p - 1 = {p - 1}")
     elems = enumerate_group(G, max_order).elements
-    small = _order_p_elements(G, max_order)
+    small = order_p_elements(G, max_order)
     identity = G.identity
     exhaustive = len(small) * len(elems) <= _EXHAUSTIVE_PAIRS
     if exhaustive:
@@ -192,22 +175,19 @@ def verify_prop_same(G1, G2, z1, z2, max_order=None, sample: int = 2000, seed: i
     p = G1.prime
     P = direct_product([G1, G2])
     z = tuple(z1) + tuple(z2)
-    g_class = nilpotence_class(P, max_order)
     g_spec = spectrum(P, max_order)
+    Q = central_quotient_diagonal(G1, G2, z1, z2, max_order or DEFAULT_MAX_ORDER)
+    q_spec = spectrum(Q, max_order)
     if is_pth_power(P, z, max_order):
-        Q = central_quotient_diagonal(G1, G2, z1, z2, max_order or DEFAULT_MAX_ORDER)
-        q_spec = spectrum(Q, max_order)
         raise PreconditionFailed(
             "z1*z2 is a p-th power",
             report={
                 "quotient_spectrum": list(q_spec.spectrum),
                 "quotient_class": q_spec.klass,
                 "product_spectrum": list(g_spec.spectrum),
-                "product_class": g_class,
+                "product_class": g_spec.klass,
             },
         )
-    Q = central_quotient_diagonal(G1, G2, z1, z2, max_order or DEFAULT_MAX_ORDER)
-    q_spec = spectrum(Q, max_order)
     chain_q = upper_central_series(Q, max_order)
     chain_1 = upper_central_series(G1, max_order)
     chain_2 = upper_central_series(G2, max_order)
@@ -235,7 +215,7 @@ def verify_prop_same(G1, G2, z1, z2, max_order=None, sample: int = 2000, seed: i
         if not sublemma:
             break
     passed = (
-        q_spec.klass == g_class
+        q_spec.klass == g_spec.klass
         and q_spec.spectrum == g_spec.spectrum
         and sublemma
     )
@@ -526,19 +506,16 @@ def _suite_checks(max_order, decompose_bound, seed, random_count):
         + [{"family": "homocyclic", "p": 3, "k": 2, "e": 1, "s": 0}]
         + [{"family": "second_example", "p": 3, "k": 2, "c": 2}]
     )
-    for desc in family_descs:
+    theorem_cases = [("theorem_part1", desc, desc) for desc in family_descs] + [
+        ("theorem_part1_random", {"index": i, "recipe": desc}, desc)
+        for i, desc in enumerate(random_recipes(seed, random_count))
+    ]
+    for name, params, desc in theorem_cases:
         def t(desc=desc):
             r = verify_theorem_part1(build_from_description(desc, max_order), max_order)
             return r["passed"], None, r
 
-        add("theorem_part1", desc, t)
-
-    for i, desc in enumerate(random_recipes(seed, random_count)):
-        def t(desc=desc):
-            r = verify_theorem_part1(build_from_description(desc, max_order), max_order)
-            return r["passed"], None, r
-
-        add("theorem_part1_random", {"index": i, "recipe": desc}, t)
+        add(name, params, t)
 
     witness_descs = [
         ("Mc", {"family": "Mc", "p": 3, "c": 2}),
@@ -737,7 +714,7 @@ def _suite_checks(max_order, decompose_bound, seed, random_count):
         rev = lower_central_series(G, max_order)
         desc = tuple(reversed(rev.terms))  # gamma_1 .. gamma_(c+1)
         layers = set()
-        for g in _order_p_elements(G, max_order):
+        for g in order_p_elements(G, max_order):
             for i, term in enumerate(desc):
                 if g not in term.as_set:
                     continue
@@ -750,6 +727,32 @@ def _suite_checks(max_order, decompose_bound, seed, random_count):
     add("dc_lcs_layers", {"p": 3, "c": 3}, t_dc_lcs_layers)
 
     return checks
+
+
+def run_check(name: str, params, thunk) -> CheckRecord:
+    """Run one check thunk returning (passed, witness, details), timed.
+
+    A ToolkitError becomes a failed record named by its class; a diagnostic
+    ``report`` attached to the exception is kept in the details.
+    """
+    t0 = time.perf_counter()
+    witness, err = None, None
+    try:
+        passed, witness, details = thunk()
+    except ToolkitError as exc:
+        passed, err = False, type(exc).__name__
+        details = {"message": str(exc)}
+        if getattr(exc, "report", None):
+            details["report"] = exc.report
+    return CheckRecord(
+        check=name,
+        params=_jsonable(params),
+        passed=passed,
+        witness=_jsonable(witness),
+        details=_jsonable(details),
+        millis=int((time.perf_counter() - t0) * 1000),
+        error=err,
+    )
 
 
 def run_paper_suite(
@@ -768,27 +771,6 @@ def run_paper_suite(
     checks = _suite_checks(max_order, decompose_bound, seed, random_count)
     if only:
         checks = [c for c in checks if any(f in c[0] for f in only)]
-    records = []
-    for name, params, thunk in checks:
-        t0 = time.perf_counter()
-        try:
-            passed, witness, details = thunk()
-            err = None
-        except ResourceLimit as exc:
-            passed, witness, details, err = False, None, {"message": str(exc)}, "ResourceLimit"
-        except ToolkitError as exc:
-            passed, witness, details, err = False, None, {"message": str(exc)}, type(exc).__name__
-        millis = int((time.perf_counter() - t0) * 1000)
-        records.append(
-            CheckRecord(
-                check=name,
-                params=_jsonable(params),
-                passed=passed,
-                witness=_jsonable(witness),
-                details=_jsonable(details),
-                millis=millis,
-                error=err,
-            )
-        )
+    records = [run_check(name, params, thunk) for name, params, thunk in checks]
     records.sort(key=lambda r: (r.check, repr(sorted(r.params.items()))))
     return SuiteReport(seed=seed, records=records)

@@ -29,6 +29,7 @@ from pgs.groups import (
     direct_factor_search,
     direct_product,
     enumerate_group,
+    order_p_elements,
     subgroup_closure,
 )
 from pgs.series import (
@@ -40,7 +41,6 @@ from pgs.series import (
 )
 from pgs.verify import (
     DEFAULT_SEED,
-    _order_p_elements,
     find_question_witness,
     random_recipes,
     verify_eq_powers,
@@ -279,7 +279,7 @@ def test_criterion_12_characterization():
     G = make_Dc(3, 3)
     desc = tuple(reversed(lower_central_series(G).terms))
     layers = set()
-    for g in _order_p_elements(G):
+    for g in order_p_elements(G):
         for i, term in enumerate(desc):
             if g in term.as_set and (i + 1 == len(desc) or g not in desc[i + 1].as_set):
                 layers.add(i + 1)

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+import pgs.series
 from pgs.cli import main
 
 
@@ -154,3 +156,60 @@ def test_env_max_order(write_desc, capsys, monkeypatch):
 
     monkeypatch.setenv("PGS_MAX_ORDER", "zebra")
     assert main(["describe", write_desc({"family": "Dc", "p": 3, "c": 2})]) == 2
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"family": "Dc", "p": 101, "c": 5},
+        {"family": "cyclic", "p": 1000000000000000000000000000057, "e": 1},
+        {"family": "Mc", "p": 1000000000000000000000000000057, "c": 2},
+        {"family": "B2", "p": 1000000000000000000000000000057, "k": 2},
+        {"family": "homocyclic", "p": 1000000000000000000000000000057, "k": 1, "e": 1, "s": 0},
+    ],
+)
+def test_over_bound_family_exits_3_at_once(write_desc, capsys, desc):
+    path = write_desc(desc)
+    t0 = time.perf_counter()
+    code = main(["describe", path])
+    assert time.perf_counter() - t0 < 2
+    assert code == 3
+    assert "more than 2000000 elements" in capsys.readouterr().err
+
+
+def test_suite_unmatched_check_exits_2(capsys):
+    assert main(["suite", "--check", "nosuch"]) == 2
+    assert "no checks matched" in capsys.readouterr().err
+
+
+def test_non_positive_max_order_exits_2(write_desc, capsys, monkeypatch):
+    for family in ({"family": "Dc", "p": 3, "c": 2}, {"family": "Mc", "p": 3, "c": 2}):
+        path = write_desc(family)
+        for bound in ("-5", "0"):
+            assert main(["describe", path, "--max-order", bound]) == 2
+            monkeypatch.setenv("PGS_MAX_ORDER", bound)
+            assert main(["describe", path]) == 2
+            monkeypatch.delenv("PGS_MAX_ORDER")
+    assert "must be positive" in capsys.readouterr().err
+
+
+def test_prop_same_word_shape_exits_2(write_desc, capsys):
+    swapped = dict(K_DESC, word="f1.d^3*f0.x^3")
+    assert main(["verify", write_desc(swapped), "--check", "prop_same"]) == 2
+    assert "f0.<w>*f1.<w>" in capsys.readouterr().err
+
+
+def test_verify_builds_the_ucs_once(write_desc, capsys, monkeypatch):
+    # on a class-2 group each ucs build forms exactly one quotient, G/Z_1
+    quotients = []
+    real = pgs.series.quotient_group
+
+    def counting(G, N, max_order=None):
+        quotients.append(len(N))
+        return real(G, N, max_order)
+
+    monkeypatch.setattr(pgs.series, "quotient_group", counting)
+    code = main(["verify", write_desc({"family": "Mc", "p": 3, "c": 2}), "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and len(out["records"]) >= 4
+    assert quotients == [3]

@@ -13,7 +13,6 @@ from pgs.groups import (
     enumerate_group,
     generated_by_order_p,
     is_pth_power,
-    normal_closure,
     omega1_subgroup,
     quotient_group,
     subgroup_closure,
@@ -206,38 +205,6 @@ def test_generated_by_order_p():
     for c in (2, 3, 4):
         assert generated_by_order_p(make_Mc(3, c))
     assert not generated_by_order_p(make_Dc(3, 2))
-
-
-def test_normal_closure():
-    D = make_Dc(3, 2)
-    z = D.power(D.named_elements["x"], 3)  # central? x^3 is in Z(D)
-    assert z in center(D)
-    ncl = normal_closure(D, z)
-    assert ncl.as_set == subgroup_closure(D, [z]).as_set
-
-    nx = normal_closure(D, D.named_elements["x"])
-    assert len(nx) == 9
-    assert nx.as_set == subgroup_closure(D, [D.named_elements["x"]]).as_set
-
-    # brute-force oracle: the class of the top generator has size 3 and
-    # generates <a> together with the second ideal layer, order 9
-    M = make_Mc(3, 2)
-    E = enumerate_group(M)
-    a = M.named_elements["a"]
-    cls = {M.conjugate(a, h) for h in E}
-    oracle = set(cls) | {M.identity}
-    changed = True
-    while changed:
-        changed = False
-        for x in list(oracle):
-            for y in list(oracle):
-                z = M.multiply(x, y)
-                if z not in oracle:
-                    oracle.add(z)
-                    changed = True
-    ncl_a = normal_closure(M, a)
-    assert ncl_a.as_set == frozenset(oracle)
-    assert len(ncl_a) == 9
 
 
 def test_direct_factor_search_none_on_cyclic():

@@ -8,11 +8,12 @@ from pgs.constructions import (
     make_cyclic,
     make_second_example,
 )
-from pgs.errors import PreconditionFailed
+from pgs.errors import NotCentral, PreconditionFailed
 from pgs.groups import commutator, direct_product, element_order, enumerate_group, quotient_group
 from pgs.verify import (
     find_question_witness,
     random_recipes,
+    run_check,
     run_paper_suite,
     verify_eq_powers,
     verify_lemma2,
@@ -176,6 +177,25 @@ def test_suite_filter_and_determinism():
     assert r1.passed and r1.exit_status == 0
     r2 = run_paper_suite(only=["lemma_fact"])
     assert r1.as_dict() == r2.as_dict()
+
+
+def test_run_check_captures_toolkit_errors():
+    ok = run_check("ok", {"p": 3}, lambda: (True, (0, 1), {"n": frozenset({2, 1})}))
+    assert ok.passed and ok.error is None and ok.witness == [0, 1] and ok.details == {"n": [1, 2]}
+
+    def not_central():
+        raise NotCentral("z is not central")
+
+    rec = run_check("bad", {}, not_central)
+    assert not rec.passed and rec.error == "NotCentral"
+    assert rec.details == {"message": "z is not central"}
+
+    def precondition():
+        raise PreconditionFailed("no", report={"spectrum": (1, 2)})
+
+    rec = run_check("pre", {}, precondition)
+    assert rec.error == "PreconditionFailed"
+    assert rec.details == {"message": "no", "report": {"spectrum": [1, 2]}}
 
 
 def test_suite_resource_limit_exit():
