@@ -74,8 +74,8 @@ def _emit(obj, as_json: bool, text_lines) -> None:
 
 def cmd_describe(args) -> int:
     G = build_from_description(_load_description(args.file), args.max_order)
-    E = enumerate_group(G, args.max_order)
-    chain = upper_central_series(G, args.max_order)
+    E = enumerate_group(G)
+    chain = upper_central_series(G)
     out = {
         "description": repr(G),
         "order": len(E),
@@ -99,7 +99,7 @@ def cmd_describe(args) -> int:
 
 def cmd_spectrum(args) -> int:
     G = build_from_description(_load_description(args.file), args.max_order)
-    sp = spectrum(G, args.max_order)
+    sp = spectrum(G)
     out = sp.as_dict()
     lines = [
         f"p: {out['p']}",
@@ -116,11 +116,11 @@ def cmd_spectrum(args) -> int:
 def cmd_series(args) -> int:
     G = build_from_description(_load_description(args.file), args.max_order)
     if args.lower:
-        chain = lower_central_series(G, args.max_order)
+        chain = lower_central_series(G)
         terms = list(reversed(chain.terms))  # gamma_1 .. gamma_(c+1)
         kind = "lower"
     else:
-        chain = upper_central_series(G, args.max_order)
+        chain = upper_central_series(G)
         terms = list(chain.terms)
         kind = "upper"
     witnesses = []
@@ -150,22 +150,18 @@ def _verify_records_for(desc_obj, args) -> list[CheckRecord]:
 
     G = build_from_description(desc, max_order)
 
-    run("theorem_part1", {}, lambda: _unpack(verify_theorem_part1(G, max_order)))
-    run("lemma2", {}, lambda: _unpack(verify_lemma2(G, max_order)))
+    run("theorem_part1", {}, lambda: _unpack(verify_theorem_part1(G)))
+    run("lemma2", {}, lambda: _unpack(verify_lemma2(G)))
 
     def _question():
-        w = find_question_witness(G, max_order)
+        w = find_question_witness(G)
         return w is not None, w, {}
 
-    if len(center(G, max_order)) < len(enumerate_group(G, max_order)):
+    if len(center(G)) < len(enumerate_group(G)):
         run("question_witness", {}, _question)
 
-    if nilpotence_class(G, max_order) <= G.prime - 1:
-        run(
-            "regularity_power",
-            {},
-            lambda: _unpack(verify_regularity_power(G, max_order, seed=args.seed)),
-        )
+    if nilpotence_class(G) <= G.prime - 1:
+        run("regularity_power", {}, lambda: _unpack(verify_regularity_power(G, seed=args.seed)))
 
     if desc.kind == "Mc":
         p, c = desc.params["p"], desc.params["c"]
@@ -177,7 +173,7 @@ def _verify_records_for(desc_obj, args) -> list[CheckRecord]:
         def _prod():
             G1 = build_from_description(desc.factors[0], max_order)
             G2 = build_from_description(desc.factors[1], max_order)
-            return _unpack(verify_product_spectrum(G1, G2, max_order))
+            return _unpack(verify_product_spectrum(G1, G2))
 
         run("product_spectrum", {}, _prod)
 
@@ -197,7 +193,7 @@ def _verify_records_for(desc_obj, args) -> list[CheckRecord]:
             G2 = build_from_description(desc.inner.factors[1], max_order)
             z1 = evaluate_word(G1, t1[3:])
             z2 = evaluate_word(G2, t2[3:])
-            return _unpack(verify_prop_same(G1, G2, z1, z2, max_order, seed=args.seed))
+            return _unpack(verify_prop_same(G1, G2, z1, z2, seed=args.seed))
 
         run("prop_same", {"word": desc.word}, _prop)
 
@@ -254,7 +250,7 @@ def cmd_suite(args) -> int:
 
 def cmd_decompose(args) -> int:
     G = build_from_description(_load_description(args.file), args.max_order)
-    split = direct_factor_search(G, args.decompose_bound, args.max_order)
+    split = direct_factor_search(G, args.decompose_bound)
     if split is None:
         out = {"decomposable": False, "factor_orders": None}
         lines = ["decomposable: no"]
@@ -265,20 +261,23 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _add_common(sub, with_file=True):
+def _add_common(sub, with_file=True, decompose=False, checks=False):
+    """Give a subcommand the flags it reads: always --json and --max-order."""
     if with_file:
         sub.add_argument("file", help="JSON group description file")
     sub.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     sub.add_argument("--max-order", type=int, default=None, help="enumeration bound")
-    sub.add_argument("--decompose-bound", type=int, default=DEFAULT_DECOMPOSE_BOUND)
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument(
-        "--check",
-        type=lambda s: [x for x in s.split(",") if x],
-        default=None,
-        help="comma-separated check-name filter",
-    )
-    sub.add_argument("--timings", action="store_true", help="include real timings in JSON")
+    if decompose:
+        sub.add_argument("--decompose-bound", type=int, default=DEFAULT_DECOMPOSE_BOUND)
+    if checks:
+        sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        sub.add_argument(
+            "--check",
+            type=lambda s: [x for x in s.split(",") if x],
+            default=None,
+            help="comma-separated check-name filter",
+        )
+        sub.add_argument("--timings", action="store_true", help="include real timings in JSON")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,16 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_series)
 
     sub = subs.add_parser("verify", help="run applicable checks against a described group")
-    _add_common(sub)
+    _add_common(sub, checks=True)
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("suite", help="run the full verification battery")
-    _add_common(sub, with_file=False)
-    sub.add_argument("--paper", action="store_true", help="run the complete battery (default)")
+    _add_common(sub, with_file=False, decompose=True, checks=True)
     sub.set_defaults(func=cmd_suite)
 
     sub = subs.add_parser("decompose", help="search for a nontrivial direct decomposition")
-    _add_common(sub)
+    _add_common(sub, decompose=True)
     sub.set_defaults(func=cmd_decompose)
 
     return ap

@@ -74,6 +74,7 @@ class SemidirectGroup(FiniteGroup):
         generators,
         named=None,
         description="",
+        max_order=DEFAULT_MAX_ORDER,
     ):
         check_prime(p)
         mods = tuple(int(m) for m in bottom_moduli)
@@ -115,6 +116,7 @@ class SemidirectGroup(FiniteGroup):
             named=named,
             known_order=order,
             description=description,
+            max_order=max_order,
         )
 
     def multiply(self, a, b):
@@ -164,6 +166,7 @@ def make_cyclic(p: int, e: int, name: str = "d", max_order: int = DEFAULT_MAX_OR
         ((1,),),
         [(name, (0, 1))],
         description=f"C{p**e}",
+        max_order=max_order,
     )
 
 
@@ -194,6 +197,7 @@ def make_Dc(p: int, c: int, max_order: int = DEFAULT_MAX_ORDER) -> SemidirectGro
         ((mult % mod,),),
         [("x", (0, 1)), ("y", (1, 0))],
         description=f"Dc({p},{c})",
+        max_order=max_order,
     )
 
 
@@ -225,6 +229,7 @@ def make_Mc(p: int, c: int, max_order: int = DEFAULT_MAX_ORDER) -> SemidirectGro
         [("a", a), ("s1", named["s1"])],
         named=named,
         description=f"Mc({p},{c})",
+        max_order=max_order,
     )
     G.ring = R
     G.bottom_invariants = inv
@@ -267,6 +272,7 @@ def make_homocyclic(p: int, k: int, e: int, s: int, max_order: int = DEFAULT_MAX
         rows,
         gens,
         description=f"homocyclic({p},{k},{e},0)",
+        max_order=max_order,
     )
     if s == 0:
         return G0
@@ -277,7 +283,7 @@ def make_homocyclic(p: int, k: int, e: int, s: int, max_order: int = DEFAULT_MAX
             g = G0.power(g, p)
         sub_gens.append((f"a{i + 1}", g))
     sub_gens.append(("b", G0.named_elements["b"]))
-    carrier = subgroup_closure(G0, [g for _, g in sub_gens], max_order)
+    carrier = subgroup_closure(G0, [g for _, g in sub_gens])
     return SubgroupGroup(
         G0, carrier.as_set, sub_gens, description=f"homocyclic({p},{k},{e},{s})"
     )
@@ -293,7 +299,6 @@ def make_homocyclic(p: int, k: int, e: int, s: int, max_order: int = DEFAULT_MAX
 #   5   : [x,y,x,x]                4
 #   6   : [x,y,x,y]  (=[x,y,y,x])  4
 #   7   : [x,y,y,y]                4
-_HALL_WEIGHTS = (1, 1, 2, 3, 3, 4, 4, 4)
 _HALL_DIMS = {1: 2, 2: 3, 3: 5, 4: 8}
 _BRACKETS = {
     (0, 1): ((1, 2),),
@@ -315,7 +320,7 @@ class LieBCHGroup(FiniteGroup):
     nonidentity element has order p, and inversion is negation.
     """
 
-    def __init__(self, p: int, k: int):
+    def __init__(self, p: int, k: int, max_order: int = DEFAULT_MAX_ORDER):
         check_prime(p)
         if not (2 <= k <= min(p - 1, 4)):
             raise BadParameters("k must satisfy 2 <= k <= min(p - 1, 4)")
@@ -343,6 +348,7 @@ class LieBCHGroup(FiniteGroup):
             gens,
             known_order=p**dim,
             description=f"B2({p},{k})",
+            max_order=max_order,
         )
 
     def bracket(self, u, v):
@@ -388,21 +394,15 @@ class LieBCHGroup(FiniteGroup):
 
 
 def make_B2(p: int, k: int, max_order: int | None = None) -> LieBCHGroup:
-    """B2(p, k).  It needs no tables, so only a given ``max_order`` bounds it,
-    checked before p is tested for primality; B2(7,4) has 7^8 elements."""
-    if max_order is not None:
-        _check_order(p, _HALL_DIMS.get(k, 0), max_order, f"B2({p},{k})")
-    return LieBCHGroup(p, k)
+    """B2(p, k).  Only a given ``max_order`` is checked here, before p is tested
+    for primality (B2(7,4) has 7^8 elements); else it carries the default."""
+    if max_order is None:
+        return LieBCHGroup(p, k)
+    _check_order(p, _HALL_DIMS.get(k, 0), max_order, f"B2({p},{k})")
+    return LieBCHGroup(p, k, max_order)
 
 
-def central_quotient_diagonal(
-    G1: FiniteGroup,
-    G2: FiniteGroup,
-    z1,
-    z2,
-    max_order: int = DEFAULT_MAX_ORDER,
-    description: str = "",
-):
+def central_quotient_diagonal(G1: FiniteGroup, G2: FiniteGroup, z1, z2):
     """Quotient of G1 x G2 by the diagonal central subgroup <(z1, z2)>.
 
     Each z_i must be central of order exactly p in its factor.
@@ -416,8 +416,8 @@ def central_quotient_diagonal(
             raise WrongOrder(f"{z} does not have order {p}")
     P = direct_product([G1, G2])
     z = tuple(z1) + tuple(z2)
-    N = subgroup_closure(P, [z], max_order)
-    return quotient_group(P, N, max_order)
+    N = subgroup_closure(P, [z])
+    return quotient_group(P, N)
 
 
 def make_second_example(
@@ -446,9 +446,9 @@ def make_second_example(
     z1 = G1.power(G1.named_elements["x"], p ** (c - 1))
     P = direct_product([G1, G2])
     z = z1 + d
-    if is_pth_power(P, z, max_order):
+    if is_pth_power(P, z):
         raise PthPowerViolation("diagonal element is a p-th power")
-    Q = central_quotient_diagonal(G1, G2, z1, d, max_order)
+    Q = central_quotient_diagonal(G1, G2, z1, d)
     Q.description = f"second_example({p},{k},{c})"
     return Q
 
@@ -512,7 +512,7 @@ def make_partb_indecomposable(p, cs, c, max_order: int = DEFAULT_MAX_ORDER):
     gens.append(("x", H.embed(n, D.named_elements["x"])))
     gens.append(("yp", H.embed(n, D.power(D.named_elements["y"], p))))
 
-    carrier = subgroup_closure(H, [g for _, g in gens], max_order)
+    carrier = subgroup_closure(H, [g for _, g in gens])
     return SubgroupGroup(
         H, carrier.as_set, gens, description=f"partb_indec({p},{cs},{c})"
     )
@@ -648,6 +648,6 @@ def build_from_description(desc, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGr
                 raise NotCentral("quotient word does not evaluate to a central element")
         if element_order(G, z) != G.prime:
             raise WrongOrder("quotient word must have order exactly p")
-        N = subgroup_closure(G, [z], max_order)
-        return quotient_group(G, N, max_order)
+        N = subgroup_closure(G, [z])
+        return quotient_group(G, N)
     raise ParseError(f"unhandled description kind {d.kind!r}")

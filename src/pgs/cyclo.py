@@ -11,6 +11,7 @@ with one unit of headroom above the exponent of the quotient by I^c.
 from __future__ import annotations
 
 from .errors import BadParameters, InternalInconsistency, ParameterTooLarge
+from .groups import DEFAULT_MAX_ORDER
 from .linalg import (
     AbelianInvariants,
     EchelonBasis,
@@ -51,7 +52,7 @@ class RingElem:
 class CycloRing:
     """Z[w]/(Phi_p(w), p^N) with the ideal filtration I^k, I = (w - 1)."""
 
-    def __init__(self, p: int, c: int, max_order: int = 2_000_000) -> None:
+    def __init__(self, p: int, c: int, max_order: int = DEFAULT_MAX_ORDER) -> None:
         check_prime(p)
         if c < 1:
             raise BadParameters("c must be >= 1")
@@ -162,7 +163,7 @@ class CycloRing:
         return f"CycloRing(p={self.p}, c={self.c}, N={self.N})"
 
 
-def ring_make(p: int, c: int, max_order: int = 2_000_000) -> CycloRing:
+def ring_make(p: int, c: int, max_order: int = DEFAULT_MAX_ORDER) -> CycloRing:
     """Build the truncated ring with its precomputed ideal filtration."""
     return CycloRing(p, c, max_order=max_order)
 

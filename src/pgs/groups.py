@@ -11,7 +11,9 @@ Everything here is exhaustive and exact: closures are breadth-first over
 generator multiplication, the center tests against generators only, and
 quotients store the byte-lexicographic minimum of each coset.  Each group
 caches its carrier, center, upper central series and order-p elements, so
-every analysis of one group object shares them.
+every analysis of one group object shares them.  Each group also carries the
+enumeration bound it was built with, ``max_order``: a quotient or subgroup
+takes its parent's, a product the smallest of its factors'.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ class FiniteGroup:
     """
 
     def _init_group(
-        self, prime, identity, moduli, generators, named=None, known_order=None, description="", carrier=None
+        self, prime, identity, moduli, generators, named=None, known_order=None, description="", carrier=None,
+        max_order=DEFAULT_MAX_ORDER,
     ):
         self.prime = prime
         self.identity = tuple(identity)
@@ -58,6 +61,7 @@ class FiniteGroup:
                 names.setdefault(name, tuple(g))
         self.named_elements = names
         self.known_order = known_order
+        self.max_order = max_order
         self.description = description
         self._widths = tuple(max(1, ((m - 1).bit_length() + 7) // 8) for m in self.coordinate_moduli)
         self._enumeration = None if carrier is None else EnumeratedSubgroup(self, carrier)
@@ -145,13 +149,14 @@ class EnumeratedSubgroup:
         return f"EnumeratedSubgroup(order={len(self._set)})"
 
 
-def subgroup_closure(G: FiniteGroup, elements, max_order: int | None = None) -> EnumeratedSubgroup:
+def subgroup_closure(G: FiniteGroup, elements) -> EnumeratedSubgroup:
     """Smallest subgroup of G containing ``elements``.
 
     Breadth-first closure under right multiplication by the generating set;
     in a finite group the generated submonoid is the generated subgroup.
+    The closure stops with ResourceLimit once it passes ``G.max_order``.
     """
-    bound = max_order if max_order is not None else DEFAULT_MAX_ORDER
+    bound = G.max_order
     mult = G.multiply
     identity = G.identity
     gens = []
@@ -177,10 +182,16 @@ def subgroup_closure(G: FiniteGroup, elements, max_order: int | None = None) -> 
     return EnumeratedSubgroup(G, visited)
 
 
-def enumerate_group(G: FiniteGroup, max_order: int | None = None) -> EnumeratedSubgroup:
-    """Full carrier of G (closure of its generators), cached on the group."""
+def enumerate_group(G: FiniteGroup) -> EnumeratedSubgroup:
+    """Full carrier of G (closure of its generators), cached on the group.
+
+    A known order above ``G.max_order`` raises ResourceLimit before the
+    closure multiplies anything.
+    """
     if G._enumeration is None:
-        E = subgroup_closure(G, [g for _, g in G.generators], max_order)
+        if G.known_order is not None and G.known_order > G.max_order:
+            raise ResourceLimit(f"{G!r} has more than {G.max_order} elements")
+        E = subgroup_closure(G, [g for _, g in G.generators])
         if G.known_order is not None and len(E) != G.known_order:
             raise InternalInconsistency(
                 f"{G!r}: enumerated {len(E)} elements, expected {G.known_order}"
@@ -206,10 +217,10 @@ def commutator(G: FiniteGroup, x, y):
     return mult(mult(G.invert(x), G.invert(y)), mult(x, y))
 
 
-def center(G: FiniteGroup, max_order: int | None = None) -> EnumeratedSubgroup:
+def center(G: FiniteGroup) -> EnumeratedSubgroup:
     """Center, as the centralizer of the generators (cached)."""
     if G._center is None:
-        E = enumerate_group(G, max_order)
+        E = enumerate_group(G)
         mult = G.multiply
         gens = [g for _, g in G.generators]
         G._center = EnumeratedSubgroup(
@@ -218,14 +229,14 @@ def center(G: FiniteGroup, max_order: int | None = None) -> EnumeratedSubgroup:
     return G._center
 
 
-def order_p_elements(G: FiniteGroup, max_order: int | None = None) -> tuple:
+def order_p_elements(G: FiniteGroup) -> tuple:
     """Elements of order exactly p, in canonical order (cached)."""
     if G._order_p is None:
         p = G.prime
         identity = G.identity
         mult = G.multiply
         out = []
-        for g in enumerate_group(G, max_order).elements:
+        for g in enumerate_group(G).elements:
             if g == identity:
                 continue
             x = g
@@ -259,6 +270,7 @@ class QuotientGroup(FiniteGroup):
             known_order=len(rep_map) // len(kernel),
             description=description or f"{parent!r}/N{len(kernel)}",
             carrier=reps,
+            max_order=parent.max_order,
         )
 
     def multiply(self, a, b):
@@ -272,9 +284,9 @@ class QuotientGroup(FiniteGroup):
         return self._rep[g]
 
 
-def quotient_group(G: FiniteGroup, N: EnumeratedSubgroup, max_order: int | None = None) -> QuotientGroup:
+def quotient_group(G: FiniteGroup, N: EnumeratedSubgroup) -> QuotientGroup:
     """Quotient by a normal subgroup (normality is verified)."""
-    E = enumerate_group(G, max_order)
+    E = enumerate_group(G)
     if not N.as_set <= E.as_set:
         raise NotNormal("subgroup is not contained in the group")
     for _, g in G.generators:
@@ -337,6 +349,7 @@ class DirectProductGroup(FiniteGroup):
             named=named,
             known_order=order,
             description=description or " x ".join(repr(f) for f in factors),
+            max_order=min(f.max_order for f in factors),
         )
 
     def multiply(self, a, b):
@@ -380,6 +393,7 @@ class SubgroupGroup(FiniteGroup):
             known_order=len(carrier),
             description=description or f"subgroup({len(carrier)}) of {parent!r}",
             carrier=carrier,
+            max_order=parent.max_order,
         )
 
     def multiply(self, a, b):
@@ -389,25 +403,25 @@ class SubgroupGroup(FiniteGroup):
         return self.parent.invert(a)
 
 
-def is_pth_power(G: FiniteGroup, z, max_order: int | None = None) -> bool:
+def is_pth_power(G: FiniteGroup, z) -> bool:
     """Exhaustive test for z in {g^p : g in G}."""
-    E = enumerate_group(G, max_order)
+    E = enumerate_group(G)
     p = G.prime
     z = tuple(z)
     return any(G.power(g, p) == z for g in E.elements)
 
 
-def omega1_subgroup(G: FiniteGroup, max_order: int | None = None) -> EnumeratedSubgroup:
+def omega1_subgroup(G: FiniteGroup) -> EnumeratedSubgroup:
     """Subgroup generated by all elements of order dividing p."""
-    E = enumerate_group(G, max_order)
-    small = order_p_elements(G, max_order)
+    E = enumerate_group(G)
+    small = order_p_elements(G)
     if len(small) + 1 == len(E):
         return E
-    return subgroup_closure(G, small, max_order)
+    return subgroup_closure(G, small)
 
 
-def generated_by_order_p(G: FiniteGroup, max_order: int | None = None) -> bool:
-    return len(omega1_subgroup(G, max_order)) == len(enumerate_group(G, max_order))
+def generated_by_order_p(G: FiniteGroup) -> bool:
+    return len(omega1_subgroup(G)) == len(enumerate_group(G))
 
 
 def _conjugacy_classes_idx(n, mul, inv_of, gen_idx):
@@ -432,11 +446,7 @@ def _conjugacy_classes_idx(n, mul, inv_of, gen_idx):
     return classes
 
 
-def direct_factor_search(
-    G: FiniteGroup,
-    decompose_bound: int | None = None,
-    max_order: int | None = None,
-):
+def direct_factor_search(G: FiniteGroup, decompose_bound: int | None = None):
     """Find a nontrivial internal direct decomposition, or None.
 
     The normal subgroups of G are exactly the joins of normal closures of
@@ -447,7 +457,7 @@ def direct_factor_search(
     are bitmask integers so intersection tests are single AND operations.
     """
     bound = decompose_bound if decompose_bound is not None else DEFAULT_DECOMPOSE_BOUND
-    E = enumerate_group(G, max_order)
+    E = enumerate_group(G)
     n = len(E)
     if n > bound:
         raise ResourceLimit(f"|G| = {n} exceeds the decomposition bound {bound}")

@@ -31,7 +31,6 @@ class CentralSeriesChain:
 
     group: FiniteGroup
     terms: tuple
-    kind: str  # "upper" | "lower-reversed" | "user"
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -50,19 +49,19 @@ class CentralSeriesChain:
         return [t.as_set for t in self.terms] == [t.as_set for t in other.terms]
 
 
-def upper_central_series(G: FiniteGroup, max_order: int | None = None) -> CentralSeriesChain:
+def upper_central_series(G: FiniteGroup) -> CentralSeriesChain:
     """Z_0 = 1 < Z_1 < ... < Z_c = G via centers of successive quotients (cached)."""
     if G._ucs is not None:
-        return CentralSeriesChain(G, G._ucs, "upper")
-    E = enumerate_group(G, max_order)
+        return CentralSeriesChain(G, G._ucs)
+    E = enumerate_group(G)
     terms = [EnumeratedSubgroup(G, [G.identity])]
     current = terms[0]
     while len(current) < len(E):
         if len(current) == 1:
-            nxt = center(G, max_order)
+            nxt = center(G)
         else:
-            Q = quotient_group(G, current, max_order)
-            ZQ = center(Q, max_order)
+            Q = quotient_group(G, current)
+            ZQ = center(Q)
             zq = ZQ.as_set
             rep = Q._rep
             nxt = EnumeratedSubgroup(G, [g for g in E.as_set if rep[g] in zq])
@@ -73,17 +72,17 @@ def upper_central_series(G: FiniteGroup, max_order: int | None = None) -> Centra
         terms.append(nxt)
         current = nxt
     G._ucs = tuple(terms)  # the terms only: a cached chain would point back at G
-    return CentralSeriesChain(G, G._ucs, "upper")
+    return CentralSeriesChain(G, G._ucs)
 
 
-def lower_central_series(G: FiniteGroup, max_order: int | None = None) -> CentralSeriesChain:
+def lower_central_series(G: FiniteGroup) -> CentralSeriesChain:
     """gamma_1 = G down to 1, returned as an ascending chain.
 
     gamma_(k+1) is generated by the commutators [x, g] with x running over
     the whole of gamma_k and g over the generators of G, which equals
     [gamma_k, G] because gamma_k is normal.
     """
-    E = enumerate_group(G, max_order)
+    E = enumerate_group(G)
     gens = [g for _, g in G.generators]
     descending = [E]
     current = E
@@ -95,16 +94,16 @@ def lower_central_series(G: FiniteGroup, max_order: int | None = None) -> Centra
             xinv = invert(x)
             for g in gens:
                 comms.add(mult(mult(xinv, invert(g)), mult(x, g)))
-        nxt = subgroup_closure(G, comms, max_order)
+        nxt = subgroup_closure(G, comms)
         if len(nxt) == len(current):
             raise InternalInconsistency("lower central series stalled; input is not nilpotent")
         descending.append(nxt)
         current = nxt
-    return CentralSeriesChain(G, tuple(reversed(descending)), "lower-reversed")
+    return CentralSeriesChain(G, tuple(reversed(descending)))
 
 
-def nilpotence_class(G: FiniteGroup, max_order: int | None = None) -> int:
-    return upper_central_series(G, max_order).length
+def nilpotence_class(G: FiniteGroup) -> int:
+    return upper_central_series(G).length
 
 
 def layer_index(chain: CentralSeriesChain, g) -> int:
@@ -138,11 +137,11 @@ class SpectrumReport:
         }
 
 
-def spectrum(G: FiniteGroup, max_order: int | None = None) -> SpectrumReport:
+def spectrum(G: FiniteGroup) -> SpectrumReport:
     """Exact scan of all order-p elements, each assigned its ucs layer."""
-    chain = upper_central_series(G, max_order)
+    chain = upper_central_series(G)
     occupied: dict[int, tuple] = {}
-    for g in order_p_elements(G, max_order):  # ascending: first hit per layer is the witness
+    for g in order_p_elements(G):  # ascending: first hit per layer is the witness
         occupied.setdefault(layer_index(chain, g), g)
     return SpectrumReport(
         p=G.prime,
@@ -153,14 +152,14 @@ def spectrum(G: FiniteGroup, max_order: int | None = None) -> SpectrumReport:
     )
 
 
-def is_central_series(G: FiniteGroup, chain: CentralSeriesChain, max_order: int | None = None) -> bool:
+def is_central_series(G: FiniteGroup, chain: CentralSeriesChain) -> bool:
     """True iff the chain ascends 1 -> G through subgroups with [G_i, G] <= G_(i-1).
 
     The commutator condition is tested against generators of G only, which
     suffices when applied bottom-up: once [G_(i-1), G] <= G_(i-2) is fully
     established, [x, gh] = [x, h] [x, g] [[x, g], h] closes the induction.
     """
-    E = enumerate_group(G, max_order)
+    E = enumerate_group(G)
     terms = chain.terms
     if len(terms) < 1 or terms[0].as_set != {G.identity} or terms[-1].as_set != E.as_set:
         return False
@@ -184,18 +183,16 @@ def is_central_series(G: FiniteGroup, chain: CentralSeriesChain, max_order: int 
     return True
 
 
-def satisfies_ucs_characterization(
-    G: FiniteGroup, chain: CentralSeriesChain, max_order: int | None = None
-) -> bool:
+def satisfies_ucs_characterization(G: FiniteGroup, chain: CentralSeriesChain) -> bool:
     """Exhaustive test of the layer-linking property that pins down the ucs.
 
     For every m >= 2 and every x in G_m \\ G_(m-1), some y in G must push x
     down exactly one layer: [x, y] in G_(m-1) \\ G_(m-2).  A central series
     has this property iff it is the upper central series term by term.
     """
-    if not is_central_series(G, chain, max_order):
+    if not is_central_series(G, chain):
         raise PreconditionFailed("chain is not a central series")
-    E = enumerate_group(G, max_order)
+    E = enumerate_group(G)
     terms = chain.terms
     for m in range(2, len(terms)):
         mid = terms[m - 1].as_set

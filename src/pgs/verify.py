@@ -54,12 +54,12 @@ from .series import (
 )
 
 DEFAULT_SEED = 20240601
-_EXHAUSTIVE_PAIRS = 2_000_000
+_EXHAUSTIVE_PAIRS = DEFAULT_MAX_ORDER  # a pair scan gets the budget of one enumeration
 
 
-def verify_theorem_part1(G: FiniteGroup, max_order=None) -> dict:
+def verify_theorem_part1(G: FiniteGroup) -> dict:
     """Spectrum containing k >= 2 must contain all of 1 .. min(k, p-1)."""
-    sp = spectrum(G, max_order)
+    sp = spectrum(G)
     have = set(sp.spectrum)
     violations = []
     for k in sp.spectrum:
@@ -76,20 +76,20 @@ def verify_theorem_part1(G: FiniteGroup, max_order=None) -> dict:
     }
 
 
-def verify_lemma2(G: FiniteGroup, max_order=None) -> dict:
+def verify_lemma2(G: FiniteGroup) -> dict:
     """Odd p, nonabelian, generated by order-p elements: some order-p
     element lies in the second layer of the upper central series."""
-    E = enumerate_group(G, max_order)
-    abelian = len(center(G, max_order)) == len(E)
-    applicable = G.prime != 2 and not abelian and generated_by_order_p(G, max_order)
+    E = enumerate_group(G)
+    abelian = len(center(G)) == len(E)
+    applicable = G.prime != 2 and not abelian and generated_by_order_p(G)
     if not applicable:
         return {"applicable": False, "passed": True, "witness": None}
     # the smallest order-p element of Z_2 \ Z_1 is the spectrum's layer-2 witness
-    witness = spectrum(G, max_order).witnesses.get(2)
+    witness = spectrum(G).witnesses.get(2)
     return {"applicable": True, "passed": witness is not None, "witness": witness}
 
 
-def find_question_witness(G: FiniteGroup, max_order=None):
+def find_question_witness(G: FiniteGroup):
     """First pair of non-commuting order-p elements whose product has order p.
 
     Scans element pairs in canonical order; returns None when no such pair
@@ -98,7 +98,7 @@ def find_question_witness(G: FiniteGroup, max_order=None):
     mult = G.multiply
     identity = G.identity
     p = G.prime
-    elems = order_p_elements(G, max_order)
+    elems = order_p_elements(G)
     for x in elems:
         for y in elems:
             xy = mult(x, y)
@@ -109,23 +109,18 @@ def find_question_witness(G: FiniteGroup, max_order=None):
     return None
 
 
-def verify_regularity_power(
-    G: FiniteGroup,
-    max_order=None,
-    sample_pairs: int = 10_000,
-    seed: int = DEFAULT_SEED,
-) -> dict:
+def verify_regularity_power(G: FiniteGroup, sample_pairs: int = 10_000, seed: int = DEFAULT_SEED) -> dict:
     """In a group of class at most p-1, [x, y]^p = 1 whenever x^p = 1.
 
     Exhaustive when the pair count is small; otherwise checks
     ``sample_pairs`` seeded random pairs.
     """
     p = G.prime
-    cls = nilpotence_class(G, max_order)
+    cls = nilpotence_class(G)
     if cls > p - 1:
         raise PreconditionFailed(f"class {cls} exceeds p - 1 = {p - 1}")
-    elems = enumerate_group(G, max_order).elements
-    small = order_p_elements(G, max_order)
+    elems = enumerate_group(G).elements
+    small = order_p_elements(G)
     identity = G.identity
     exhaustive = len(small) * len(elems) <= _EXHAUSTIVE_PAIRS
     if exhaustive:
@@ -145,14 +140,14 @@ def verify_regularity_power(
     return {"passed": True, "counterexample": None, "exhaustive": exhaustive, "pairs": checked}
 
 
-def verify_product_spectrum(G1: FiniteGroup, G2: FiniteGroup, max_order=None) -> dict:
+def verify_product_spectrum(G1: FiniteGroup, G2: FiniteGroup) -> dict:
     """Spectrum of a product is the union; class is the maximum."""
-    if len(enumerate_group(G1, max_order)) == 1 or len(enumerate_group(G2, max_order)) == 1:
+    if len(enumerate_group(G1)) == 1 or len(enumerate_group(G2)) == 1:
         raise PreconditionFailed("both factors must be nontrivial")
-    s1 = spectrum(G1, max_order)
-    s2 = spectrum(G2, max_order)
+    s1 = spectrum(G1)
+    s2 = spectrum(G2)
     P = direct_product([G1, G2])
-    sp = spectrum(P, max_order)
+    sp = spectrum(P)
     want = tuple(sorted(set(s1.spectrum) | set(s2.spectrum)))
     return {
         "passed": sp.spectrum == want and sp.klass == max(s1.klass, s2.klass),
@@ -163,7 +158,9 @@ def verify_product_spectrum(G1: FiniteGroup, G2: FiniteGroup, max_order=None) ->
     }
 
 
-def verify_prop_same(G1, G2, z1, z2, max_order=None, sample: int = 2000, seed: int = DEFAULT_SEED) -> dict:
+def verify_prop_same(
+    G1: FiniteGroup, G2: FiniteGroup, z1, z2, sample: int = 2000, seed: int = DEFAULT_SEED
+) -> dict:
     """Diagonal central quotient preserves class and spectrum.
 
     Requires z1 * z2 not to be a p-th power in the product; when it is, a
@@ -175,10 +172,10 @@ def verify_prop_same(G1, G2, z1, z2, max_order=None, sample: int = 2000, seed: i
     p = G1.prime
     P = direct_product([G1, G2])
     z = tuple(z1) + tuple(z2)
-    g_spec = spectrum(P, max_order)
-    Q = central_quotient_diagonal(G1, G2, z1, z2, max_order or DEFAULT_MAX_ORDER)
-    q_spec = spectrum(Q, max_order)
-    if is_pth_power(P, z, max_order):
+    g_spec = spectrum(P)
+    Q = central_quotient_diagonal(G1, G2, z1, z2)
+    q_spec = spectrum(Q)
+    if is_pth_power(P, z):
         raise PreconditionFailed(
             "z1*z2 is a p-th power",
             report={
@@ -188,15 +185,15 @@ def verify_prop_same(G1, G2, z1, z2, max_order=None, sample: int = 2000, seed: i
                 "product_class": g_spec.klass,
             },
         )
-    chain_q = upper_central_series(Q, max_order)
-    chain_1 = upper_central_series(G1, max_order)
-    chain_2 = upper_central_series(G2, max_order)
+    chain_q = upper_central_series(Q)
+    chain_1 = upper_central_series(G1)
+    chain_2 = upper_central_series(G2)
     depth = max(len(chain_q.terms), len(chain_1.terms), len(chain_2.terms))
 
     def z_term(chain, n):
         return chain.terms[min(n, len(chain.terms) - 1)].as_set
 
-    elems = enumerate_group(P, max_order).elements
+    elems = enumerate_group(P).elements
     if len(elems) <= 729 * p:
         tested = elems
     else:
@@ -229,16 +226,16 @@ def verify_prop_same(G1, G2, z1, z2, max_order=None, sample: int = 2000, seed: i
     }
 
 
-def verify_lemma_fact(p: int, c: int, max_order=None) -> dict:
+def verify_lemma_fact(p: int, c: int, max_order: int = DEFAULT_MAX_ORDER) -> dict:
     """Every element outside the abelian bottom of Mc has order exactly p."""
-    M = make_Mc(p, c, max_order or DEFAULT_MAX_ORDER)
-    E = enumerate_group(M, max_order)
+    M = make_Mc(p, c, max_order)
+    E = enumerate_group(M)
     outside = [g for g in E.elements if g[0] != 0]
     bad = [g for g in outside if element_order(M, g) != p]
     return {"passed": not bad, "outside": len(outside), "bad": bad}
 
 
-def verify_eq_powers(p: int, c: int, max_order=None) -> dict:
+def verify_eq_powers(p: int, c: int, max_order: int = DEFAULT_MAX_ORDER) -> dict:
     """The (p-1)-fold commutator with the top generator multiplies by p*zeta.
 
     Checks, for every k with k + p - 1 <= c, that the left-normed
@@ -247,7 +244,7 @@ def verify_eq_powers(p: int, c: int, max_order=None) -> dict:
     """
     if c < p:
         raise PreconditionFailed("need c >= p so that k + p - 1 <= c has solutions")
-    M = make_Mc(p, c, max_order or DEFAULT_MAX_ORDER)
+    M = make_Mc(p, c, max_order)
     R = M.ring
     inv = M.bottom_invariants
     zeta = eq_powers_witness(R)
@@ -271,7 +268,7 @@ def _expected_partb_spectrum(p, cs):
     return tuple(sorted(set(range(1, p)) | set(cs)))
 
 
-def verify_partb_structure(p, cs, c, max_order=None, decompose_bound=None) -> dict:
+def verify_partb_structure(p, cs, c, max_order: int = DEFAULT_MAX_ORDER) -> dict:
     """Structural checks for the indecomposable subgroup construction.
 
     The subgroup has index p^n in the ambient product (one p per
@@ -280,8 +277,8 @@ def verify_partb_structure(p, cs, c, max_order=None, decompose_bound=None) -> di
     agree, and a^p is the embedded y^p.  For the degenerate single-factor
     case the group itself is checked for class and spectrum.
     """
-    G = make_partb_indecomposable(p, cs, c, max_order or DEFAULT_MAX_ORDER)
-    sp = spectrum(G, max_order)
+    G = make_partb_indecomposable(p, cs, c, max_order)
+    sp = spectrum(G)
     want_spec = _expected_partb_spectrum(p, cs)
     checks = {
         "class": sp.klass == c,
@@ -291,7 +288,7 @@ def verify_partb_structure(p, cs, c, max_order=None, decompose_bound=None) -> di
         "spectrum": list(sp.spectrum),
         "expected_spectrum": list(want_spec),
         "class": sp.klass,
-        "order": len(enumerate_group(G, max_order)),
+        "order": len(enumerate_group(G)),
     }
     if not hasattr(G, "parent"):
         report["reduced"] = True
@@ -301,23 +298,23 @@ def verify_partb_structure(p, cs, c, max_order=None, decompose_bound=None) -> di
 
     H = G.parent
     n = len(cs)
-    EH = enumerate_group(H, max_order)
-    EG = enumerate_group(G, max_order)
+    EH = enumerate_group(H)
+    EG = enumerate_group(G)
     checks["index"] = len(EH) == len(EG) * p**n
     report["index_in_H"] = len(EH) // len(EG)
 
     u_gens = [g for name, g in G.generators if name != "a"]
-    U = subgroup_closure(H, u_gens, max_order)
+    U = subgroup_closure(H, u_gens)
     checks["maximal_subgroup"] = len(EG) == p * len(U)
 
     checks["a_pth_power"] = G.power(G.named_elements["a"], p) == G.named_elements["yp"]
 
-    zg = center(G, max_order)
-    zh = center(H, max_order)
+    zg = center(G)
+    zh = center(H)
     checks["same_center"] = zg.as_set == zh.as_set
 
-    lcs_g = lower_central_series(G, max_order)
-    factor_lcs = [lower_central_series(f, max_order) for f in H.factors]
+    lcs_g = lower_central_series(G)
+    factor_lcs = [lower_central_series(f) for f in H.factors]
     gammas_ok = True
     for k in range(2, c + 1):
         parts = []
@@ -486,14 +483,14 @@ def _suite_checks(max_order, decompose_bound, seed, random_count):
 
     for p, c in [(3, 2), (3, 3), (5, 2), (2, 3), (2, 4)]:
         def t(p=p, c=c):
-            sp = spectrum(make_Dc(p, c), max_order)
+            sp = spectrum(make_Dc(p, c, max_order))
             return sp.spectrum == (1,), None, {"spectrum": list(sp.spectrum)}
 
         add("dc_spectrum", {"p": p, "c": c}, t)
 
     for p, c in [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3)]:
         def t(p=p, c=c):
-            sp = spectrum(make_Mc(p, c, max_order), max_order)
+            sp = spectrum(make_Mc(p, c, max_order))
             want = _mc_expected_spectrum(p, c)
             return sp.spectrum == want, None, {"spectrum": list(sp.spectrum), "expected": list(want)}
 
@@ -512,7 +509,7 @@ def _suite_checks(max_order, decompose_bound, seed, random_count):
     ]
     for name, params, desc in theorem_cases:
         def t(desc=desc):
-            r = verify_theorem_part1(build_from_description(desc, max_order), max_order)
+            r = verify_theorem_part1(build_from_description(desc, max_order))
             return r["passed"], None, r
 
         add(name, params, t)
@@ -527,8 +524,8 @@ def _suite_checks(max_order, decompose_bound, seed, random_count):
     for _, desc in witness_descs:
         def t(desc=desc):
             G = build_from_description(desc, max_order)
-            l2 = verify_lemma2(G, max_order)
-            w = find_question_witness(G, max_order)
+            l2 = verify_lemma2(G)
+            w = find_question_witness(G)
             ok = l2["passed"] and w is not None
             return ok, w, {"lemma2": _jsonable(l2)}
 
@@ -537,7 +534,7 @@ def _suite_checks(max_order, decompose_bound, seed, random_count):
     for c in (2, 3, 4):
         def t(c=c):
             G = make_Mc(2, c, max_order)
-            w = find_question_witness(G, max_order)
+            w = find_question_witness(G)
             return w is None, w, {}
 
         add("question_none_dihedral", {"p": 2, "c": c}, t)
@@ -589,30 +586,29 @@ def _suite_checks(max_order, decompose_bound, seed, random_count):
             r = verify_product_spectrum(
                 build_from_description(d1, max_order),
                 build_from_description(d2, max_order),
-                max_order,
             )
             return r["passed"], None, r
 
         add("product_spectrum", {"index": i, "left": d1, "right": d2}, t)
 
     def t_prop():
-        G1 = make_Dc(3, 3)
-        G2 = make_B2(3, 2)
+        G1 = make_Dc(3, 3, max_order)
+        G2 = make_B2(3, 2, max_order)
         z1 = G1.power(G1.named_elements["x"], 9)
         z2 = commutator(G2, G2.named_elements["t"], G2.named_elements["s"])
-        r = verify_prop_same(G1, G2, z1, z2, max_order)
+        r = verify_prop_same(G1, G2, z1, z2)
         return r["passed"], None, r
 
     add("prop_same", {"left": "Dc(3,3)", "right": "B2(3,2)"}, t_prop)
 
     def t_example_k():
-        G1 = make_Dc(3, 2)
-        G2 = make_cyclic(3, 2)
+        G1 = make_Dc(3, 2, max_order)
+        G2 = make_cyclic(3, 2, max_order=max_order)
         z1 = G1.power(G1.named_elements["x"], 3)
         z2 = G2.power(G2.named_elements["d"], 3)
-        h_spec = spectrum(direct_product([G1, G2]), max_order)
+        h_spec = spectrum(direct_product([G1, G2]))
         try:
-            verify_prop_same(G1, G2, z1, z2, max_order)
+            verify_prop_same(G1, G2, z1, z2)
         except PreconditionFailed as exc:
             k_spec = tuple(exc.report["quotient_spectrum"])
             ok = k_spec == (1, 2) and h_spec.spectrum == (1,)
@@ -630,7 +626,7 @@ def _suite_checks(max_order, decompose_bound, seed, random_count):
     for args, want_class, want_spec in homo_cases:
         def t(args=args, want_class=want_class, want_spec=want_spec):
             G = make_homocyclic(*args, max_order)
-            sp = spectrum(G, max_order)
+            sp = spectrum(G)
             ok = sp.klass == want_class and sp.spectrum == want_spec
             return ok, None, {"class": sp.klass, "spectrum": list(sp.spectrum)}
 
@@ -639,21 +635,21 @@ def _suite_checks(max_order, decompose_bound, seed, random_count):
 
     def t_second():
         Q = make_second_example(3, 2, 2, max_order)
-        sp = spectrum(Q, max_order)
-        split = direct_factor_search(Q, decompose_bound, max_order)
+        sp = spectrum(Q)
+        split = direct_factor_search(Q, decompose_bound)
         ok = (
-            len(enumerate_group(Q, max_order)) == 729
+            len(enumerate_group(Q)) == 729
             and sp.klass == 2
             and sp.spectrum == (1, 2)
             and split is None
         )
-        return ok, None, {"order": len(enumerate_group(Q, max_order)), "class": sp.klass, "spectrum": list(sp.spectrum), "indecomposable": split is None}
+        return ok, None, {"order": len(enumerate_group(Q)), "class": sp.klass, "spectrum": list(sp.spectrum), "indecomposable": split is None}
 
     add("second_example", {"p": 3, "k": 2, "c": 2}, t_second)
 
     for p, cs, c in [(2, (2,), 3), (2, (2, 3), 4), (3, (3,), 3), (3, (3,), 4)]:
         def t(p=p, cs=cs, c=c):
-            r = verify_partb_structure(p, list(cs), c, max_order, decompose_bound)
+            r = verify_partb_structure(p, list(cs), c, max_order)
             return r["passed"], None, r
 
         add("partb", {"p": p, "cs": list(cs), "c": c}, t)
@@ -661,8 +657,8 @@ def _suite_checks(max_order, decompose_bound, seed, random_count):
     def t_partb_decompose():
         H = make_partb_decomposable(2, [2], 3, max_order)
         G = make_partb_indecomposable(2, [2], 3, max_order)
-        split_h = direct_factor_search(H, decompose_bound, max_order)
-        split_g = direct_factor_search(G, decompose_bound, max_order)
+        split_h = direct_factor_search(H, decompose_bound)
+        split_g = direct_factor_search(G, decompose_bound)
         ok = split_h is not None and split_g is None
         return ok, None, {
             "h_split_orders": None if split_h is None else [len(x) for x in split_h],
@@ -683,38 +679,32 @@ def _suite_checks(max_order, decompose_bound, seed, random_count):
     for desc in char_descs:
         def t(desc=desc):
             G = build_from_description(desc, max_order)
-            ucs = upper_central_series(G, max_order)
-            rev = lower_central_series(G, max_order)
-            ok = satisfies_ucs_characterization(G, ucs, max_order)
+            ucs = upper_central_series(G)
+            rev = lower_central_series(G)
+            ok = satisfies_ucs_characterization(G, ucs)
             same = ucs == rev
-            ok = ok and (satisfies_ucs_characterization(G, rev, max_order) == same)
+            ok = ok and (satisfies_ucs_characterization(G, rev) == same)
             return ok, None, {"lcs_equals_ucs": same}
 
         add("ucs_characterization", desc, t)
 
     def t_refined():
-        G = make_Dc(3, 2)
-        E = enumerate_group(G, max_order)
-        x3 = subgroup_closure(G, [G.power(G.named_elements["x"], 3)], max_order)
-        Z = center(G, max_order)
-        chain = CentralSeriesChain(
-            G,
-            (EnumeratedSubgroup(G, [G.identity]), x3, Z, E),
-            "user",
-        )
-        ok = is_central_series(G, chain, max_order) and not satisfies_ucs_characterization(
-            G, chain, max_order
-        )
+        G = make_Dc(3, 2, max_order)
+        E = enumerate_group(G)
+        x3 = subgroup_closure(G, [G.power(G.named_elements["x"], 3)])
+        Z = center(G)
+        chain = CentralSeriesChain(G, (EnumeratedSubgroup(G, [G.identity]), x3, Z, E))
+        ok = is_central_series(G, chain) and not satisfies_ucs_characterization(G, chain)
         return ok, None, {}
 
     add("ucs_characterization_refined", {"group": "Dc(3,2)"}, t_refined)
 
     def t_dc_lcs_layers():
-        G = make_Dc(3, 3)
-        rev = lower_central_series(G, max_order)
+        G = make_Dc(3, 3, max_order)
+        rev = lower_central_series(G)
         desc = tuple(reversed(rev.terms))  # gamma_1 .. gamma_(c+1)
         layers = set()
-        for g in order_p_elements(G, max_order):
+        for g in order_p_elements(G):
             for i, term in enumerate(desc):
                 if g not in term.as_set:
                     continue

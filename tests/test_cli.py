@@ -4,7 +4,8 @@ import time
 import pytest
 
 import pgs.series
-from pgs.cli import main
+from pgs.cli import build_parser, main
+from pgs.constructions import SemidirectGroup
 
 
 @pytest.fixture
@@ -204,12 +205,61 @@ def test_verify_builds_the_ucs_once(write_desc, capsys, monkeypatch):
     quotients = []
     real = pgs.series.quotient_group
 
-    def counting(G, N, max_order=None):
+    def counting(G, N):
         quotients.append(len(N))
-        return real(G, N, max_order)
+        return real(G, N)
 
     monkeypatch.setattr(pgs.series, "quotient_group", counting)
     code = main(["verify", write_desc({"family": "Mc", "p": 3, "c": 2}), "--json"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and len(out["records"]) >= 4
     assert quotients == [3]
+
+
+def test_over_bound_product_exits_3_before_multiplying(write_desc, capsys, monkeypatch):
+    calls = []
+    real = SemidirectGroup.multiply
+
+    def counting(self, a, b):
+        calls.append(1)
+        return real(self, a, b)
+
+    monkeypatch.setattr(SemidirectGroup, "multiply", counting)
+    dc = {"family": "Dc", "p": 3, "c": 5}  # 3^10 elements each, 3^20 together
+    assert main(["describe", write_desc({"op": "product", "factors": [dc, dc]}), "--max-order", "200000"]) == 3
+    assert "more than 200000 elements" in capsys.readouterr().err
+    assert calls == []
+    # the counter does see the multiplications of a group within the bound
+    assert main(["describe", write_desc({"family": "Dc", "p": 3, "c": 2})]) == 0
+    assert calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["describe", "--seed", "3"],
+        ["spectrum", "--seed", "3"],
+        ["series", "--upper", "--check", "x"],
+        ["verify", "--decompose-bound", "10"],
+        ["decompose", "--timings"],
+        ["suite", "--paper"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_flags_a_command_ignores_exit_2(write_desc, capsys, argv):
+    command, *flags = argv
+    path = [] if command == "suite" else [write_desc({"family": "Dc", "p": 3, "c": 2})]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *path, *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_flags_a_command_reads_are_accepted():
+    parse = build_parser().parse_args
+    common = ["--json", "--max-order", "9"]
+    assert parse(["suite", *common, "--decompose-bound", "5", "--seed", "1", "--check", "a", "--timings"])
+    assert parse(["verify", "f.json", *common, "--seed", "1", "--check", "a", "--timings"])
+    assert parse(["decompose", "f.json", *common, "--decompose-bound", "5"])
+    for command in ("describe", "spectrum"):
+        assert parse([command, "f.json", *common])

@@ -86,9 +86,13 @@ def test_subgroup_closure():
 
 
 def test_subgroup_closure_resource_limit():
-    D = make_Dc(3, 2)
-    with pytest.raises(ResourceLimit):
-        subgroup_closure(D, [g for _, g in D.generators], max_order=5)
+    # each factor has 81 elements, within its bound; the product's 6561 are not
+    P = direct_product([make_Dc(3, 2, max_order=100), make_Dc(3, 2, max_order=100)])
+    assert P.max_order == 100
+    with pytest.raises(ResourceLimit, match="closure exceeded 100 elements"):
+        subgroup_closure(P, [g for _, g in P.generators])
+    with pytest.raises(ResourceLimit, match="more than 100 elements"):
+        enumerate_group(P)
 
 
 def test_enumerate_orders():

@@ -114,3 +114,16 @@ def test_product_layers_multiply(pair):
     assert len(zp) == max(len(zg), len(zh))
     for i, order in enumerate(zp):
         assert order == zg[min(i, len(zg) - 1)] * zh[min(i, len(zh) - 1)]
+
+
+@settings(max_examples=40)
+@given(recipes, st.integers(0, 10**6))
+def test_recipes_carry_their_bound(desc, extra):
+    """A recipe built under b >= |G| carries b, as do its quotient's parent
+    and every factor of its product."""
+    quotient = desc["op"] == "central_quotient"
+    b = len(enumerate_group(build_from_description(desc["group"] if quotient else desc))) + extra
+    G = build_from_description(desc, b)
+    P = G.parent if quotient else G
+    assert len(enumerate_group(G)) <= b
+    assert [H.max_order for H in (G, P, *P.factors)] == [b] * (2 + len(P.factors))

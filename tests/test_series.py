@@ -134,7 +134,7 @@ def test_is_central_series():
 
     x3 = subgroup_closure(D, [D.power(D.named_elements["x"], 3)])
     refined = CentralSeriesChain(
-        D, (EnumeratedSubgroup(D, [D.identity]), x3, center(D), E), "user"
+        D, (EnumeratedSubgroup(D, [D.identity]), x3, center(D), E)
     )
     assert is_central_series(D, refined)
 
@@ -145,7 +145,6 @@ def test_is_central_series():
             subgroup_closure(D, [D.named_elements["x"]]),
             E,
         ),
-        "user",
     )
     assert not is_central_series(D, x_chain)
 
@@ -157,7 +156,7 @@ def test_ucs_characterization():
     E = enumerate_group(D)
     x3 = subgroup_closure(D, [D.power(D.named_elements["x"], 3)])
     refined = CentralSeriesChain(
-        D, (EnumeratedSubgroup(D, [D.identity]), x3, center(D), E), "user"
+        D, (EnumeratedSubgroup(D, [D.identity]), x3, center(D), E)
     )
     assert not satisfies_ucs_characterization(D, refined)
 
@@ -173,7 +172,6 @@ def test_ucs_characterization():
             subgroup_closure(D, [D.named_elements["x"]]),
             E,
         ),
-        "user",
     )
     with pytest.raises(PreconditionFailed):
         satisfies_ucs_characterization(D, x_chain)

@@ -205,6 +205,21 @@ def test_suite_resource_limit_exit():
     assert all(rec.error == "ResourceLimit" for rec in r.records)
 
 
+def test_suite_checks_build_under_the_bound():
+    # 20 is below |Dc(2,3)| = 32, the smallest group these checks build
+    r = run_paper_suite(
+        max_order=20, only=["dc_spectrum", "prop_same", "ucs_characterization_refined", "dc_lcs_layers"]
+    )
+    assert {rec.check for rec in r.records} == {
+        "dc_spectrum",
+        "prop_same",
+        "prop_same_example_k",
+        "ucs_characterization_refined",
+        "dc_lcs_layers",
+    }
+    assert all(rec.error == "ResourceLimit" for rec in r.records)
+
+
 def test_suite_eq_powers_records():
     r = run_paper_suite(only=["eq_powers"])
     names = sorted({rec.check for rec in r.records})
