@@ -8,7 +8,7 @@ verifiers for the structural statements relating them.
 from .constructions import (
     GroupDescription,
     build_from_description,
-    central_quotient_diagonal,
+    central_quotient,
     evaluate_word,
     make_B2,
     make_Dc,

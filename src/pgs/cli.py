@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .constructions import build_from_description, evaluate_word, parse_description
+from .constructions import build_from_description, parse_description
 from .errors import ParseError, ResourceLimit, ToolkitError
 from .groups import (
     DEFAULT_DECOMPOSE_BOUND,
@@ -170,12 +170,7 @@ def _verify_records_for(desc_obj, args) -> list[CheckRecord]:
             run("eq_powers", {"p": p, "c": c}, lambda: _unpack(verify_eq_powers(p, c, max_order)))
 
     if desc.kind == "product" and len(desc.factors) == 2:
-        def _prod():
-            G1 = build_from_description(desc.factors[0], max_order)
-            G2 = build_from_description(desc.factors[1], max_order)
-            return _unpack(verify_product_spectrum(G1, G2))
-
-        run("product_spectrum", {}, _prod)
+        run("product_spectrum", {}, lambda: _unpack(verify_product_spectrum(G)))
 
     if (
         desc.kind == "central_quotient"
@@ -187,15 +182,7 @@ def _verify_records_for(desc_obj, args) -> list[CheckRecord]:
         t1, t2 = desc.word.split("*")
         if not t1.startswith("f0.") or not t2.startswith("f1."):
             raise ParseError("prop_same needs a word of the form f0.<w>*f1.<w>")
-
-        def _prop():
-            G1 = build_from_description(desc.inner.factors[0], max_order)
-            G2 = build_from_description(desc.inner.factors[1], max_order)
-            z1 = evaluate_word(G1, t1[3:])
-            z2 = evaluate_word(G2, t2[3:])
-            return _unpack(verify_prop_same(G1, G2, z1, z2, seed=args.seed))
-
-        run("prop_same", {"word": desc.word}, _prop)
+        run("prop_same", {"word": desc.word}, lambda: _unpack(verify_prop_same(G, seed=args.seed)))
 
     return records
 

@@ -9,8 +9,8 @@ Families built here:
   automorphism, plus the index-lowering subgroups,
 * the largest 2-generator group of exponent p and class k <= 4, realized
   as a free nilpotent Lie ring with truncated BCH multiplication,
-* diagonal central quotients and the indecomposable combinations of the
-  above.
+* central quotients by an order-p subgroup, and the indecomposable
+  combinations of the above.
 
 Every constructor returns a FiniteGroup over flat integer tuples;
 descriptions (JSON-shaped dicts) are interpreted by
@@ -35,6 +35,7 @@ from .errors import (
 from .groups import (
     DEFAULT_MAX_ORDER,
     FiniteGroup,
+    QuotientGroup,
     SubgroupGroup,
     commutator,
     direct_product,
@@ -393,31 +394,22 @@ class LieBCHGroup(FiniteGroup):
         return tuple((-x) % p for x in a)
 
 
-def make_B2(p: int, k: int, max_order: int | None = None) -> LieBCHGroup:
-    """B2(p, k).  Only a given ``max_order`` is checked here, before p is tested
-    for primality (B2(7,4) has 7^8 elements); else it carries the default."""
-    if max_order is None:
-        return LieBCHGroup(p, k)
+def make_B2(p: int, k: int, max_order: int = DEFAULT_MAX_ORDER) -> LieBCHGroup:
+    """B2(p, k), its order checked against the bound before p is tested for
+    primality."""
     _check_order(p, _HALL_DIMS.get(k, 0), max_order, f"B2({p},{k})")
     return LieBCHGroup(p, k, max_order)
 
 
-def central_quotient_diagonal(G1: FiniteGroup, G2: FiniteGroup, z1, z2):
-    """Quotient of G1 x G2 by the diagonal central subgroup <(z1, z2)>.
-
-    Each z_i must be central of order exactly p in its factor.
-    """
-    p = G1.prime
-    for G, z in ((G1, tuple(z1)), (G2, tuple(z2))):
-        for _, g in G.generators:
-            if G.multiply(z, g) != G.multiply(g, z):
-                raise NotCentral(f"{z} is not central in {G!r}")
-        if element_order(G, z) != p:
-            raise WrongOrder(f"{z} does not have order {p}")
-    P = direct_product([G1, G2])
-    z = tuple(z1) + tuple(z2)
-    N = subgroup_closure(P, [z])
-    return quotient_group(P, N)
+def central_quotient(G: FiniteGroup, z) -> QuotientGroup:
+    """Quotient of G by <z>, where z must be central of order exactly p."""
+    z = tuple(z)
+    for _, g in G.generators:
+        if G.multiply(z, g) != G.multiply(g, z):
+            raise NotCentral(f"{z} is not central in {G!r}")
+    if element_order(G, z) != G.prime:
+        raise WrongOrder(f"{z} does not have order {G.prime}")
+    return quotient_group(G, subgroup_closure(G, [z]))
 
 
 def make_second_example(
@@ -443,12 +435,11 @@ def make_second_example(
         d = commutator(G2, d, s)
     if d == G2.identity:
         raise BadParameters("weight-k commutator is trivial; quotient would be degenerate")
-    z1 = G1.power(G1.named_elements["x"], p ** (c - 1))
     P = direct_product([G1, G2])
-    z = z1 + d
+    z = G1.power(G1.named_elements["x"], p ** (c - 1)) + d
     if is_pth_power(P, z):
         raise PthPowerViolation("diagonal element is a p-th power")
-    Q = central_quotient_diagonal(G1, G2, z1, d)
+    Q = central_quotient(P, z)
     Q.description = f"second_example({p},{k},{c})"
     return Q
 
@@ -642,12 +633,5 @@ def build_from_description(desc, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGr
         return direct_product([build_from_description(f, max_order) for f in d.factors])
     if d.kind == "central_quotient":
         G = build_from_description(d.inner, max_order)
-        z = evaluate_word(G, d.word)
-        for _, g in G.generators:
-            if G.multiply(z, g) != G.multiply(g, z):
-                raise NotCentral("quotient word does not evaluate to a central element")
-        if element_order(G, z) != G.prime:
-            raise WrongOrder("quotient word must have order exactly p")
-        N = subgroup_closure(G, [z])
-        return quotient_group(G, N)
+        return central_quotient(G, evaluate_word(G, d.word))
     raise ParseError(f"unhandled description kind {d.kind!r}")

@@ -10,7 +10,7 @@ with one unit of headroom above the exponent of the quotient by I^c.
 
 from __future__ import annotations
 
-from .errors import BadParameters, InternalInconsistency, ParameterTooLarge
+from .errors import BadParameters, InternalInconsistency, ResourceLimit
 from .groups import DEFAULT_MAX_ORDER
 from .linalg import (
     AbelianInvariants,
@@ -57,7 +57,7 @@ class CycloRing:
         if c < 1:
             raise BadParameters("c must be >= 1")
         if p**c > max_order:
-            raise ParameterTooLarge(f"p^c = {p**c} exceeds bound {max_order}")
+            raise ResourceLimit(f"p^c = {p**c} exceeds bound {max_order}")
         self.p = p
         self.c = c
         self.rank = p - 1

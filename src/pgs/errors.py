@@ -9,10 +9,6 @@ class BadParameters(ToolkitError):
     """Construction parameters violate a family's preconditions."""
 
 
-class ParameterTooLarge(ToolkitError):
-    """Requested object exceeds the configured enumeration bound."""
-
-
 class ResourceLimit(ToolkitError):
     """A closure or enumeration grew past the configured order bound."""
 

@@ -10,10 +10,11 @@ representatives and witness selection deterministic across runs.
 Everything here is exhaustive and exact: closures are breadth-first over
 generator multiplication, the center tests against generators only, and
 quotients store the byte-lexicographic minimum of each coset.  Each group
-caches its carrier, center, upper central series and order-p elements, so
-every analysis of one group object shares them.  Each group also carries the
-enumeration bound it was built with, ``max_order``: a quotient or subgroup
-takes its parent's, a product the smallest of its factors'.
+caches its carrier, center, upper central series, order-p elements and
+p-th powers, so every analysis of one group object shares them.  Each group
+also carries the enumeration bound it was built with, ``max_order``: a
+quotient or subgroup takes its parent's, a product the smallest of its
+factors'.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ class FiniteGroup:
         self._center = None
         self._ucs = None
         self._order_p = None
+        self._pth_powers = None
 
     def multiply(self, a, b):
         raise NotImplementedError
@@ -230,21 +232,28 @@ def center(G: FiniteGroup) -> EnumeratedSubgroup:
 
 
 def order_p_elements(G: FiniteGroup) -> tuple:
-    """Elements of order exactly p, in canonical order (cached)."""
+    """Elements of order exactly p, in canonical order (cached).
+
+    The same scan caches the set of p-th powers {g^p} that ``is_pth_power``
+    reads.
+    """
     if G._order_p is None:
         p = G.prime
         identity = G.identity
         mult = G.multiply
         out = []
+        powers = {identity}
         for g in enumerate_group(G).elements:
             if g == identity:
                 continue
             x = g
             for _ in range(p - 1):
                 x = mult(x, g)
+            powers.add(x)
             if x == identity:
                 out.append(g)
         G._order_p = tuple(out)
+        G._pth_powers = frozenset(powers)
     return G._order_p
 
 
@@ -404,11 +413,9 @@ class SubgroupGroup(FiniteGroup):
 
 
 def is_pth_power(G: FiniteGroup, z) -> bool:
-    """Exhaustive test for z in {g^p : g in G}."""
-    E = enumerate_group(G)
-    p = G.prime
-    z = tuple(z)
-    return any(G.power(g, p) == z for g in E.elements)
+    """Whether z is in {g^p : g in G}, read from the order-p scan's cache."""
+    order_p_elements(G)
+    return tuple(z) in G._pth_powers
 
 
 def omega1_subgroup(G: FiniteGroup) -> EnumeratedSubgroup:

@@ -15,7 +15,7 @@ from itertools import product as iter_product
 
 from .constructions import (
     build_from_description,
-    central_quotient_diagonal,
+    central_quotient,
     make_B2,
     make_Dc,
     make_Mc,
@@ -26,7 +26,7 @@ from .constructions import (
     make_second_example,
 )
 from .cyclo import eq_powers_witness, ring_make
-from .errors import PreconditionFailed, ToolkitError
+from .errors import PreconditionFailed, ToolkitError, WrongOrder
 from .groups import (
     DEFAULT_DECOMPOSE_BOUND,
     DEFAULT_MAX_ORDER,
@@ -140,13 +140,16 @@ def verify_regularity_power(G: FiniteGroup, sample_pairs: int = 10_000, seed: in
     return {"passed": True, "counterexample": None, "exhaustive": exhaustive, "pairs": checked}
 
 
-def verify_product_spectrum(G1: FiniteGroup, G2: FiniteGroup) -> dict:
-    """Spectrum of a product is the union; class is the maximum."""
+def verify_product_spectrum(P: FiniteGroup) -> dict:
+    """Spectrum of a product G1 x G2 is the union; class is the maximum."""
+    factors = getattr(P, "factors", ())
+    if len(factors) != 2:
+        raise PreconditionFailed("need a product of exactly two factors")
+    G1, G2 = factors
     if len(enumerate_group(G1)) == 1 or len(enumerate_group(G2)) == 1:
         raise PreconditionFailed("both factors must be nontrivial")
     s1 = spectrum(G1)
     s2 = spectrum(G2)
-    P = direct_product([G1, G2])
     sp = spectrum(P)
     want = tuple(sorted(set(s1.spectrum) | set(s2.spectrum)))
     return {
@@ -158,22 +161,28 @@ def verify_product_spectrum(G1: FiniteGroup, G2: FiniteGroup) -> dict:
     }
 
 
-def verify_prop_same(
-    G1: FiniteGroup, G2: FiniteGroup, z1, z2, sample: int = 2000, seed: int = DEFAULT_SEED
-) -> dict:
-    """Diagonal central quotient preserves class and spectrum.
+def verify_prop_same(Q: FiniteGroup, sample: int = 2000, seed: int = DEFAULT_SEED) -> dict:
+    """Diagonal central quotient Q = (G1 x G2)/<z> preserves class and spectrum.
 
-    Requires z1 * z2 not to be a p-th power in the product; when it is, a
-    PreconditionFailed is raised carrying the unguarded quotient's spectrum
-    so callers can report how the conclusion fails.  The layer sub-lemma
-    (image in Z_n(Q) iff both coordinates lie in Z_n) is checked on all
-    elements for |Q| <= 729 and on seeded samples above.
+    Requires each coordinate of z to have order p and z not to be a p-th
+    power in the product; when it is, a PreconditionFailed is raised
+    carrying the unguarded quotient's spectrum so callers can report how the
+    conclusion fails.  The layer sub-lemma (image in Z_n(Q) iff both
+    coordinates lie in Z_n) is checked on all elements for |Q| <= 729 and
+    on seeded samples above.
     """
-    p = G1.prime
-    P = direct_product([G1, G2])
-    z = tuple(z1) + tuple(z2)
+    p = Q.prime
+    P = getattr(Q, "parent", None)
+    if len(getattr(P, "factors", ())) != 2 or len(getattr(Q, "kernel", ())) != p:
+        raise PreconditionFailed("need a quotient of a two-factor product by a subgroup of order p")
+    G1, G2 = P.factors
+    # any generator of the order-p kernel gives the same verdicts below
+    z = next(g for g in Q.kernel.elements if g != P.identity)
+    for i, G in enumerate(P.factors):
+        zi = P.project(i, z)
+        if element_order(G, zi) != p:
+            raise WrongOrder(f"{zi} does not have order {p}")
     g_spec = spectrum(P)
-    Q = central_quotient_diagonal(G1, G2, z1, z2)
     q_spec = spectrum(Q)
     if is_pth_power(P, z):
         raise PreconditionFailed(
@@ -584,8 +593,7 @@ def _suite_checks(max_order, decompose_bound, seed, random_count):
 
         def t(d1=d1, d2=d2):
             r = verify_product_spectrum(
-                build_from_description(d1, max_order),
-                build_from_description(d2, max_order),
+                direct_product([build_from_description(d, max_order) for d in (d1, d2)])
             )
             return r["passed"], None, r
 
@@ -596,7 +604,7 @@ def _suite_checks(max_order, decompose_bound, seed, random_count):
         G2 = make_B2(3, 2, max_order)
         z1 = G1.power(G1.named_elements["x"], 9)
         z2 = commutator(G2, G2.named_elements["t"], G2.named_elements["s"])
-        r = verify_prop_same(G1, G2, z1, z2)
+        r = verify_prop_same(central_quotient(direct_product([G1, G2]), z1 + z2))
         return r["passed"], None, r
 
     add("prop_same", {"left": "Dc(3,3)", "right": "B2(3,2)"}, t_prop)
@@ -606,9 +614,10 @@ def _suite_checks(max_order, decompose_bound, seed, random_count):
         G2 = make_cyclic(3, 2, max_order=max_order)
         z1 = G1.power(G1.named_elements["x"], 3)
         z2 = G2.power(G2.named_elements["d"], 3)
-        h_spec = spectrum(direct_product([G1, G2]))
+        P = direct_product([G1, G2])
+        h_spec = spectrum(P)
         try:
-            verify_prop_same(G1, G2, z1, z2)
+            verify_prop_same(central_quotient(P, z1 + z2))
         except PreconditionFailed as exc:
             k_spec = tuple(exc.report["quotient_spectrum"])
             ok = k_spec == (1, 2) and h_spec.spectrum == (1,)

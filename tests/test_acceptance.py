@@ -10,7 +10,7 @@ import pytest
 
 from pgs.constructions import (
     build_from_description,
-    central_quotient_diagonal,
+    central_quotient,
     make_B2,
     make_Dc,
     make_Mc,
@@ -168,7 +168,7 @@ def test_criterion_07_product_law():
         b = pool[rng.randrange(len(pool))]()
         if a.prime != b.prime:
             continue
-        r = verify_product_spectrum(a, b)
+        r = verify_product_spectrum(direct_product([a, b]))
         assert r["passed"], (repr(a), repr(b), r)
         pairs += 1
     report(7, True, "spectrum union and class max hold on 20 seeded pairs")
@@ -179,7 +179,7 @@ def test_criterion_08_proposition_and_example():
     G2 = make_B2(3, 2)
     z1 = G1.power(G1.named_elements["x"], 9)
     z2 = commutator(G2, G2.named_elements["t"], G2.named_elements["s"])
-    r = verify_prop_same(G1, G2, z1, z2)
+    r = verify_prop_same(central_quotient(direct_product([G1, G2]), z1 + z2))
     assert r["passed"] and r["sublemma"]
 
     D = make_Dc(3, 2)
@@ -188,10 +188,10 @@ def test_criterion_08_proposition_and_example():
     assert spectrum(H).spectrum == (1,)
     zx = D.power(D.named_elements["x"], 3)
     zd = C.power(C.named_elements["d"], 3)
+    K = central_quotient(H, zx + zd)
     with pytest.raises(PreconditionFailed) as exc:
-        verify_prop_same(D, C, zx, zd)
+        verify_prop_same(K)
     assert exc.value.report["quotient_spectrum"] == [1, 2]
-    K = central_quotient_diagonal(D, C, zx, zd)
     assert spectrum(K).spectrum == (1, 2)
     report(8, True, "proposition holds when z1*z2 is not a p-th power; example K has spectrum {1,2} vs H {1}")
 

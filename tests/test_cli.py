@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import pgs.groups
 import pgs.series
 from pgs.cli import build_parser, main
 from pgs.constructions import SemidirectGroup
@@ -214,6 +215,38 @@ def test_verify_builds_the_ucs_once(write_desc, capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and len(out["records"]) >= 4
     assert quotients == [3]
+
+
+@pytest.mark.parametrize(
+    "desc, product_order",
+    [
+        (K_DESC, 81 * 9),
+        ({"op": "product", "factors": [{"family": "Mc", "p": 3, "c": 2}, {"family": "Dc", "p": 3, "c": 2}]}, 27 * 81),
+        (
+            {
+                "op": "central_quotient",
+                "group": {"op": "product", "factors": [{"family": "Mc", "p": 3, "c": 2}, {"family": "cyclic", "p": 3, "e": 1}]},
+                "word": "f0.s2*f1.d",
+            },
+            27 * 3,
+        ),
+    ],
+    ids=["Dc(3,2)xC9/<x^3d^3>", "Mc(3,2)xDc(3,2)", "Mc(3,2)xC3/<s2d>"],
+)
+def test_verify_closes_the_product_once(write_desc, capsys, monkeypatch, desc, product_order):
+    sizes = []
+    real = pgs.groups.subgroup_closure
+
+    def counting(G, elements):
+        E = real(G, elements)
+        sizes.append(len(E))
+        return E
+
+    monkeypatch.setattr(pgs.groups, "subgroup_closure", counting)
+    main(["verify", write_desc(desc), "--json"])
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert {"product_spectrum", "prop_same"} & {r["check"] for r in records}
+    assert sizes.count(product_order) == 1
 
 
 def test_over_bound_product_exits_3_before_multiplying(write_desc, capsys, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from pgs.constructions import (
     build_from_description,
-    central_quotient_diagonal,
+    central_quotient,
     evaluate_word,
     make_B2,
     make_Dc,
@@ -21,12 +21,14 @@ from pgs.groups import (
     center,
     commutator,
     direct_factor_search,
+    direct_product,
     element_order,
     enumerate_group,
     omega1_subgroup,
     subgroup_closure,
 )
 from pgs.series import lower_central_series, nilpotence_class, spectrum
+from pgs.verify import verify_prop_same
 
 
 def witt_dimension(rank, weight):
@@ -189,7 +191,7 @@ def test_b2_rejects_bad_parameters():
         make_B2(5, 1)
     with pytest.raises(BadParameters):
         make_B2(5, 5)
-    make_B2(7, 4)  # largest supported class
+    make_B2(7, 4, 7**8)  # largest supported class, above the default bound
 
 
 def test_b2_exponent_exhaustive_up_to_5_cubed():
@@ -237,13 +239,11 @@ def test_second_example_rejects_bad_parameters():
 def test_central_quotient_example_k():
     D = make_Dc(3, 2)
     C = make_cyclic(3, 2)
-    from pgs.groups import direct_product
-
     H = direct_product([D, C])
     assert spectrum(H).spectrum == (1,)
     z1 = D.power(D.named_elements["x"], 3)
     z2 = C.power(C.named_elements["d"], 3)
-    K = central_quotient_diagonal(D, C, z1, z2)
+    K = central_quotient(H, z1 + z2)
     assert len(enumerate_group(K)) == 243
     assert spectrum(K).spectrum == (1, 2)
 
@@ -251,17 +251,19 @@ def test_central_quotient_example_k():
 def test_central_quotient_rejects_wrong_order():
     D = make_Dc(3, 2)
     C = make_cyclic(3, 2)
+    P = direct_product([D, C])
+    with pytest.raises(WrongOrder):  # (x^3, d) has order 9
+        central_quotient(P, D.power(D.named_elements["x"], 3) + C.named_elements["d"])
+    # (1, d^3) has order 3, but the proposition needs each coordinate of order 3
     with pytest.raises(WrongOrder):
-        central_quotient_diagonal(D, C, D.power(D.named_elements["x"], 3), C.named_elements["d"])
-    with pytest.raises(WrongOrder):
-        central_quotient_diagonal(D, C, D.identity, C.power(C.named_elements["d"], 3))
+        verify_prop_same(central_quotient(P, D.identity + C.power(C.named_elements["d"], 3)))
 
 
 def test_central_quotient_rejects_non_central():
     M = make_Mc(3, 2)
     C = make_cyclic(3, 1)
     with pytest.raises(NotCentral):
-        central_quotient_diagonal(M, C, M.named_elements["s1"], C.named_elements["d"])
+        central_quotient(direct_product([M, C]), M.named_elements["s1"] + C.named_elements["d"])
 
 
 def test_partb_decomposable():
@@ -372,8 +374,6 @@ def test_word_evaluation():
     x, y = D.named_elements["x"], D.named_elements["y"]
     assert evaluate_word(D, "x^3*y") == D.multiply(D.power(x, 3), y)
     assert evaluate_word(D, "x^-1") == D.invert(x)
-    from pgs.groups import direct_product
-
     P = direct_product([D, make_cyclic(3, 2)])
     assert evaluate_word(P, "f0.x^9*f1.d") == P.multiply(
         P.embed(0, D.power(x, 9)), P.embed(1, (0, 1))

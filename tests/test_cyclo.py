@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from pgs.cyclo import eq_powers_witness, mc_bottom, ring_make
-from pgs.errors import ParameterTooLarge
+from pgs.errors import ResourceLimit
 from pgs.linalg import quotient_structure, submodule_member
 
 
@@ -73,7 +73,7 @@ def test_ring_p3_c3_census_oracle():
 
 
 def test_parameter_bound():
-    with pytest.raises(ParameterTooLarge):
+    with pytest.raises(ResourceLimit):
         ring_make(3, 20, max_order=1000)
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pgs.constructions import make_B2, make_Dc, make_Mc, make_cyclic
+from pgs.constructions import SemidirectGroup, make_B2, make_Dc, make_Mc, make_cyclic
 from pgs.errors import NotNormal, ResourceLimit
 from pgs.groups import (
     center,
@@ -17,7 +17,7 @@ from pgs.groups import (
     quotient_group,
     subgroup_closure,
 )
-from pgs.series import nilpotence_class, upper_central_series
+from pgs.series import nilpotence_class, spectrum, upper_central_series
 
 
 def assert_group_axioms(G, seed=0, triples=1000):
@@ -184,6 +184,27 @@ def test_is_pth_power():
     d = commutator(B, B.named_elements["t"], B.named_elements["s"])
     z = tuple(D.power(D.named_elements["x"], 3)) + d
     assert not is_pth_power(PB, z)
+
+
+def test_is_pth_power_after_spectrum_multiplies_nothing(monkeypatch):
+    calls = []
+    real = SemidirectGroup.multiply
+
+    def counting(self, a, b):
+        calls.append(1)
+        return real(self, a, b)
+
+    monkeypatch.setattr(SemidirectGroup, "multiply", counting)
+    D = make_Dc(3, 2)
+    C = make_cyclic(3, 2)
+    P = direct_product([D, C])
+    x3d3 = D.power(D.named_elements["x"], 3) + C.power(C.named_elements["d"], 3)
+    d = P.embed(1, C.named_elements["d"])
+    spectrum(P)
+    assert calls
+    calls.clear()
+    assert is_pth_power(P, x3d3) and not is_pth_power(P, d)
+    assert calls == []
 
 
 def test_is_pth_power_matches_image_set():

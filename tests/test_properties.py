@@ -1,9 +1,9 @@
 """Property tests for the per-group caches and the paper's identities.
 
-Each cached analysis (order-p elements, the upper central series, the
-spectrum's layer-2 witness) is compared with a plain reference scan, on
-seeded random recipes with a small order cap and on every family the suite
-builds.
+Each cached analysis (order-p elements, p-th powers, the upper central
+series, the spectrum's layer-2 witness) is compared with a plain reference
+scan, on seeded random recipes with a small order cap and on every family
+the suite builds.
 """
 
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pgs.constructions import build_from_description
-from pgs.groups import commutator, direct_product, enumerate_group, order_p_elements
+from pgs.groups import commutator, direct_product, enumerate_group, is_pth_power, order_p_elements
 from pgs.series import lower_central_series, spectrum, upper_central_series
 from pgs.verify import _recipe_pool, random_recipes, verify_lemma2
 
@@ -94,6 +94,23 @@ def test_recipes_shared_paths(desc):
 @given(recipes)
 def test_recipes_identities(desc):
     check_identities(desc)
+
+
+@settings(max_examples=40)
+@given(recipes)
+def test_recipes_pth_powers(desc):
+    """is_pth_power agrees with the plain scan {g^p}, and after the order-p
+    scan it answers without multiplying."""
+    G = build_from_description(desc)
+    elems = enumerate_group(G).elements
+    image = {G.power(g, G.prime) for g in elems}
+    order_p_elements(G)
+    calls = []
+    real = G.multiply
+    G.multiply = lambda a, b: calls.append(1) or real(a, b)
+    assert is_pth_power(G, G.identity) and calls == []
+    assert [g for g in elems if is_pth_power(G, g)] == [g for g in elems if g in image]
+    assert calls == []
 
 
 @st.composite

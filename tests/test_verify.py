@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
 from pgs.constructions import (
     build_from_description,
+    central_quotient,
     make_B2,
     make_Dc,
     make_Mc,
@@ -9,7 +13,7 @@ from pgs.constructions import (
     make_second_example,
 )
 from pgs.errors import NotCentral, PreconditionFailed
-from pgs.groups import commutator, direct_product, element_order, enumerate_group, quotient_group
+from pgs.groups import center, commutator, direct_product, element_order, enumerate_group, quotient_group
 from pgs.verify import (
     find_question_witness,
     random_recipes,
@@ -74,13 +78,16 @@ def test_regularity_power():
 
 
 def test_product_spectrum():
-    r = verify_product_spectrum(make_Mc(3, 2), make_Dc(3, 2))
+    r = verify_product_spectrum(direct_product([make_Mc(3, 2), make_Dc(3, 2)]))
     assert r["passed"] and r["product"] == [1, 2]
-    r = verify_product_spectrum(make_Mc(3, 3), make_Mc(3, 2))
+    r = verify_product_spectrum(direct_product([make_Mc(3, 3), make_Mc(3, 2)]))
     assert r["passed"] and r["product"] == [1, 2, 3]
     trivial = quotient_group(make_cyclic(3, 1), enumerate_group(make_cyclic(3, 1)))
     with pytest.raises(PreconditionFailed):
-        verify_product_spectrum(make_Mc(3, 2), trivial)
+        verify_product_spectrum(direct_product([make_Mc(3, 2), trivial]))
+    for not_two in (make_Mc(3, 2), direct_product([make_cyclic(3, 1)] * 3)):
+        with pytest.raises(PreconditionFailed):
+            verify_product_spectrum(not_two)
 
 
 def test_prop_same_passes():
@@ -88,10 +95,10 @@ def test_prop_same_passes():
     G2 = make_B2(3, 2)
     z1 = G1.power(G1.named_elements["x"], 9)
     z2 = commutator(G2, G2.named_elements["t"], G2.named_elements["s"])
-    r = verify_prop_same(G1, G2, z1, z2)
+    r = verify_prop_same(central_quotient(direct_product([G1, G2]), z1 + z2))
     assert r["passed"] and r["sublemma"]
     # symmetric swap gives the same verdict
-    r2 = verify_prop_same(G2, G1, z2, z1)
+    r2 = verify_prop_same(central_quotient(direct_product([G2, G1]), z2 + z1))
     assert r2["passed"]
     assert sorted(r2["spectrum"]) == sorted(r["spectrum"])
 
@@ -103,7 +110,7 @@ def test_prop_same_exhaustive_small_case():
     G2 = make_B2(3, 2)
     z1 = G1.power(G1.named_elements["x"], 3)
     z2 = commutator(G2, G2.named_elements["t"], G2.named_elements["s"])
-    r = verify_prop_same(G1, G2, z1, z2)
+    r = verify_prop_same(central_quotient(direct_product([G1, G2]), z1 + z2))
     assert r["passed"] and r["elements_tested"] == 2187
 
 
@@ -113,11 +120,15 @@ def test_prop_same_example_k_precondition():
     z1 = D.power(D.named_elements["x"], 3)
     z2 = C.power(C.named_elements["d"], 3)
     with pytest.raises(PreconditionFailed) as exc:
-        verify_prop_same(D, C, z1, z2)
+        verify_prop_same(central_quotient(direct_product([D, C]), z1 + z2))
     rep = exc.value.report
     assert rep["quotient_spectrum"] == [1, 2]
     assert rep["product_spectrum"] == [1]
     assert rep["quotient_class"] == rep["product_class"] == 2
+    # only a quotient of a two-factor product by a subgroup of order p qualifies
+    for not_diagonal in (D, quotient_group(D, center(D))):
+        with pytest.raises(PreconditionFailed):
+            verify_prop_same(not_diagonal)
 
 
 def test_lemma_fact():
@@ -234,3 +245,8 @@ def test_full_suite_passes():
     assert r.exit_status == 0, failing
     assert r.counts()["failed"] == 0
     assert r.counts()["total"] > 100
+    # `pgs suite --json` prints this text plus a newline; any change to a record changes the digest
+    text = json.dumps(r.as_dict(), sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1752278c0289bc1bd01ef9b3c24978eb9b75d344799fb104a895232763b873ae"
+    )
