@@ -42,9 +42,7 @@ from .groups import (
 from .linalg import (
     AbelianInvariants,
     EchelonBasis,
-    ModMatrix,
     echelonize,
-    matrix_power_order,
     quotient_structure,
     submodule_member,
 )

@@ -62,6 +62,8 @@ def _load_description(path: str):
         raise ParseError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except ValueError as exc:  # e.g. an integer literal above the digit limit
+        raise ParseError(f"unreadable description in {path}: {exc}")
 
 
 def _emit(obj, as_json: bool, text_lines) -> None:
@@ -308,6 +310,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.max_order = _max_order(args.max_order)
+        if "decompose_bound" in args and args.decompose_bound < 1:
+            raise ParseError(f"the decomposition bound must be positive, got {args.decompose_bound}")
         return args.func(args)
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)

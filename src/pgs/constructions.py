@@ -44,7 +44,7 @@ from .groups import (
     quotient_group,
     subgroup_closure,
 )
-from .linalg import ModMatrix, check_prime, det_mod_p, matrix_power_order
+from .linalg import check_prime
 
 
 def _check_order(p: int, exponent: int, max_order: int, what: str) -> None:
@@ -62,8 +62,8 @@ class SemidirectGroup(FiniteGroup):
 
     Elements are (t, v_1, ..., v_r): the element top^t * bottom_v.  The
     action is a row-convention matrix applied with per-coordinate moduli,
-    so mixed invariant factors (e.g. Z/9 x Z/3) are supported.  All action
-    powers are precomputed.
+    so mixed invariant factors (e.g. Z/9 x Z/3) are supported.  The action's
+    distinct powers are computed once and indexed by t mod their count.
     """
 
     def __init__(
@@ -91,20 +91,13 @@ class SemidirectGroup(FiniteGroup):
             for j in range(rank):
                 if (mods[i] * rows[i][j]) % mods[j]:
                     raise InternalInconsistency("action is not well defined on the bottom")
-        # invertibility mod p
-        if rank and det_mod_p(rows, p) == 0:
-            raise BadParameters("action matrix is singular mod p")
-
         self.top_order = top_order
         self._mods = mods
         self._rank = rank
-        ident = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
-        pows = [ident]
-        for _ in range(top_order - 1):
-            pows.append(_compose(pows[-1], rows, mods, rank))
-        if top_order > 1 and _compose(pows[-1], rows, mods, rank) != ident:
+        pows = _action_powers(rows, mods, top_order)
+        if top_order % len(pows):
             raise BadParameters("action order does not divide the top order")
-        self._pows = tuple(pows)
+        self._pows = pows * (top_order // len(pows))
 
         order = top_order
         for m in mods:
@@ -152,6 +145,24 @@ def _compose(A, B, mods, rank):
         )
         for i in range(rank)
     )
+
+
+def _action_powers(rows, mods, bound):
+    """(I, A, ..., A^(m-1)), where m is the order of the action A.
+
+    Raises BadParameters unless A^m = I for some m <= ``bound``; a singular
+    action never returns to I, so it is rejected the same way.
+    """
+    rank = len(mods)
+    ident = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
+    pows = [ident]
+    X = _compose(ident, rows, mods, rank)
+    while X != ident:
+        if len(pows) >= bound:
+            raise BadParameters("action order does not divide the top order")
+        pows.append(X)
+        X = _compose(X, rows, mods, rank)
+    return tuple(pows)
 
 
 def make_cyclic(p: int, e: int, name: str = "d", max_order: int = DEFAULT_MAX_ORDER) -> SemidirectGroup:
@@ -215,7 +226,7 @@ def make_Mc(p: int, c: int, max_order: int = DEFAULT_MAX_ORDER) -> SemidirectGro
     if c < 2:
         raise BadParameters("Mc requires c >= 2")
     R = ring_make(p, c, max_order=max_order)
-    inv, action = mc_bottom(R)
+    inv, rows = mc_bottom(R)
     rank = inv.rank
     named = {}
     for j in range(1, c + 1):
@@ -226,7 +237,7 @@ def make_Mc(p: int, c: int, max_order: int = DEFAULT_MAX_ORDER) -> SemidirectGro
         p,
         p,
         inv.exponents,
-        action.entries,
+        rows,
         [("a", a), ("s1", named["s1"])],
         named=named,
         description=f"Mc({p},{c})",
@@ -262,8 +273,7 @@ def make_homocyclic(p: int, k: int, e: int, s: int, max_order: int = DEFAULT_MAX
         else:
             row[0] = (row[0] + p) % mod
         rows.append(row)
-    m = matrix_power_order(ModMatrix(p, e, rows))
-    top = p * m
+    top = p * len(_action_powers(rows, (mod,) * k, max_order))
     gens = [(f"a{i + 1}", (0,) + tuple(1 if j == i else 0 for j in range(k))) for i in range(k)]
     gens.append(("b", (1,) + (0,) * k))
     G0 = SemidirectGroup(
@@ -600,7 +610,11 @@ def evaluate_word(G: FiniteGroup, word: str):
             raise ParseError(f"unknown generator {name!r}")
         g = G.named_elements[name]
         if exp is not None:
-            g = G.power(g, int(exp))
+            try:
+                n = int(exp)
+            except ValueError:  # more digits than int() accepts
+                raise ParseError(f"exponent of {name!r} has too many digits")
+            g = G.power(g, n)
         out = G.multiply(out, g)
     return out
 

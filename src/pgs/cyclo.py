@@ -15,7 +15,6 @@ from .groups import DEFAULT_MAX_ORDER
 from .linalg import (
     AbelianInvariants,
     EchelonBasis,
-    ModMatrix,
     check_prime,
     echelonize,
     quotient_structure,
@@ -66,17 +65,10 @@ class CycloRing:
 
         mod = self.modulus
         rank = self.rank
-        # multiplication-by-w matrix, row convention: row i = coefficients of w^(i+1)
-        rows = []
-        for i in range(rank - 1):
-            rows.append([1 if j == i + 1 else 0 for j in range(rank)])
-        rows.append([mod - 1] * rank)
-        self.omega_matrix = ModMatrix(p, self.N, rows)
-
         # w^m for m = 0 .. 2*rank - 2, enough to fold any product
         pows = [tuple(1 if j == 0 else 0 for j in range(rank))]
         for _ in range(2 * rank - 2):
-            pows.append(self.omega_matrix.apply(pows[-1]))
+            pows.append(self.times_omega(pows[-1]))
         self._omega_pows = pows
 
         self.one = RingElem(self, pows[0])
@@ -107,6 +99,13 @@ class CycloRing:
 
     # element arithmetic
 
+    def times_omega(self, coeffs) -> tuple:
+        """Coefficients of w * x: shift up, and fold the old top coefficient
+        back with w^(p-1) = -(1 + w + ... + w^(p-2)) mod Phi_p."""
+        mod = self.modulus
+        top = coeffs[-1]
+        return ((-top) % mod,) + tuple((x - top) % mod for x in coeffs[:-1])
+
     def add(self, a: RingElem, b: RingElem) -> RingElem:
         mod = self.modulus
         return RingElem(self, tuple((x + y) % mod for x, y in zip(a.coeffs, b.coeffs)))
@@ -114,10 +113,6 @@ class CycloRing:
     def sub(self, a: RingElem, b: RingElem) -> RingElem:
         mod = self.modulus
         return RingElem(self, tuple((x - y) % mod for x, y in zip(a.coeffs, b.coeffs)))
-
-    def neg(self, a: RingElem) -> RingElem:
-        mod = self.modulus
-        return RingElem(self, tuple((-x) % mod for x in a.coeffs))
 
     def scalar(self, k: int, a: RingElem) -> RingElem:
         mod = self.modulus
@@ -186,30 +181,19 @@ def eq_powers_witness(R: CycloRing) -> RingElem:
     return z
 
 
-def mc_bottom(R: CycloRing) -> tuple[AbelianInvariants, ModMatrix]:
+def mc_bottom(R: CycloRing) -> tuple[AbelianInvariants, tuple]:
     """Additive structure of ring/I^c with the multiplication-by-w action.
 
-    Returns the invariant factors of the quotient together with the matrix
-    of the w-action written in invariant coordinates (row convention,
-    entries mod the largest invariant; each output coordinate is read mod
-    its own invariant factor).
+    Returns the invariant factors of the quotient together with the rows of
+    the w-action written in invariant coordinates (row convention; each
+    coordinate is reduced mod its own invariant factor).
     """
     inv = quotient_structure(R.ideal_bases[R.c], R.rank)
     if inv.order != R.p**R.c:
         raise InternalInconsistency("quotient order is not p^c")
-    exp = inv.exponents[0] if inv.exponents else 1
     rows = []
     for i in range(inv.rank):
         unit = [0] * inv.rank
         unit[i] = 1
-        x = inv.from_canonical(unit)
-        y = R.omega_matrix.apply(x)
-        rows.append([v % exp for v in inv.to_canonical(y)])
-    # exp is a p-power, so the matrix lives over Z/p^e with e = v_p(exp)
-    e = 0
-    m = exp
-    while m > 1:
-        m //= R.p
-        e += 1
-    action = ModMatrix(R.p, max(e, 1), rows)
-    return inv, action
+        rows.append(inv.to_canonical(R.times_omega(inv.from_canonical(unit))))
+    return inv, tuple(rows)

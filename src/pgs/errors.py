@@ -13,10 +13,6 @@ class ResourceLimit(ToolkitError):
     """A closure or enumeration grew past the configured order bound."""
 
 
-class NotInvertible(ToolkitError):
-    """Matrix is singular modulo p."""
-
-
 class ExponentTooSmall(ToolkitError):
     """Coefficient modulus cannot represent the quotient exponent."""
 

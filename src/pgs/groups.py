@@ -1,15 +1,14 @@
 """Generic finite-group engine.
 
 Group elements are flat tuples of small nonnegative integers; each concrete
-family fixes per-coordinate moduli, so tuple comparison agrees with the
-byte-lexicographic order of the fixed-width encoding produced by
-``FiniteGroup.encode``.  All derived groups (products, quotients, enumerated
-subgroups) reuse the parent coordinates, which keeps canonical coset
-representatives and witness selection deterministic across runs.
+family fixes per-coordinate moduli, and canonical order is tuple order.  All
+derived groups (products, quotients, enumerated subgroups) reuse the parent
+coordinates, which keeps canonical coset representatives and witness
+selection deterministic across runs.
 
 Everything here is exhaustive and exact: closures are breadth-first over
 generator multiplication, the center tests against generators only, and
-quotients store the byte-lexicographic minimum of each coset.  Each group
+quotients store the tuple-order minimum of each coset.  Each group
 caches its carrier, center, upper central series, order-p elements and
 p-th powers, so every analysis of one group object shares them.  Each group
 also carries the enumeration bound it was built with, ``max_order``: a
@@ -64,7 +63,6 @@ class FiniteGroup:
         self.known_order = known_order
         self.max_order = max_order
         self.description = description
-        self._widths = tuple(max(1, ((m - 1).bit_length() + 7) // 8) for m in self.coordinate_moduli)
         self._enumeration = None if carrier is None else EnumeratedSubgroup(self, carrier)
         self._center = None
         self._ucs = None
@@ -95,9 +93,6 @@ class FiniteGroup:
         """h^-1 g h."""
         mult = self.multiply
         return mult(mult(self.invert(h), g), h)
-
-    def encode(self, g) -> bytes:
-        return b"".join(int(x).to_bytes(w, "big") for x, w in zip(g, self._widths))
 
     def __repr__(self) -> str:
         return self.description or type(self).__name__
@@ -260,7 +255,7 @@ def order_p_elements(G: FiniteGroup) -> tuple:
 class QuotientGroup(FiniteGroup):
     """G/N with canonical coset representatives.
 
-    Elements are the byte-lexicographic minima of their cosets; the group
+    Elements are the tuple-order minima of their cosets; the group
     operation is multiply-then-canonicalize through the stored coset map.
     """
 
@@ -453,7 +448,7 @@ def _conjugacy_classes_idx(n, mul, inv_of, gen_idx):
     return classes
 
 
-def direct_factor_search(G: FiniteGroup, decompose_bound: int | None = None):
+def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOSE_BOUND):
     """Find a nontrivial internal direct decomposition, or None.
 
     The normal subgroups of G are exactly the joins of normal closures of
@@ -463,11 +458,10 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int | None = None):
     arithmetic runs in index space over the enumerated carrier; subgroups
     are bitmask integers so intersection tests are single AND operations.
     """
-    bound = decompose_bound if decompose_bound is not None else DEFAULT_DECOMPOSE_BOUND
     E = enumerate_group(G)
     n = len(E)
-    if n > bound:
-        raise ResourceLimit(f"|G| = {n} exceeds the decomposition bound {bound}")
+    if n > decompose_bound:
+        raise ResourceLimit(f"|G| = {n} exceeds the decomposition bound {decompose_bound}")
     if n == 1:
         return None
     elems = E.elements
@@ -576,7 +570,7 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int | None = None):
                         res_mask |= bit
                         res.append(y)
             if res_mask not in subgroups:
-                if len(subgroups) >= 4 * bound:
+                if len(subgroups) >= 4 * decompose_bound:
                     raise ResourceLimit("normal subgroup lattice exceeded the search cap")
                 hit = register(res_mask, sorted(res))
                 if hit:

@@ -14,13 +14,7 @@ of coordinates in both directions.
 
 from __future__ import annotations
 
-from .errors import (
-    BadParameters,
-    ExponentTooSmall,
-    InternalInconsistency,
-    NotInvertible,
-    ResourceLimit,
-)
+from .errors import BadParameters, ExponentTooSmall
 
 
 def valuation(x: int, p: int) -> int:
@@ -38,144 +32,6 @@ def check_prime(p: int) -> None:
     """Raise BadParameters unless p is prime (trial division)."""
     if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         raise BadParameters(f"p = {p} is not prime")
-
-
-class ModMatrix:
-    """Square or rectangular matrix with entries reduced mod p^N.
-
-    Vectors are rows and matrices act on the right: (v @ M)[j] is the
-    j-th coordinate of the image of v.
-    """
-
-    __slots__ = ("p", "N", "rows", "cols", "entries")
-
-    def __init__(self, p: int, N: int, entries) -> None:
-        check_prime(p)
-        if N < 1:
-            raise BadParameters("N must be >= 1")
-        mod = p**N
-        ent = tuple(tuple(int(x) % mod for x in row) for row in entries)
-        if ent and any(len(r) != len(ent[0]) for r in ent):
-            raise BadParameters("ragged matrix")
-        self.p = p
-        self.N = N
-        self.rows = len(ent)
-        self.cols = len(ent[0]) if ent else 0
-        self.entries = ent
-
-    @classmethod
-    def identity(cls, p: int, N: int, n: int) -> "ModMatrix":
-        return cls(p, N, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.N
-
-    def mul(self, other: "ModMatrix") -> "ModMatrix":
-        if self.cols != other.rows or self.p != other.p or self.N != other.N:
-            raise BadParameters("incompatible matrices")
-        mod = self.modulus
-        b = other.entries
-        out = []
-        for row in self.entries:
-            out.append(
-                [sum(row[k] * b[k][j] for k in range(self.cols)) % mod for j in range(other.cols)]
-            )
-        return ModMatrix(self.p, self.N, out)
-
-    def apply(self, v) -> tuple:
-        """Image of the row vector v."""
-        if len(v) != self.rows:
-            raise BadParameters("vector/matrix size mismatch")
-        mod = self.modulus
-        ent = self.entries
-        return tuple(sum(v[i] * ent[i][j] for i in range(self.rows)) % mod for j in range(self.cols))
-
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            e == (1 if i == j else 0) for i, row in enumerate(self.entries) for j, e in enumerate(row)
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ModMatrix)
-            and (self.p, self.N, self.entries) == (other.p, other.N, other.entries)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.N, self.entries))
-
-    def __repr__(self) -> str:
-        return f"ModMatrix(p={self.p}, N={self.N}, {list(map(list, self.entries))})"
-
-
-def det_mod_p(rows, p: int) -> int:
-    """Determinant of a square integer matrix reduced mod p, by elimination over F_p."""
-    a = [[x % p for x in row] for row in rows]
-    n = len(a)
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = (det * a[col][col]) % p
-        inv = pow(a[col][col], -1, p)
-        for r in range(col + 1, n):
-            f = (a[r][col] * inv) % p
-            if f:
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
-    return det % p
-
-
-def _is_unipotent_mod_p(M: ModMatrix) -> bool:
-    p, n = M.p, M.rows
-    b = [[(x - (1 if i == j else 0)) % p for j, x in enumerate(row)] for i, row in enumerate(M.entries)]
-    # nilpotency of M - I over F_p: (M-I)^n = 0
-    acc = b
-    for _ in range(n - 1):
-        acc = [[sum(acc[i][k] * b[k][j] for k in range(n)) % p for j in range(n)] for i in range(n)]
-    return all(x == 0 for row in acc for x in row)
-
-
-def matrix_power_order(M: ModMatrix) -> int:
-    """Least m >= 1 with M^m = I over Z/p^N.
-
-    Matrices unipotent mod p have p-power order, found by successive p-th
-    powering.  Anything else is resolved by plain successive multiplication
-    with a hard cap of p^(N * rows) steps.
-    """
-    if M.rows != M.cols:
-        raise BadParameters("order is defined for square matrices only")
-    if det_mod_p(M.entries, M.p) == 0:
-        raise NotInvertible("matrix is singular mod p")
-    if M.is_identity():
-        return 1
-    p = M.p
-    if _is_unipotent_mod_p(M):
-        order = 1
-        X = M
-        # order divides p^(N + log_p rows); the loop bound is generous
-        for _ in range(M.N * M.rows + M.rows + 2):
-            if X.is_identity():
-                return order
-            Y = X
-            for _ in range(p - 1):
-                Y = Y.mul(X)
-            X = Y
-            order *= p
-        raise InternalInconsistency("unipotent matrix order did not stabilize")
-    cap = p ** (M.N * M.rows)
-    X = M
-    m = 1
-    while not X.is_identity():
-        X = X.mul(M)
-        m += 1
-        if m > cap:
-            raise ResourceLimit(f"matrix order exceeds cap {cap}")
-    return m
 
 
 class EchelonBasis:

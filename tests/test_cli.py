@@ -54,6 +54,9 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line" in err and "column" in err
+    bad.write_bytes(b'{"family": "Dc", "p": 3, "c": 2, "x": "\xff"}')  # not UTF-8
+    assert main(["describe", str(bad)]) == 2
+    assert "unreadable description" in capsys.readouterr().err
 
 
 def test_rejected_parameters_exit_2(write_desc, capsys):
@@ -193,6 +196,25 @@ def test_non_positive_max_order_exits_2(write_desc, capsys, monkeypatch):
             assert main(["describe", path]) == 2
             monkeypatch.delenv("PGS_MAX_ORDER")
     assert "must be positive" in capsys.readouterr().err
+
+
+def test_non_positive_decompose_bound_exits_2(write_desc, capsys):
+    path = write_desc({"family": "Dc", "p": 3, "c": 2})
+    for bound in ("-5", "0"):
+        assert main(["decompose", path, "--decompose-bound", bound]) == 2
+        assert main(["suite", "--check", "partb_decompose", "--decompose-bound", bound]) == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
+def test_overlong_integers_exit_2(tmp_path, write_desc, capsys):
+    digits = "1" * 5000
+    literal = tmp_path / "long.json"
+    literal.write_text('{"family": "Dc", "p": ' + digits + ', "c": 2}', encoding="utf-8")
+    assert main(["describe", str(literal)]) == 2
+    word = dict(K_DESC, word=f"f0.x^{digits}*f1.d^3")
+    assert main(["describe", write_desc(word)]) == 2
+    err = capsys.readouterr().err
+    assert "unreadable description" in err and "too many digits" in err
 
 
 def test_prop_same_word_shape_exits_2(write_desc, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -150,6 +151,43 @@ def test_homocyclic_rejects_bad_parameters():
         make_homocyclic(3, 2, 0, 0)
     with pytest.raises(BadParameters):
         make_homocyclic(3, 2, 1, 2)  # s >= k
+
+
+@pytest.mark.parametrize(
+    "params, top",
+    [
+        ((3, 2, 1, 0), 9),
+        ((3, 2, 2, 0), 27),
+        ((3, 2, 2, 1), 27),
+        ((5, 3, 1, 0), 25),
+        ((2, 1, 3, 0), 4),
+        ((3, 1, 2, 0), 9),
+        ((5, 4, 1, 0), 25),
+        ((5, 2, 3, 0), 625),
+        ((7, 6, 1, 0), 49),
+    ],
+)
+def test_homocyclic_top_order(params, top):
+    G = make_homocyclic(*params)
+    G0 = G.parent if params[3] else G
+    assert G0.top_order == top
+
+
+def test_semidirect_families_digest():
+    """Generators, named elements and sorted carriers, pinned at a known-good state."""
+    groups = [
+        make_Mc(2, 3),
+        make_Mc(3, 4),
+        make_Mc(5, 3),
+        make_Dc(3, 3),
+        make_homocyclic(3, 2, 2, 1),
+        make_homocyclic(5, 3, 1, 0),
+    ]
+    h = hashlib.sha256()
+    for G in groups:
+        data = (G.generators, sorted(G.named_elements.items()), enumerate_group(G).elements)
+        h.update(repr(data).encode())
+    assert h.hexdigest() == "c6e6af8c2b957c82353785f47f863810246c077dcc5f24c7420eb316a8f6a87c"
 
 
 def test_b2_small():

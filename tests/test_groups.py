@@ -268,12 +268,3 @@ def test_direct_factor_search_more_products():
 def test_direct_factor_search_bound():
     with pytest.raises(ResourceLimit):
         direct_factor_search(make_Dc(3, 2), decompose_bound=10)
-
-
-def test_encode_matches_tuple_order():
-    M = make_Mc(3, 5)  # mixed bottom moduli (27, 9)
-    E = enumerate_group(M)
-    elems = E.elements
-    codes = [M.encode(g) for g in elems]
-    assert codes == sorted(codes)
-    assert len(set(codes)) == len(codes)

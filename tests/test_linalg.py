@@ -5,22 +5,27 @@ from math import gcd
 
 import pytest
 
-from pgs.errors import BadParameters, NotInvertible
+from pgs.constructions import SemidirectGroup, _action_powers
+from pgs.errors import BadParameters
 from pgs.linalg import (
-    ModMatrix,
     echelonize,
-    matrix_power_order,
     quotient_structure,
     submodule_member,
     valuation,
 )
 
 
-def brute_matrix_order(M):
-    X = M
+def matmul(A, B, mod):
+    n = len(A)
+    return [[sum(A[i][k] * B[k][j] for k in range(n)) % mod for j in range(n)] for i in range(n)]
+
+
+def brute_matrix_order(M, mod):
+    ident = [[int(i == j) for j in range(len(M))] for i in range(len(M))]
+    X = [[x % mod for x in row] for row in M]
     n = 1
-    while not X.is_identity():
-        X = X.mul(M)
+    while X != ident:
+        X = matmul(X, M, mod)
         n += 1
         assert n < 100_000
     return n
@@ -63,25 +68,28 @@ def test_valuation():
         valuation(0, 3)
 
 
+# Matrix orders, read off the semidirect action's power table.
+
+
 def test_matrix_power_order_identity():
-    assert matrix_power_order(ModMatrix.identity(3, 1, 2)) == 1
+    assert _action_powers(((1, 0), (0, 1)), (3, 3), 1) == (((1, 0), (0, 1)),)
 
 
 def test_matrix_power_order_unipotent():
-    M = ModMatrix(3, 1, [[1, 0], [1, 1]])
-    assert matrix_power_order(M) == 3
-    assert brute_matrix_order(M) == 3
+    M = [[1, 0], [1, 1]]
+    assert len(_action_powers(M, (3, 3), 10)) == 3
+    assert brute_matrix_order(M, 3) == 3
 
 
 def test_matrix_power_order_companion_phi3():
     # multiplication-by-omega matrix for x^2 + x + 1; omega^3 = 1
-    M = ModMatrix(3, 2, [[0, 1], [-1, -1]])
-    assert matrix_power_order(M) == 3
+    assert len(_action_powers([[0, 1], [-1, -1]], (9, 9), 10)) == 3
 
 
 def test_matrix_power_order_rejects_singular():
-    with pytest.raises(NotInvertible):
-        matrix_power_order(ModMatrix(3, 1, [[1, 1], [1, 1]]))
+    # 3 is not a unit mod 9, so the action never returns to the identity
+    with pytest.raises(BadParameters):
+        SemidirectGroup(3, 3, (9,), ((3,),), [("x", (0, 1))])
 
 
 def test_matrix_power_order_divisor_property():
@@ -96,13 +104,13 @@ def test_matrix_power_order_divisor_property():
             ent[i][i] = 1
             for j in range(i):
                 ent[i][j] = rng.randrange(p**N)
-        M = ModMatrix(p, N, ent)
-        m = matrix_power_order(M)
-        assert m == brute_matrix_order(M)
-        X = M
-        for _ in range(m - 1):
-            X = X.mul(M)
-        assert X.is_identity()
+        pows = _action_powers(ent, (p**N,) * n, 100_000)
+        assert len(pows) == brute_matrix_order(ent, p**N)
+        X = [[int(i == j) for j in range(n)] for i in range(n)]
+        for A in pows:
+            assert tuple(map(tuple, X)) == A
+            X = matmul(X, ent, p**N)
+        assert X == [list(row) for row in pows[0]]
 
 
 def test_echelonize_empty():

@@ -124,13 +124,21 @@ def factor_pairs(draw):
 @settings(max_examples=20)
 @given(factor_pairs())
 def test_product_layers_multiply(pair):
-    """|Z_i(G x H)| = |Z_i(G)| * |Z_i(H)|, each series held at its top."""
+    """|Z_i(G x H)| = |Z_i(G)| * |Z_i(H)|, each series held at its top, and
+    the spectrum does not depend on the order of the factors."""
     G, H = (build_from_description(d) for d in pair)
+    GH = direct_product([G, H])
     zg, zh = upper_central_series(G).orders(), upper_central_series(H).orders()
-    zp = upper_central_series(direct_product([G, H])).orders()
+    zp = upper_central_series(GH).orders()
     assert len(zp) == max(len(zg), len(zh))
     for i, order in enumerate(zp):
         assert order == zg[min(i, len(zg) - 1)] * zh[min(i, len(zh) - 1)]
+    straight, swapped = spectrum(GH), spectrum(direct_product([H, G]))
+    assert (swapped.spectrum, swapped.klass, swapped.layer_orders) == (
+        straight.spectrum,
+        straight.klass,
+        straight.layer_orders,
+    )
 
 
 @settings(max_examples=40)
