@@ -68,6 +68,7 @@ from .verify import (
     verify_partb_structure,
     verify_prop_same,
     verify_product_spectrum,
+    verify_question,
     verify_regularity_power,
     verify_theorem_part1,
 )

@@ -29,7 +29,6 @@ from .verify import (
     DEFAULT_SEED,
     CheckRecord,
     SuiteReport,
-    find_question_witness,
     run_check,
     run_paper_suite,
     verify_eq_powers,
@@ -37,6 +36,7 @@ from .verify import (
     verify_lemma_fact,
     verify_product_spectrum,
     verify_prop_same,
+    verify_question,
     verify_regularity_power,
     verify_theorem_part1,
 )
@@ -155,12 +155,8 @@ def _verify_records_for(desc_obj, args) -> list[CheckRecord]:
     run("theorem_part1", {}, lambda: _unpack(verify_theorem_part1(G)))
     run("lemma2", {}, lambda: _unpack(verify_lemma2(G)))
 
-    def _question():
-        w = find_question_witness(G)
-        return w is not None, w, {}
-
     if len(center(G)) < len(enumerate_group(G)):
-        run("question_witness", {}, _question)
+        run("question_witness", {}, lambda: _unpack(verify_question(G)))
 
     if nilpotence_class(G) <= G.prime - 1:
         run("regularity_power", {}, lambda: _unpack(verify_regularity_power(G, seed=args.seed)))

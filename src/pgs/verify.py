@@ -109,6 +109,22 @@ def find_question_witness(G: FiniteGroup):
     return None
 
 
+def verify_question(G: FiniteGroup) -> dict:
+    """Some non-commuting order-p elements x, y have xy of order p.
+
+    Applicability is tested only when the scan finds no witness.  It needs
+    p odd (involutions with (xy)^2 = 1 have xy = (xy)^-1 = yx) and order-p
+    elements that do not commute pairwise (they do in Dc: Omega_1 abelian).
+    """
+    w = find_question_witness(G)
+    if w is not None:
+        return {"applicable": True, "passed": True, "witness": w}
+    mult = G.multiply
+    elems = order_p_elements(G)
+    applicable = G.prime != 2 and any(mult(x, y) != mult(y, x) for x in elems for y in elems)
+    return {"applicable": applicable, "passed": not applicable, "witness": None}
+
+
 def verify_regularity_power(G: FiniteGroup, sample_pairs: int = 10_000, seed: int = DEFAULT_SEED) -> dict:
     """In a group of class at most p-1, [x, y]^p = 1 whenever x^p = 1.
 

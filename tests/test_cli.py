@@ -100,6 +100,24 @@ def test_verify_group_checks(write_desc, capsys):
     assert "theorem_part1" in names and "lemma2" in names and "lemma_fact" in names
 
 
+@pytest.mark.parametrize(
+    "desc, applicable",
+    [
+        ({"family": "Dc", "p": 3, "c": 2}, False),  # Omega_1 abelian
+        ({"family": "Mc", "p": 2, "c": 3}, False),  # dihedral: p = 2
+        ({"family": "Mc", "p": 3, "c": 2}, True),
+    ],
+    ids=["Dc(3,2)", "Mc(2,3)", "Mc(3,2)"],
+)
+def test_verify_question_applicability(write_desc, capsys, desc, applicable):
+    code = main(["verify", write_desc(desc), "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["pass"]
+    (rec,) = [r for r in out["records"] if r["check"] == "question_witness"]
+    assert rec["pass"] and rec["details"] == {"applicable": applicable}
+    assert ("witness" in rec) == applicable
+
+
 def test_verify_check_filter(write_desc, capsys):
     code = main(["verify", write_desc({"family": "Mc", "p": 3, "c": 2}), "--check", "lemma2", "--json"])
     out = json.loads(capsys.readouterr().out)

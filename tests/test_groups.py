@@ -14,6 +14,7 @@ from pgs.groups import (
     generated_by_order_p,
     is_pth_power,
     omega1_subgroup,
+    order_p_elements,
     quotient_group,
     subgroup_closure,
 )
@@ -93,6 +94,48 @@ def test_subgroup_closure_resource_limit():
         subgroup_closure(P, [g for _, g in P.generators])
     with pytest.raises(ResourceLimit, match="more than 100 elements"):
         enumerate_group(P)
+
+
+def counting_multiply(G):
+    """Count G's multiplies from here on; return the list the calls append to."""
+    calls = []
+    real = G.multiply
+    G.multiply = lambda a, b: calls.append(1) or real(a, b)
+    return calls
+
+
+def test_closure_cost_grows_with_the_subgroup():
+    # 1,466 order-p seeds generate all 3^7 elements; a closure that multiplies
+    # every element by every seed makes 3,206,142 multiplies
+    G = make_Mc(3, 6)
+    seeds = order_p_elements(G)
+    E = enumerate_group(G)
+    calls = counting_multiply(G)
+    assert subgroup_closure(G, seeds).as_set == E.as_set
+    assert len(calls) <= len(E) * (7 + 1)
+
+
+def test_closure_bound_while_a_new_seed_multiplies_old_elements():
+    # <a> has 3 elements; a new seed b multiplies them, and the 5th element
+    # crosses the bound before any new element is extended
+    P = direct_product([make_cyclic(3, 1, max_order=4), make_cyclic(3, 1, max_order=4)])
+    a, b = (g for _, g in P.generators)
+    calls = counting_multiply(P)
+    with pytest.raises(ResourceLimit, match="closure exceeded 4 elements"):
+        subgroup_closure(P, [a, b])
+    assert len(calls) == 3 + 2  # closing <a>, then two of the three old elements times b
+
+
+def test_closure_bound_while_new_elements_are_extended():
+    # one seed of order 9 under a bound of 3: the identity times the seed is
+    # the only old-element multiply, so the bound is crossed extending powers
+    P = direct_product([make_cyclic(3, 1, max_order=3), make_cyclic(3, 2, max_order=9)])
+    assert P.max_order == 3
+    seed = P.multiply(*(g for _, g in P.generators))
+    calls = counting_multiply(P)
+    with pytest.raises(ResourceLimit, match="closure exceeded 3 elements"):
+        subgroup_closure(P, [seed])
+    assert len(calls) == 1 + 2  # seed, then seed^2 and seed^3
 
 
 def test_enumerate_orders():

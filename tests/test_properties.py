@@ -1,17 +1,27 @@
 """Property tests for the per-group caches and the paper's identities.
 
 Each cached analysis (order-p elements, p-th powers, the upper central
-series, the spectrum's layer-2 witness) is compared with a plain reference
-scan, on seeded random recipes with a small order cap and on every family
-the suite builds.
+series, the spectrum's layer-2 witness) and the incremental subgroup closure
+are compared with a plain reference scan, on seeded random recipes with a
+small order cap and on every family the suite builds.
 """
+
+import random
+from collections import deque
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pgs.constructions import build_from_description
-from pgs.groups import commutator, direct_product, enumerate_group, is_pth_power, order_p_elements
+from pgs.groups import (
+    commutator,
+    direct_product,
+    enumerate_group,
+    is_pth_power,
+    order_p_elements,
+    subgroup_closure,
+)
 from pgs.series import lower_central_series, spectrum, upper_central_series
 from pgs.verify import _recipe_pool, random_recipes, verify_lemma2
 
@@ -48,6 +58,43 @@ def reference_ucs(G):
     return terms
 
 
+def reference_closure(G, elements):
+    """Breadth-first closure multiplying every element by every distinct seed."""
+    gens = []
+    seen = {G.identity}
+    for g in elements:
+        t = tuple(g)
+        if t not in seen:
+            seen.add(t)
+            gens.append(t)
+    visited = set(seen)
+    frontier = deque(visited)
+    while frontier:
+        x = frontier.popleft()
+        for g in gens:
+            y = G.multiply(x, g)
+            if y not in visited:
+                visited.add(y)
+                frontier.append(y)
+    return visited
+
+
+def check_closures(desc, seed):
+    """subgroup_closure equals the reference on four kinds of seed list."""
+    G = build_from_description(desc)
+    elems = enumerate_group(G).elements
+    gens = [g for _, g in G.generators]
+    rng = random.Random(seed)
+    seed_lists = [
+        gens,
+        order_p_elements(G),
+        sorted({commutator(G, x, g) for x in elems for g in gens}),
+        rng.sample(elems, rng.randint(1, min(6, len(elems)))),
+    ]
+    for seeds in seed_lists:
+        assert subgroup_closure(G, seeds).as_set == reference_closure(G, seeds)
+
+
 def check_shared_paths(desc):
     G = build_from_description(desc)
     assert order_p_elements(G) == reference_order_p(G)
@@ -82,6 +129,13 @@ def check_identities(desc):
 def test_suite_families_shared_paths(desc):
     check_shared_paths(desc)
     check_identities(desc)
+    check_closures(desc, seed=0)
+
+
+@settings(max_examples=30)
+@given(recipes, st.integers(0, 2**32 - 1))
+def test_recipes_closure_matches_reference(desc, seed):
+    check_closures(desc, seed)
 
 
 @settings(max_examples=40)
