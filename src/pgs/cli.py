@@ -6,6 +6,7 @@ for the schema) and print text or machine-readable JSON.  Exit codes:
 
 JSON output is byte-stable for a fixed input and seed; per-check timings are
 zeroed in JSON unless --timings is passed (text output always shows them).
+``pgs suite`` also prints one progress line per finished check to stderr.
 """
 
 from __future__ import annotations
@@ -218,11 +219,23 @@ def cmd_verify(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    done = {"passed": 0, "failed": 0}
+
+    def progress(r: CheckRecord) -> None:
+        done["passed" if r.passed else "failed"] += 1
+        print(
+            f"{r.check} {json.dumps(r.params, sort_keys=True)} {r.millis} ms"
+            f" ({done['passed']} passed, {done['failed']} failed)",
+            file=sys.stderr,
+            flush=True,
+        )
+
     report = run_paper_suite(
         max_order=args.max_order,
         decompose_bound=args.decompose_bound,
         seed=args.seed,
         only=args.check,
+        on_record=progress,
     )
     if args.check and not report.records:
         raise ParseError(f"no checks matched filter {','.join(args.check)!r}")

@@ -9,7 +9,12 @@ selection deterministic across runs.
 Everything here is exhaustive and exact: closures are incremental
 (Dimino's algorithm: about |H|·log_p|H| multiplies, however many seeds they
 get), the center tests against generators only, and quotients store the
-tuple-order minimum of each coset.  Each group caches its carrier, center,
+tuple-order minimum of each coset.  A direct product's carrier, order-p
+elements and p-th powers are read from its factors, with no multiply in
+the product, because they are the definition of the product; its center,
+upper central series and quotients are computed on the product itself,
+never from its factors, so the product law Z_i(G x H) = Z_i(G) x Z_i(H)
+stays something the toolkit checks.  Each group caches its carrier, center,
 upper central series, order-p elements and p-th powers, so every analysis
 of one group object shares them.  Each group also carries the enumeration
 bound it was built with, ``max_order``: a quotient or subgroup takes its
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
+from math import prod
 
 from .errors import (
     BadParameters,
@@ -185,16 +191,34 @@ def subgroup_closure(G: FiniteGroup, elements) -> EnumeratedSubgroup:
     return EnumeratedSubgroup(G, _close(G.multiply, G.identity, seeds, G.max_order))
 
 
-def enumerate_group(G: FiniteGroup) -> EnumeratedSubgroup:
-    """Full carrier of G (closure of its generators), cached on the group.
+def _concatenations(parts) -> list:
+    """Concatenated tuples, one piece from each part, in itertools.product
+    order: canonical tuple order when every part is sorted."""
+    out = [()]
+    for part in parts:
+        out = [a + b for a in out for b in part]
+    return out
 
-    A known order above ``G.max_order`` raises ResourceLimit before the
-    closure multiplies anything.
+
+def enumerate_group(G: FiniteGroup) -> EnumeratedSubgroup:
+    """Full carrier of G, cached on the group.
+
+    A direct product's carrier is the Cartesian product of its factors'
+    carriers, by definition; any other group's is the closure of its
+    generators.  An order above ``G.max_order`` raises ResourceLimit before
+    the carrier is built: a known order before anything is enumerated, a
+    product of unknown order once its factors' orders are known.
     """
     if G._enumeration is None:
         if G.known_order is not None and G.known_order > G.max_order:
             raise ResourceLimit(f"{G!r} has more than {G.max_order} elements")
-        E = subgroup_closure(G, [g for _, g in G.generators])
+        if isinstance(G, DirectProductGroup):
+            parts = [enumerate_group(f).as_set for f in G.factors]
+            if prod(map(len, parts)) > G.max_order:
+                raise ResourceLimit(f"{G!r} has more than {G.max_order} elements")
+            E = EnumeratedSubgroup(G, _concatenations(parts))
+        else:
+            E = subgroup_closure(G, [g for _, g in G.generators])
         if G.known_order is not None and len(E) != G.known_order:
             raise InternalInconsistency(
                 f"{G!r}: enumerated {len(E)} elements, expected {G.known_order}"
@@ -236,9 +260,16 @@ def order_p_elements(G: FiniteGroup) -> tuple:
     """Elements of order exactly p, in canonical order (cached).
 
     The same scan caches the set of p-th powers {g^p} that ``is_pth_power``
-    reads.
+    reads.  In a direct product both are componentwise: the order-p elements
+    are the non-identity tuples of factor elements of order dividing p, and
+    the p-th powers are the tuples of the factors' p-th powers.
     """
-    if G._order_p is None:
+    if G._order_p is None and isinstance(G, DirectProductGroup):
+        enumerate_group(G)  # the product's own bound and size check
+        small = [sorted((f.identity, *order_p_elements(f))) for f in G.factors]
+        G._order_p = tuple(g for g in _concatenations(small) if g != G.identity)
+        G._pth_powers = frozenset(_concatenations(f._pth_powers for f in G.factors))
+    elif G._order_p is None:
         p = G.prime
         identity = G.identity
         mult = G.multiply

@@ -1,12 +1,15 @@
+import hashlib
 import json
 import time
 
 import pytest
 
+import pgs.constructions
 import pgs.groups
 import pgs.series
 from pgs.cli import build_parser, main
 from pgs.constructions import SemidirectGroup
+from pgs.groups import DirectProductGroup
 
 
 @pytest.fixture
@@ -274,15 +277,18 @@ def test_verify_builds_the_ucs_once(write_desc, capsys, monkeypatch):
     ids=["Dc(3,2)xC9/<x^3d^3>", "Mc(3,2)xDc(3,2)", "Mc(3,2)xC3/<s2d>"],
 )
 def test_verify_closes_the_product_once(write_desc, capsys, monkeypatch, desc, product_order):
+    """The product's carrier is built once, whichever checks read it."""
     sizes = []
-    real = pgs.groups.subgroup_closure
 
-    def counting(G, elements):
-        E = real(G, elements)
-        sizes.append(len(E))
-        return E
+    def stored(self):
+        return vars(self)["_enumeration"]
 
-    monkeypatch.setattr(pgs.groups, "subgroup_closure", counting)
+    def store(self, E):
+        if E is not None:
+            sizes.append(len(E))
+        vars(self)["_enumeration"] = E
+
+    monkeypatch.setattr(DirectProductGroup, "_enumeration", property(stored, store), raising=False)
     main(["verify", write_desc(desc), "--json"])
     records = json.loads(capsys.readouterr().out)["records"]
     assert {"product_spectrum", "prop_same"} & {r["check"] for r in records}
@@ -305,6 +311,47 @@ def test_over_bound_product_exits_3_before_multiplying(write_desc, capsys, monke
     # the counter does see the multiplications of a group within the bound
     assert main(["describe", write_desc({"family": "Dc", "p": 3, "c": 2})]) == 0
     assert calls
+
+
+def test_over_bound_product_of_unknown_order_exits_3_before_building(write_desc, capsys, monkeypatch):
+    real_make_Dc = pgs.constructions.make_Dc
+
+    def order_unknown(*args):
+        G = real_make_Dc(*args)
+        G.known_order = None
+        return G
+
+    calls, built = [], []
+    real = DirectProductGroup.multiply
+
+    def counting(self, a, b):
+        calls.append(1)
+        return real(self, a, b)
+
+    monkeypatch.setattr(pgs.constructions, "make_Dc", order_unknown)
+    monkeypatch.setattr(DirectProductGroup, "multiply", counting)
+    real_concatenations = pgs.groups._concatenations
+    monkeypatch.setattr(pgs.groups, "_concatenations", lambda parts: built.append(1) or real_concatenations(parts))
+    dc = {"family": "Dc", "p": 3, "c": 2}  # 81 elements each, 6,561 together
+    assert main(["describe", write_desc({"op": "product", "factors": [dc, dc]}), "--max-order", "1000"]) == 3
+    assert "more than 1000 elements" in capsys.readouterr().err
+    assert calls == [] and built == []
+
+
+def test_suite_progress_goes_to_stderr(capsys):
+    code = main(["suite", "--check", "lemma_fact,eq_powers,question_none", "--json"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    # the stdout of the same command before progress lines were added
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "22ec29f858161f23e96a7037180ea951cabda4ac8b53ccdc5cab9216e5f01609"
+    )
+    lines = err.splitlines()
+    assert len(lines) == len(json.loads(out)["records"]) == 14
+    # run order, not the sorted order of the records
+    assert lines[0].startswith('question_none_dihedral {"c": 2, "p": 2} ')
+    assert lines[0].endswith(" ms (1 passed, 0 failed)")
+    assert lines[-1].endswith(" ms (14 passed, 0 failed)")
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 from pgs.constructions import SemidirectGroup, make_B2, make_Dc, make_Mc, make_cyclic
 from pgs.errors import NotNormal, ResourceLimit
 from pgs.groups import (
+    DirectProductGroup,
     center,
     commutator,
     direct_factor_search,
@@ -209,6 +210,24 @@ def test_direct_product_basics():
         tuple(a) + tuple(b) for a in center(D) for b in center(M)
     }
     assert zp == want
+
+
+def test_product_of_enumerated_factors_multiplies_nothing(monkeypatch):
+    D, M, C = make_Dc(3, 2), make_Mc(3, 2), make_cyclic(3, 2)
+    for f in (D, M, C):
+        enumerate_group(f)
+    calls = []
+    real = DirectProductGroup.multiply
+
+    def counting(self, a, b):
+        calls.append(1)
+        return real(self, a, b)
+
+    monkeypatch.setattr(DirectProductGroup, "multiply", counting)
+    nested = direct_product([direct_product([D, M]), C])
+    assert len(enumerate_group(nested)) == 81 * 27 * 9
+    assert order_p_elements(nested) and is_pth_power(nested, nested.identity)
+    assert calls == []
 
 
 def test_is_pth_power():

@@ -1,11 +1,14 @@
 """Property tests for the per-group caches and the paper's identities.
 
 Each cached analysis (order-p elements, p-th powers, the upper central
-series, the spectrum's layer-2 witness) and the incremental subgroup closure
-are compared with a plain reference scan, on seeded random recipes with a
-small order cap and on every family the suite builds.
+series, the spectrum's layer-2 witness, the question witness), the
+incremental subgroup closure and a direct product's carrier and order-p
+scan read from its factors are compared with a plain reference scan, on
+seeded random recipes with a small order cap and on every family and
+product the suite builds.
 """
 
+import json
 import random
 from collections import deque
 
@@ -15,6 +18,10 @@ from hypothesis import strategies as st
 
 from pgs.constructions import build_from_description
 from pgs.groups import (
+    DEFAULT_DECOMPOSE_BOUND,
+    DEFAULT_MAX_ORDER,
+    DirectProductGroup,
+    center,
     commutator,
     direct_product,
     enumerate_group,
@@ -23,9 +30,17 @@ from pgs.groups import (
     subgroup_closure,
 )
 from pgs.series import lower_central_series, spectrum, upper_central_series
-from pgs.verify import _recipe_pool, random_recipes, verify_lemma2
+from pgs.verify import (
+    DEFAULT_SEED,
+    _recipe_pool,
+    _suite_checks,
+    find_question_witness,
+    random_recipes,
+    verify_lemma2,
+)
 
 ORDER_CAP = 3000
+SUITE_PRODUCT_CAP = 20_000
 
 SUITE_FAMILIES = (
     [{"family": "Dc", "p": p, "c": c} for p, c in [(3, 2), (3, 3), (5, 2), (2, 3), (2, 4)]]
@@ -44,6 +59,17 @@ def reference_order_p(G):
     return tuple(
         g for g in enumerate_group(G).elements if g != identity and G.power(g, G.prime) == identity
     )
+
+
+def reference_question_witness(G):
+    """The question scan over every pair of order-p elements, central or not."""
+    elems = reference_order_p(G)
+    for x in elems:
+        for y in elems:
+            xy = G.multiply(x, y)
+            if xy != G.multiply(y, x) and G.power(xy, G.prime) == G.identity:
+                return (x, y)
+    return None
 
 
 def reference_ucs(G):
@@ -95,6 +121,45 @@ def check_closures(desc, seed):
         assert subgroup_closure(G, seeds).as_set == reference_closure(G, seeds)
 
 
+def check_product_paths(P):
+    """A product's carrier, order-p elements and p-th powers, read from its
+    factors, equal the closure of its generators and a G.power scan."""
+    assert isinstance(P, DirectProductGroup)
+    E = enumerate_group(P)
+    assert E.as_set == reference_closure(P, [g for _, g in P.generators])
+    assert order_p_elements(P) == reference_order_p(P)
+    assert P._pth_powers == {P.power(g, P.prime) for g in E.elements}
+
+
+def product_under(G):
+    """G itself if it is a product, else the product G is a quotient of."""
+    return G if isinstance(G, DirectProductGroup) else G.parent
+
+
+def suite_product_descs():
+    """Every direct product the paper suite builds, by itself or as the
+    parent of a quotient, with at most SUITE_PRODUCT_CAP elements."""
+    descs = []
+    for name, params, _ in _suite_checks(DEFAULT_MAX_ORDER, DEFAULT_DECOMPOSE_BOUND, DEFAULT_SEED, 50):
+        if name == "theorem_part1_random":
+            recipe = params["recipe"]
+            descs.append(recipe["group"] if recipe["op"] == "central_quotient" else recipe)
+        elif name == "product_spectrum":
+            descs.append({"op": "product", "factors": [params["left"], params["right"]]})
+    dc, mc = {"family": "Dc"}, {"family": "Mc"}
+    fixed = [  # built by the suite's thunks from make_* calls, not from descriptions
+        [dict(dc, p=3, c=2), {"family": "B2", "p": 3, "k": 2}],  # second_example
+        [dict(dc, p=3, c=3), {"family": "B2", "p": 3, "k": 2}],  # prop_same
+        [dict(dc, p=3, c=2), {"family": "cyclic", "p": 3, "e": 2}],  # prop_same_example_k
+        [dict(mc, p=2, c=2), dict(dc, p=2, c=3)],  # partb (2,[2],3), partb_decompose
+        [dict(mc, p=2, c=2), dict(mc, p=2, c=3), dict(dc, p=2, c=4)],  # partb (2,[2,3],4)
+        [dict(mc, p=3, c=3), dict(dc, p=3, c=4)],  # partb (3,[3],4)
+    ]
+    descs += [{"op": "product", "factors": f} for f in fixed]
+    unique = {json.dumps(d, sort_keys=True): d for d in descs}
+    return [d for d in unique.values() if build_from_description(d).known_order <= SUITE_PRODUCT_CAP]
+
+
 def check_shared_paths(desc):
     G = build_from_description(desc)
     assert order_p_elements(G) == reference_order_p(G)
@@ -130,6 +195,42 @@ def test_suite_families_shared_paths(desc):
     check_shared_paths(desc)
     check_identities(desc)
     check_closures(desc, seed=0)
+    G = build_from_description(desc)
+    assert find_question_witness(G) == reference_question_witness(G)
+
+
+def test_suite_products_read_their_factors():
+    descs = suite_product_descs()
+    assert len(descs) >= 40
+    for desc in descs:
+        check_product_paths(build_from_description(desc))
+
+
+@st.composite
+def nested_products(draw):
+    """A product whose first factor is a random recipe (itself a product or
+    a central quotient of one) and whose second is a family of the same
+    prime, at most ORDER_CAP elements in all."""
+    desc = draw(st.integers(0, 2**32 - 1).map(lambda seed: random_recipes(seed, 1, ORDER_CAP // 8)[0]))
+    inner = desc["group"] if desc["op"] == "central_quotient" else desc
+    p = inner["factors"][0]["p"]
+    room = ORDER_CAP // build_from_description(desc).known_order
+    family = draw(st.sampled_from([d for d, order, _ in _recipe_pool(p) if order <= room]))
+    return {"op": "product", "factors": [desc, family]}
+
+
+@settings(max_examples=30)
+@given(recipes)
+def test_recipes_product_paths(desc):
+    check_product_paths(product_under(build_from_description(desc)))
+
+
+@settings(max_examples=20)
+@given(nested_products())
+def test_nested_product_paths(desc):
+    P = build_from_description(desc)
+    check_product_paths(P)
+    check_product_paths(product_under(P.factors[0]))
 
 
 @settings(max_examples=30)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import pgs.verify
 from pgs.constructions import (
     build_from_description,
     central_quotient,
@@ -13,7 +14,15 @@ from pgs.constructions import (
     make_second_example,
 )
 from pgs.errors import NotCentral, PreconditionFailed
-from pgs.groups import center, commutator, direct_product, element_order, enumerate_group, quotient_group
+from pgs.groups import (
+    center,
+    commutator,
+    direct_product,
+    element_order,
+    enumerate_group,
+    order_p_elements,
+    quotient_group,
+)
 from pgs.verify import (
     find_question_witness,
     random_recipes,
@@ -75,6 +84,40 @@ def test_regularity_power():
     assert verify_regularity_power(make_B2(5, 2))["passed"]
     with pytest.raises(PreconditionFailed):
         verify_regularity_power(make_Mc(3, 4))
+
+
+def full_regularity_scan(G):
+    """The exhaustive report from every (x, y) pair, x of order p, y in G."""
+    elems = enumerate_group(G).elements
+    small = order_p_elements(G)
+    report = {"passed": True, "counterexample": None, "exhaustive": True, "pairs": len(small) * len(elems)}
+    for x in small:
+        for y in elems:
+            if G.power(commutator(G, x, y), G.prime) != G.identity:
+                return dict(report, passed=False, counterexample=(x, y))
+    return report
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_Mc(3, 2),
+        lambda: make_B2(5, 2),
+        lambda: direct_product([make_cyclic(3, 1), make_cyclic(3, 1)]),
+        lambda: direct_product([make_Mc(3, 2), make_Dc(3, 2)]),
+    ],
+    ids=["Mc(3,2)", "B2(5,2)", "C3xC3", "Mc(3,2)xDc(3,2)"],
+)
+def test_regularity_power_matches_the_full_scan(make):
+    assert verify_regularity_power(make()) == full_regularity_scan(make())
+
+
+@pytest.mark.parametrize("make", [lambda: make_Mc(3, 4), lambda: make_Mc(2, 3)], ids=["Mc(3,4)", "Mc(2,3)"])
+def test_regularity_power_finds_the_first_counterexample(make, monkeypatch):
+    # above class p - 1 the identity can fail; lift the precondition to compare counterexamples
+    monkeypatch.setattr(pgs.verify, "nilpotence_class", lambda G: 1)
+    report = verify_regularity_power(make())
+    assert not report["passed"] and report == full_regularity_scan(make())
 
 
 def test_product_spectrum():
