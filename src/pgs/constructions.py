@@ -37,11 +37,11 @@ from .groups import (
     FiniteGroup,
     QuotientGroup,
     SubgroupGroup,
+    _quotient,
     commutator,
     direct_product,
     element_order,
     is_pth_power,
-    quotient_group,
     subgroup_closure,
 )
 from .linalg import check_prime
@@ -344,7 +344,7 @@ class LieBCHGroup(FiniteGroup):
                 kept = tuple((c, t) for c, t in terms if t < dim)
                 if kept:
                     table[(i, j)] = kept
-        self._table = table
+        self._brackets = table
         self._half = pow(2, -1, p)
         self._twelfth = pow(12, -1, p) if k >= 3 else 0
         self._twenty4th = pow(24, -1, p) if k >= 4 else 0
@@ -365,7 +365,7 @@ class LieBCHGroup(FiniteGroup):
     def bracket(self, u, v):
         p = self.prime
         out = [0] * self._dim
-        table = self._table
+        table = self._brackets
         for i, ui in enumerate(u):
             if not ui:
                 continue
@@ -419,7 +419,7 @@ def central_quotient(G: FiniteGroup, z) -> QuotientGroup:
             raise NotCentral(f"{z} is not central in {G!r}")
     if element_order(G, z) != G.prime:
         raise WrongOrder(f"{z} does not have order {G.prime}")
-    return quotient_group(G, subgroup_closure(G, [z]))
+    return _quotient(G, subgroup_closure(G, [z]))  # <z> is normal: z is central
 
 
 def make_second_example(

@@ -19,11 +19,23 @@ upper central series, order-p elements and p-th powers, so every analysis
 of one group object shares them.  Each group also carries the enumeration
 bound it was built with, ``max_order``: a quotient or subgroup takes its
 parent's, a product the smallest of its factors'.
+
+An enumerated group may also carry an index table (``_Table``): its
+carrier in canonical order, the index of each element, and lazily filled
+product and inverse indices, the n x n products only up to
+``_TABLE_BOUND`` elements.  Once a direct product is enumerated its
+``multiply`` and ``invert`` work on indices: an element's index splits in
+mixed radix into its factors' indices, and each factor's product is read
+from that factor's table, computed by the factor's own ``multiply`` the
+first time it is needed.  Index order is tuple order, so coset minima and
+witnesses do not depend on the path.  ``direct_factor_search`` reads the
+same tables.
 """
 
 from __future__ import annotations
 
 import weakref
+from array import array
 from collections import deque
 from math import prod
 
@@ -37,7 +49,8 @@ from .errors import (
 DEFAULT_MAX_ORDER = 2_000_000
 DEFAULT_DECOMPOSE_BOUND = 20_000
 
-# full index-space multiplication tables are built below this order
+# index tables of groups up to this order hold the n^2 product indices,
+# filled lazily (2 bytes an entry); larger groups get no product table
 _TABLE_BOUND = 1500
 
 
@@ -74,6 +87,7 @@ class FiniteGroup:
         self._ucs = None
         self._order_p = None
         self._pth_powers = None
+        self._table = None
 
     def multiply(self, a, b):
         raise NotImplementedError
@@ -181,6 +195,53 @@ def _close(mult, identity, seeds, bound) -> set:
     return elements
 
 
+class _Table:
+    """Index table of an enumerated group: plain data, filled on demand.
+
+    ``elements`` is the canonical carrier and ``index`` maps each element to
+    its position.  ``products[i * n + j]`` is the index of
+    elements[i] * elements[j] and ``inverses[i]`` that of elements[i]^-1,
+    or -1 until first asked for; ``products`` is None above
+    ``_TABLE_BOUND`` elements.  The table holds no reference to its group,
+    so caching it on the group makes no reference cycle.
+    """
+
+    __slots__ = ("elements", "index", "products", "inverses")
+
+    def __init__(self, elements) -> None:
+        n = len(elements)
+        self.elements = elements
+        self.index = {g: i for i, g in enumerate(elements)}
+        self.products = array("h", [-1]) * (n * n) if n <= _TABLE_BOUND else None
+        self.inverses = array("l", [-1]) * n
+
+    def product(self, G, i: int, j: int) -> int:
+        """Index of elements[i] * elements[j]; G.multiply on a miss."""
+        prods = self.products
+        if prods is None:
+            return self.index[G.multiply(self.elements[i], self.elements[j])]
+        k = i * len(self.elements) + j
+        r = prods[k]
+        if r < 0:
+            r = prods[k] = self.index[G.multiply(self.elements[i], self.elements[j])]
+        return r
+
+    def inverse(self, G, i: int) -> int:
+        """Index of elements[i]^-1; G.invert on a miss."""
+        r = self.inverses[i]
+        if r < 0:
+            r = self.inverses[i] = self.index[G.invert(self.elements[i])]
+        return r
+
+
+def _index_table(G: FiniteGroup) -> _Table:
+    """G's index table, cached on G; enumerates G first."""
+    elements = enumerate_group(G).elements  # a product gets its table here
+    if G._table is None:
+        G._table = _Table(elements)
+    return G._table
+
+
 def subgroup_closure(G: FiniteGroup, elements) -> EnumeratedSubgroup:
     """Smallest subgroup of G containing ``elements``, by ``_close``.
 
@@ -207,16 +268,21 @@ def enumerate_group(G: FiniteGroup) -> EnumeratedSubgroup:
     carriers, by definition; any other group's is the closure of its
     generators.  An order above ``G.max_order`` raises ResourceLimit before
     the carrier is built: a known order before anything is enumerated, a
-    product of unknown order once its factors' orders are known.
+    product of unknown order once its factors' orders are known.  Once a
+    product's carrier is stored, the product gets its index table and its
+    factors' (no entry filled yet), and it multiplies on indices from then on.
     """
     if G._enumeration is None:
         if G.known_order is not None and G.known_order > G.max_order:
             raise ResourceLimit(f"{G!r} has more than {G.max_order} elements")
-        if isinstance(G, DirectProductGroup):
-            parts = [enumerate_group(f).as_set for f in G.factors]
+        product = isinstance(G, DirectProductGroup)
+        if product:
+            parts = [enumerate_group(f).elements for f in G.factors]
             if prod(map(len, parts)) > G.max_order:
                 raise ResourceLimit(f"{G!r} has more than {G.max_order} elements")
-            E = EnumeratedSubgroup(G, _concatenations(parts))
+            elements = tuple(_concatenations(parts))
+            E = EnumeratedSubgroup(G, elements)
+            E._sorted = elements  # already canonical: the parts are sorted
         else:
             E = subgroup_closure(G, [g for _, g in G.generators])
         if G.known_order is not None and len(E) != G.known_order:
@@ -224,6 +290,15 @@ def enumerate_group(G: FiniteGroup) -> EnumeratedSubgroup:
                 f"{G!r}: enumerated {len(E)} elements, expected {G.known_order}"
             )
         G._enumeration = E
+        if product:
+            radix = []
+            stride = len(E)
+            for f in G.factors:
+                t = _index_table(f)
+                stride //= len(t.elements)
+                radix.append((f, len(t.elements), stride, t))
+            G._radix = tuple(radix)
+            G._table = _Table(E.elements)
     return G._enumeration
 
 
@@ -334,6 +409,13 @@ def quotient_group(G: FiniteGroup, N: EnumeratedSubgroup) -> QuotientGroup:
         for n in N.as_set:
             if G.conjugate(n, g) not in N:
                 raise NotNormal("subgroup is not normal")
+    return _quotient(G, N)
+
+
+def _quotient(G: FiniteGroup, N: EnumeratedSubgroup) -> QuotientGroup:
+    """G/N for a subgroup N of G that is normal by construction (unchecked):
+    a term of the upper central series, or the span of a central element."""
+    E = enumerate_group(G)
     rep_map = {}
     mult = G.multiply
     n_elems = N.elements
@@ -360,6 +442,7 @@ class DirectProductGroup(FiniteGroup):
         if any(f.prime != p for f in factors):
             raise BadParameters("all factors must share the same prime")
         self.factors = tuple(factors)
+        self._radix = None  # per factor (group, order, stride, table), once enumerated
         parts = []
         off = 0
         for f in factors:
@@ -394,16 +477,33 @@ class DirectProductGroup(FiniteGroup):
         )
 
     def multiply(self, a, b):
-        out = []
-        for s, e, f in self._parts:
-            out.extend(f.multiply(a[s:e], b[s:e]))
-        return tuple(out)
+        t = self._table
+        if t is None:  # not enumerated yet: componentwise in the factors
+            out = []
+            for s, e, f in self._parts:
+                out.extend(f.multiply(a[s:e], b[s:e]))
+            return tuple(out)
+        i = t.index[a]
+        j = t.index[b]
+        r = 0
+        for f, n, stride, ft in self._radix:
+            r += stride * ft.product(f, i // stride % n, j // stride % n)
+        return t.elements[r]
 
     def invert(self, a):
-        out = []
-        for s, e, f in self._parts:
-            out.extend(f.invert(a[s:e]))
-        return tuple(out)
+        t = self._table
+        if t is None:
+            out = []
+            for s, e, f in self._parts:
+                out.extend(f.invert(a[s:e]))
+            return tuple(out)
+        i = t.index[a]
+        r = t.inverses[i]
+        if r < 0:
+            r = t.inverses[i] = sum(
+                stride * ft.inverse(f, i // stride % n) for f, n, stride, ft in self._radix
+            )
+        return t.elements[r]
 
     def embed(self, i: int, g):
         out = []
@@ -496,8 +596,10 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOS
     single elements, so the search enumerates that join closure (joining
     with single-element closures only, which suffices by associativity of
     join) and tests complementary pairs as subgroups are discovered.  All
-    arithmetic runs in index space over the enumerated carrier; subgroups
-    are bitmask integers so intersection tests are single AND operations.
+    arithmetic runs in index space over the enumerated carrier, through G's
+    shared index table (filled only where the search looks, up to
+    ``_TABLE_BOUND`` elements; a private cache above it); subgroups are
+    bitmask integers so intersection tests are single AND operations.
     """
     E = enumerate_group(G)
     n = len(E)
@@ -505,17 +607,16 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOS
         raise ResourceLimit(f"|G| = {n} exceeds the decomposition bound {decompose_bound}")
     if n == 1:
         return None
-    elems = E.elements
-    idx = {g: i for i, g in enumerate(elems)}
+    table = _index_table(G)
+    elems = table.elements
+    idx = table.index
     id_idx = idx[G.identity]
     identity_mask = 1 << id_idx
 
-    if n <= _TABLE_BOUND:
-        mult = G.multiply
-        table = [[idx[mult(a, b)] for b in elems] for a in elems]
+    if table.products is not None:
 
         def mul(i, j):
-            return table[i][j]
+            return table.product(G, i, j)
 
     else:
         cache: dict[int, int] = {}
@@ -528,7 +629,7 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOS
                 cache[key] = r
             return r
 
-    inv_of = [idx[G.invert(g)] for g in elems]
+    inv_of = [table.inverse(G, i) for i in range(n)]
     gen_idx = sorted({idx[g] for _, g in G.generators if g != G.identity})
 
     atoms = {}  # mask -> members; classes come in order of their least index

@@ -247,13 +247,13 @@ def test_prop_same_word_shape_exits_2(write_desc, capsys):
 def test_verify_builds_the_ucs_once(write_desc, capsys, monkeypatch):
     # on a class-2 group each ucs build forms exactly one quotient, G/Z_1
     quotients = []
-    real = pgs.series.quotient_group
+    real = pgs.series._quotient
 
     def counting(G, N):
         quotients.append(len(N))
         return real(G, N)
 
-    monkeypatch.setattr(pgs.series, "quotient_group", counting)
+    monkeypatch.setattr(pgs.series, "_quotient", counting)
     code = main(["verify", write_desc({"family": "Mc", "p": 3, "c": 2}), "--json"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and len(out["records"]) >= 4

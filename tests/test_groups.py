@@ -1,11 +1,22 @@
+import gc
 import random
+import weakref
 
 import pytest
 
-from pgs.constructions import SemidirectGroup, make_B2, make_Dc, make_Mc, make_cyclic
+from pgs.constructions import (
+    LieBCHGroup,
+    SemidirectGroup,
+    make_B2,
+    make_Dc,
+    make_Mc,
+    make_cyclic,
+    make_second_example,
+)
 from pgs.errors import NotNormal, ResourceLimit
 from pgs.groups import (
     DirectProductGroup,
+    QuotientGroup,
     center,
     commutator,
     direct_factor_search,
@@ -330,3 +341,84 @@ def test_direct_factor_search_more_products():
 def test_direct_factor_search_bound():
     with pytest.raises(ResourceLimit):
         direct_factor_search(make_Dc(3, 2), decompose_bound=10)
+
+
+def count_native_multiplies(monkeypatch):
+    """Count SemidirectGroup and LieBCHGroup multiplies from now on."""
+    calls = []
+    for cls in (SemidirectGroup, LieBCHGroup):
+        def counting(self, a, b, real=cls.multiply):
+            calls.append(1)
+            return real(self, a, b)
+
+        monkeypatch.setattr(cls, "multiply", counting)
+    return calls
+
+
+def test_enumerating_a_product_fills_no_table_entry(monkeypatch):
+    D, B, C = make_Dc(3, 2), make_B2(3, 2), make_cyclic(3, 2)
+    for f in (D, B, C):
+        enumerate_group(f)
+    calls = count_native_multiplies(monkeypatch)
+    inner = direct_product([D, B])
+    nested = direct_product([inner, C])
+    E = enumerate_group(nested)
+    assert len(E) == 81 * 27 * 9 and calls == []
+    assert E.elements == tuple(sorted(E.as_set))
+    for G in (D, B, C, inner, nested):
+        t = G._table
+        assert set(t.inverses) == {-1}
+        assert t.products is None or set(t.products) == {-1}
+    assert inner._table.products is None  # 2,187 elements: above the table bound
+    assert len(D._table.products) == 81 * 81
+
+
+def test_tabled_product_fills_each_factor_entry_once(monkeypatch):
+    D, C = make_Dc(3, 2), make_cyclic(3, 2)
+    P = direct_product([D, C])
+    elems = enumerate_group(P).elements
+    calls = count_native_multiplies(monkeypatch)
+    a, b = elems[100], elems[200]
+    ab = P.multiply(a, b)
+    assert len(calls) == 2  # one miss in each factor's table
+    assert P.multiply(a, b) == ab and len(calls) == 2
+    assert sum(x >= 0 for x in D._table.products) == 1
+    parts = [F.multiply(P.project(i, a), P.project(i, b)) for i, F in enumerate((D, C))]
+    assert ab == parts[0] + parts[1]
+
+
+def test_dropping_a_product_frees_it_and_its_factors():
+    """Index tables hold plain data: no reference cycle keeps a group alive."""
+    gc.disable()
+    try:
+        M, B, C = make_Mc(2, 2), make_Mc(2, 2), make_cyclic(2, 1)
+        small = direct_product([M, B])
+        P = direct_product([small, C])
+        spectrum(P)
+        assert direct_factor_search(P) is not None
+        g = P.generators[-1][1]
+        assert P.multiply(P.invert(g), g) == P.identity
+        Q = quotient_group(P, center(P))
+        spectrum(Q)
+        refs = [weakref.ref(G) for G in (M, B, C, small, P, Q)]
+        del M, B, C, small, P, Q
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_direct_factor_search_fills_part_of_the_table(monkeypatch):
+    Q = make_second_example(3, 2, 2)
+    n = len(enumerate_group(Q))
+    calls = []
+    real = QuotientGroup.multiply
+
+    def counting(self, a, b):
+        if self is Q:
+            calls.append(1)
+        return real(self, a, b)
+
+    monkeypatch.setattr(QuotientGroup, "multiply", counting)
+    assert direct_factor_search(Q) is None
+    filled = sum(x >= 0 for x in Q._table.products)
+    assert len(calls) == filled < n * n // 2

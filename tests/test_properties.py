@@ -2,34 +2,52 @@
 
 Each cached analysis (order-p elements, p-th powers, the upper central
 series, the spectrum's layer-2 witness, the question witness), the
-incremental subgroup closure and a direct product's carrier and order-p
-scan read from its factors are compared with a plain reference scan, on
-seeded random recipes with a small order cap and on every family and
-product the suite builds.
+incremental subgroup closure, a direct product's carrier and order-p scan
+read from its factors, its arithmetic on index tables, the lazily tabled
+direct-factor search and the generators-only ucs characterization are
+compared with a plain reference scan, on seeded random recipes with a small
+order cap and on every family and product the suite builds.
 """
 
 import json
 import random
+from array import array
 from collections import deque
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pgs.constructions import build_from_description
+from pgs.constructions import (
+    build_from_description,
+    make_partb_decomposable,
+    make_partb_indecomposable,
+    make_second_example,
+)
 from pgs.groups import (
+    _TABLE_BOUND,
     DEFAULT_DECOMPOSE_BOUND,
     DEFAULT_MAX_ORDER,
     DirectProductGroup,
+    QuotientGroup,
+    _index_table,
     center,
     commutator,
+    direct_factor_search,
     direct_product,
     enumerate_group,
     is_pth_power,
     order_p_elements,
     subgroup_closure,
 )
-from pgs.series import lower_central_series, spectrum, upper_central_series
+from pgs.series import (
+    CentralSeriesChain,
+    is_central_series,
+    lower_central_series,
+    satisfies_ucs_characterization,
+    spectrum,
+    upper_central_series,
+)
 from pgs.verify import (
     DEFAULT_SEED,
     _recipe_pool,
@@ -131,6 +149,100 @@ def check_product_paths(P):
     assert P._pth_powers == {P.power(g, P.prime) for g in E.elements}
 
 
+def reference_multiply(G, a, b):
+    """Componentwise product in the factors' own ``multiply``, through
+    nested products and quotients: the arithmetic before index tables."""
+    if isinstance(G, DirectProductGroup):
+        parts = [reference_multiply(f, G.project(i, a), G.project(i, b)) for i, f in enumerate(G.factors)]
+        return tuple(x for part in parts for x in part)
+    if isinstance(G, QuotientGroup):
+        return G.project(reference_multiply(G.parent, a, b))
+    return G.multiply(a, b)
+
+
+def reference_invert(G, a):
+    if isinstance(G, DirectProductGroup):
+        return tuple(x for i, f in enumerate(G.factors) for x in reference_invert(f, G.project(i, a)))
+    if isinstance(G, QuotientGroup):
+        return G.project(reference_invert(G.parent, a))
+    return G.invert(a)
+
+
+def check_tabled_arithmetic(G, seed=0, pairs=200):
+    """G's multiply and invert, tabled wherever a product is enumerated,
+    equal the componentwise reference on the identity, every generator and
+    seeded random elements."""
+    elems = enumerate_group(G).elements
+    rng = random.Random(seed)
+    special = [G.identity] + [g for _, g in G.generators]
+    drawn = [(rng.choice(elems), rng.choice(elems)) for _ in range(pairs)]
+    for a, b in [(a, b) for a in special for b in special] + drawn:
+        assert G.multiply(a, b) == reference_multiply(G, a, b)
+    for a in special + [a for a, _ in drawn]:
+        assert G.invert(a) == reference_invert(G, a)
+
+
+def eager_table(G):
+    """Fill G's index table up front by G.multiply, as direct_factor_search
+    once did with a private n x n table; returns the table."""
+    t = _index_table(G)
+    idx = t.index
+    t.products[:] = array("h", [idx[G.multiply(a, b)] for a in t.elements for b in t.elements])
+    return t
+
+
+def check_lazy_search(build):
+    """The search on a lazily filled table returns the pair (or None) that
+    it returns on an eagerly filled one, and every entry it filled agrees."""
+    lazy_G, eager_G = build(), build()
+    lazy = direct_factor_search(lazy_G)
+    eager_products = eager_table(eager_G).products
+    eager = direct_factor_search(eager_G)
+    as_sets = lambda split: None if split is None else [H.as_set for H in split]  # noqa: E731
+    assert as_sets(lazy) == as_sets(eager)
+    filled = lazy_G._table.products
+    assert all(x < 0 or x == y for x, y in zip(filled, eager_products))
+    return lazy
+
+
+def reference_ucs_characterization(G, chain):
+    """The all-y scan: each x in G_m \\ G_(m-1) has some y in G with
+    [x, y] in G_(m-1) \\ G_(m-2)."""
+    elems = enumerate_group(G).elements
+    terms = chain.terms
+    for m in range(2, len(terms)):
+        mid, low = terms[m - 1].as_set, terms[m - 2].as_set
+        for x in terms[m].as_set - mid:
+            if not any((c := commutator(G, x, y)) in mid and c not in low for y in elems):
+                return False
+    return True
+
+
+def central_chains(G):
+    """The upper and lower central series, and each refinement of the ucs
+    by one term <Z_i, z> strictly between Z_i and Z_(i+1)."""
+    ucs = upper_central_series(G)
+    chains = [ucs, lower_central_series(G)]
+    terms = ucs.terms
+    for i in range(len(terms) - 1):
+        lo, hi = terms[i], terms[i + 1]
+        z = next(g for g in hi.elements if g not in lo)
+        between = subgroup_closure(G, [z, *lo.elements])
+        if len(between) < len(hi):
+            chains.append(CentralSeriesChain(G, terms[: i + 1] + (between,) + terms[i + 1 :]))
+    return chains
+
+
+def check_ucs_characterization(desc):
+    """Both scans agree on every chain, and hold exactly on the ucs."""
+    G = build_from_description(desc)
+    ucs = upper_central_series(G)
+    for chain in central_chains(G):
+        assert is_central_series(G, chain)
+        verdict = satisfies_ucs_characterization(G, chain)
+        assert verdict == reference_ucs_characterization(G, chain) == (chain == ucs)
+
+
 def product_under(G):
     """G itself if it is a product, else the product G is a quotient of."""
     return G if isinstance(G, DirectProductGroup) else G.parent
@@ -183,11 +295,16 @@ def check_shared_paths(desc):
 
 
 def check_identities(desc):
+    """|Z_i| divides |G|, ucs and lcs have the same length, and every ucs
+    term (formed with no normality scan) is normal."""
     G = build_from_description(desc)
     n = len(enumerate_group(G))
     ucs = upper_central_series(G)
     assert all(n % len(t) == 0 for t in ucs.terms)
     assert len(ucs) == len(lower_central_series(G))
+    gens = [g for _, g in G.generators]
+    for term in ucs.terms:
+        assert all(G.conjugate(x, g) in term for x in term.as_set for g in gens)
 
 
 @pytest.mark.parametrize("desc", SUITE_FAMILIES, ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
@@ -204,6 +321,31 @@ def test_suite_products_read_their_factors():
     assert len(descs) >= 40
     for desc in descs:
         check_product_paths(build_from_description(desc))
+
+
+def test_suite_products_tabled_arithmetic():
+    for k, desc in enumerate(suite_product_descs()):
+        P = build_from_description(desc)
+        check_tabled_arithmetic(P, seed=k)
+        assert P._table is not None
+
+
+@pytest.mark.parametrize("desc", SUITE_FAMILIES, ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
+def test_suite_families_ucs_characterization(desc):
+    check_ucs_characterization(desc)
+
+
+def test_lazy_search_on_suite_decompositions():
+    """Every group the suite decomposes: second_example and partb_decompose."""
+    assert check_lazy_search(lambda: make_second_example(3, 2, 2)) is None
+    assert check_lazy_search(lambda: make_partb_decomposable(2, [2], 3)) is not None
+    assert check_lazy_search(lambda: make_partb_indecomposable(2, [2], 3)) is None
+
+
+def test_lazy_search_on_small_recipes():
+    descs = random_recipes(DEFAULT_SEED, 12, _TABLE_BOUND)
+    splits = [check_lazy_search(lambda d=d: build_from_description(d)) for d in descs]
+    assert any(s is None for s in splits) and any(s is not None for s in splits)
 
 
 @st.composite
@@ -225,12 +367,28 @@ def test_recipes_product_paths(desc):
     check_product_paths(product_under(build_from_description(desc)))
 
 
+@settings(max_examples=30)
+@given(recipes, st.integers(0, 2**32 - 1))
+def test_recipes_tabled_arithmetic(desc, seed):
+    G = build_from_description(desc)
+    for H in dict.fromkeys([G, product_under(G)]):  # a quotient and the product under it
+        check_tabled_arithmetic(H, seed)
+
+
 @settings(max_examples=20)
 @given(nested_products())
 def test_nested_product_paths(desc):
     P = build_from_description(desc)
     check_product_paths(P)
     check_product_paths(product_under(P.factors[0]))
+    check_tabled_arithmetic(P)
+    check_tabled_arithmetic(P.factors[0])
+
+
+@settings(max_examples=20)
+@given(recipes)
+def test_recipes_ucs_characterization(desc):
+    check_ucs_characterization(desc)
 
 
 @settings(max_examples=30)
