@@ -39,13 +39,7 @@ from .groups import (
     quotient_group,
     subgroup_closure,
 )
-from .linalg import (
-    AbelianInvariants,
-    EchelonBasis,
-    echelonize,
-    quotient_structure,
-    submodule_member,
-)
+from .linalg import AbelianInvariants, EchelonBasis, echelonize, quotient_structure
 from .series import (
     CentralSeriesChain,
     SpectrumReport,

@@ -29,7 +29,6 @@ from .errors import (
     NotCentral,
     ParseError,
     PthPowerViolation,
-    ResourceLimit,
     WrongOrder,
 )
 from .groups import (
@@ -37,6 +36,7 @@ from .groups import (
     FiniteGroup,
     QuotientGroup,
     SubgroupGroup,
+    _check_order,
     _quotient,
     commutator,
     direct_product,
@@ -45,16 +45,6 @@ from .groups import (
     subgroup_closure,
 )
 from .linalg import check_prime
-
-
-def _check_order(p: int, exponent: int, max_order: int, what: str) -> None:
-    """Refuse a group of order at least p^exponent above the bound, without
-    computing p^exponent in full; run before any primality test or table."""
-    order = 1
-    for _ in range(exponent if p >= 2 else 0):
-        order *= p
-        if order > max_order:
-            raise ResourceLimit(f"{what} has more than {max_order} elements")
 
 
 class SemidirectGroup(FiniteGroup):
@@ -254,7 +244,8 @@ def make_homocyclic(p: int, k: int, e: int, s: int, max_order: int = DEFAULT_MAX
     The action sends a_i to a_i * a_(i+1) for i < k and a_k to a_k * a_1^p;
     the top generator b has order p times the action order.  For s > 0 the
     returned group is the subgroup generated by a_1^p ... a_s^p,
-    a_(s+1) ... a_k and b, which lowers the class from k*e to k*e - s.
+    a_(s+1) ... a_k and b, of index p^s, which lowers the class from k*e to
+    k*e - s.
     """
     # the bottom part alone has p^(k*e - s) elements and the top at least p
     _check_order(p, k * e - s + 1, max_order, f"homocyclic({p},{k},{e},{s})")
@@ -294,9 +285,8 @@ def make_homocyclic(p: int, k: int, e: int, s: int, max_order: int = DEFAULT_MAX
             g = G0.power(g, p)
         sub_gens.append((f"a{i + 1}", g))
     sub_gens.append(("b", G0.named_elements["b"]))
-    carrier = subgroup_closure(G0, [g for _, g in sub_gens])
     return SubgroupGroup(
-        G0, carrier.as_set, sub_gens, description=f"homocyclic({p},{k},{e},{s})"
+        G0, G0.known_order // p**s, sub_gens, description=f"homocyclic({p},{k},{e},{s})"
     )
 
 
@@ -311,15 +301,17 @@ def make_homocyclic(p: int, k: int, e: int, s: int, max_order: int = DEFAULT_MAX
 #   6   : [x,y,x,y]  (=[x,y,y,x])  4
 #   7   : [x,y,y,y]                4
 _HALL_DIMS = {1: 2, 2: 3, 3: 5, 4: 8}
-_BRACKETS = {
-    (0, 1): ((1, 2),),
-    (0, 2): ((-1, 3),),
-    (1, 2): ((-1, 4),),
-    (0, 3): ((-1, 5),),
-    (0, 4): ((-1, 6),),
-    (1, 3): ((-1, 6),),
-    (1, 4): ((-1, 7),),
-}
+# Structure constants (i, j, coef, t): [e_i, e_j] = coef * e_t for i < j.
+# Every other bracket of two basis elements is zero up to weight 4.
+_STRUCTURE = (
+    (0, 1, 1, 2),
+    (0, 2, -1, 3),
+    (1, 2, -1, 4),
+    (0, 3, -1, 5),
+    (0, 4, -1, 6),
+    (1, 3, -1, 6),
+    (1, 4, -1, 7),
+)
 
 
 class LieBCHGroup(FiniteGroup):
@@ -338,13 +330,7 @@ class LieBCHGroup(FiniteGroup):
         dim = _HALL_DIMS[k]
         self.klass = k
         self._dim = dim
-        table = {}
-        for (i, j), terms in _BRACKETS.items():
-            if i < dim and j < dim:
-                kept = tuple((c, t) for c, t in terms if t < dim)
-                if kept:
-                    table[(i, j)] = kept
-        self._brackets = table
+        self._constants = tuple(s for s in _STRUCTURE if s[3] < dim)
         self._half = pow(2, -1, p)
         self._twelfth = pow(12, -1, p) if k >= 3 else 0
         self._twenty4th = pow(24, -1, p) if k >= 4 else 0
@@ -363,26 +349,11 @@ class LieBCHGroup(FiniteGroup):
         )
 
     def bracket(self, u, v):
-        p = self.prime
         out = [0] * self._dim
-        table = self._brackets
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj or i == j:
-                    continue
-                if i < j:
-                    terms = table.get((i, j))
-                    sign = 1
-                else:
-                    terms = table.get((j, i))
-                    sign = -1
-                if terms:
-                    c0 = sign * ui * vj
-                    for coef, t in terms:
-                        out[t] = (out[t] + c0 * coef) % p
-        return tuple(out)
+        for i, j, coef, t in self._constants:
+            out[t] += coef * (u[i] * v[j] - u[j] * v[i])
+        p = self.prime
+        return tuple(x % p for x in out)
 
     def multiply(self, a, b):
         p = self.prime
@@ -480,7 +451,7 @@ def make_partb_decomposable(p, cs, c, max_order: int = DEFAULT_MAX_ORDER):
 
 
 def make_partb_indecomposable(p, cs, c, max_order: int = DEFAULT_MAX_ORDER):
-    """Index-p subgroup of the decomposable product that is indecomposable.
+    """Index-p^n subgroup of the decomposable product that is indecomposable.
 
     Generated by the diagonal element a = (a_1, ..., a_n, y) together with
     the embedded nonabelian maximal subgroups X_i = <x_i, gamma_2(M_i)>
@@ -513,9 +484,8 @@ def make_partb_indecomposable(p, cs, c, max_order: int = DEFAULT_MAX_ORDER):
     gens.append(("x", H.embed(n, D.named_elements["x"])))
     gens.append(("yp", H.embed(n, D.power(D.named_elements["y"], p))))
 
-    carrier = subgroup_closure(H, [g for _, g in gens])
     return SubgroupGroup(
-        H, carrier.as_set, gens, description=f"partb_indec({p},{cs},{c})"
+        H, H.known_order // p**n, gens, description=f"partb_indec({p},{cs},{c})"
     )
 
 

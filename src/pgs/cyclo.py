@@ -10,16 +10,9 @@ with one unit of headroom above the exponent of the quotient by I^c.
 
 from __future__ import annotations
 
-from .errors import BadParameters, InternalInconsistency, ResourceLimit
-from .groups import DEFAULT_MAX_ORDER
-from .linalg import (
-    AbelianInvariants,
-    EchelonBasis,
-    check_prime,
-    echelonize,
-    quotient_structure,
-    submodule_member,
-)
+from .errors import BadParameters, InternalInconsistency
+from .groups import DEFAULT_MAX_ORDER, _check_order
+from .linalg import AbelianInvariants, check_prime, echelonize, quotient_structure
 
 
 class RingElem:
@@ -49,14 +42,14 @@ class RingElem:
 
 
 class CycloRing:
-    """Z[w]/(Phi_p(w), p^N) with the ideal filtration I^k, I = (w - 1)."""
+    """Z[w]/(Phi_p(w), p^N) with the echelon basis ``ideal_basis`` of the
+    ideal power I^c, I = (w - 1)."""
 
     def __init__(self, p: int, c: int, max_order: int = DEFAULT_MAX_ORDER) -> None:
+        _check_order(p, c, max_order, f"ring({p})/I^{c}")
         check_prime(p)
         if c < 1:
             raise BadParameters("c must be >= 1")
-        if p**c > max_order:
-            raise ResourceLimit(f"p^c = {p**c} exceeds bound {max_order}")
         self.p = p
         self.c = c
         self.rank = p - 1
@@ -78,12 +71,9 @@ class CycloRing:
             self.omega = RingElem(self, (mod - 1,))
         self.omega_minus_one = self.sub(self.omega, self.one)
 
-        self.ideal_bases: list[EchelonBasis] = []
-        gen = self.one
-        for k in range(c + 1):
-            vectors = [self.mul(gen, RingElem(self, self._omega_pows[j])).coeffs for j in range(rank)]
-            self.ideal_bases.append(echelonize(p, self.N, vectors, width=rank))
-            gen = self.mul(gen, self.omega_minus_one)
+        gen = self.power(self.omega_minus_one, c)
+        vectors = [self.mul(gen, RingElem(self, w)).coeffs for w in pows[:rank]]
+        self.ideal_basis = echelonize(p, self.N, vectors, width=rank)
         self._validate()
 
     def _validate(self) -> None:
@@ -92,10 +82,8 @@ class CycloRing:
             w = self.mul(w, self.omega)
         if w != self.one:
             raise InternalInconsistency("omega^p != 1")
-        sizes = [b.span_size for b in self.ideal_bases]
-        for k in range(self.c):
-            if sizes[k] != self.p * sizes[k + 1]:
-                raise InternalInconsistency(f"|I^{k}/I^{k + 1}| != p")
+        if self.ideal_basis.span_size * self.p**self.c != self.modulus**self.rank:
+            raise InternalInconsistency(f"|R/I^{self.c}| != p^{self.c}")
 
     # element arithmetic
 
@@ -145,9 +133,6 @@ class CycloRing:
     def element(self, coeffs) -> RingElem:
         return RingElem(self, coeffs)
 
-    def in_ideal(self, a: RingElem, k: int) -> bool:
-        return submodule_member(a.coeffs, self.ideal_bases[k])
-
     def s_element(self, n: int) -> RingElem:
         """(w - 1)^(n - 1): the n-th term of the descending unit chain."""
         if n < 1:
@@ -159,7 +144,7 @@ class CycloRing:
 
 
 def ring_make(p: int, c: int, max_order: int = DEFAULT_MAX_ORDER) -> CycloRing:
-    """Build the truncated ring with its precomputed ideal filtration."""
+    """Build the truncated ring with the echelon basis of I^c."""
     return CycloRing(p, c, max_order=max_order)
 
 
@@ -188,7 +173,7 @@ def mc_bottom(R: CycloRing) -> tuple[AbelianInvariants, tuple]:
     the w-action written in invariant coordinates (row convention; each
     coordinate is reduced mod its own invariant factor).
     """
-    inv = quotient_structure(R.ideal_bases[R.c], R.rank)
+    inv = quotient_structure(R.ideal_basis, R.rank)
     if inv.order != R.p**R.c:
         raise InternalInconsistency("quotient order is not p^c")
     rows = []

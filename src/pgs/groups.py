@@ -34,7 +34,6 @@ same tables.
 
 from __future__ import annotations
 
-import weakref
 from array import array
 from collections import deque
 from math import prod
@@ -52,6 +51,16 @@ DEFAULT_DECOMPOSE_BOUND = 20_000
 # index tables of groups up to this order hold the n^2 product indices,
 # filled lazily (2 bytes an entry); larger groups get no product table
 _TABLE_BOUND = 1500
+
+
+def _check_order(p: int, exponent: int, max_order: int, what: str) -> None:
+    """Refuse a group of order at least p^exponent above the bound, without
+    computing p^exponent in full; run before any primality test or table."""
+    order = 1
+    for _ in range(exponent if p >= 2 else 0):
+        order *= p
+        if order > max_order:
+            raise ResourceLimit(f"{what} has more than {max_order} elements")
 
 
 class FiniteGroup:
@@ -82,7 +91,7 @@ class FiniteGroup:
         self.known_order = known_order
         self.max_order = max_order
         self.description = description
-        self._enumeration = None if carrier is None else EnumeratedSubgroup(self, carrier)
+        self._enumeration = None if carrier is None else EnumeratedSubgroup(carrier)
         self._center = None
         self._ucs = None
         self._order_p = None
@@ -121,21 +130,14 @@ class FiniteGroup:
 class EnumeratedSubgroup:
     """Explicit carrier of a subgroup, with O(1) membership.
 
-    Iteration is in canonical (tuple-lexicographic) order.  The group is
-    held by weak reference: groups cache their subgroups, and a strong
-    back-reference would leave every analyzed group to the cycle collector.
+    Iteration is in canonical (tuple-lexicographic) order.
     """
 
-    __slots__ = ("_group", "_set", "_sorted")
+    __slots__ = ("_set", "_sorted")
 
-    def __init__(self, group: FiniteGroup, elements) -> None:
-        self._group = weakref.ref(group)
+    def __init__(self, elements) -> None:
         self._set = frozenset(elements)
         self._sorted = None
-
-    @property
-    def group(self) -> FiniteGroup:
-        return self._group()
 
     @property
     def elements(self) -> tuple:
@@ -249,7 +251,7 @@ def subgroup_closure(G: FiniteGroup, elements) -> EnumeratedSubgroup:
     ResourceLimit once the closure passes ``G.max_order``.
     """
     seeds = (tuple(g) for g in elements)
-    return EnumeratedSubgroup(G, _close(G.multiply, G.identity, seeds, G.max_order))
+    return EnumeratedSubgroup(_close(G.multiply, G.identity, seeds, G.max_order))
 
 
 def _concatenations(parts) -> list:
@@ -281,7 +283,7 @@ def enumerate_group(G: FiniteGroup) -> EnumeratedSubgroup:
             if prod(map(len, parts)) > G.max_order:
                 raise ResourceLimit(f"{G!r} has more than {G.max_order} elements")
             elements = tuple(_concatenations(parts))
-            E = EnumeratedSubgroup(G, elements)
+            E = EnumeratedSubgroup(elements)
             E._sorted = elements  # already canonical: the parts are sorted
         else:
             E = subgroup_closure(G, [g for _, g in G.generators])
@@ -326,7 +328,7 @@ def center(G: FiniteGroup) -> EnumeratedSubgroup:
         mult = G.multiply
         gens = [g for _, g in G.generators]
         G._center = EnumeratedSubgroup(
-            G, [g for g in E.as_set if all(mult(g, s) == mult(s, g) for s in gens)]
+            [g for g in E.as_set if all(mult(g, s) == mult(s, g) for s in gens)]
         )
     return G._center
 
@@ -521,19 +523,19 @@ def direct_product(groups, description="") -> DirectProductGroup:
 
 
 class SubgroupGroup(FiniteGroup):
-    """A subgroup of a parent group promoted to a standalone group."""
+    """The subgroup of a parent group that ``generators`` generate, promoted
+    to a standalone group of order ``known_order``; it is closed when first
+    enumerated, and refused before any multiply if above the bound."""
 
-    def __init__(self, parent: FiniteGroup, carrier, generators, description=""):
+    def __init__(self, parent: FiniteGroup, known_order: int, generators, description=""):
         self.parent = parent
-        carrier = frozenset(carrier)
         self._init_group(
             parent.prime,
             parent.identity,
             parent.coordinate_moduli,
             generators,
-            known_order=len(carrier),
-            description=description or f"subgroup({len(carrier)}) of {parent!r}",
-            carrier=carrier,
+            known_order=known_order,
+            description=description or f"subgroup({known_order}) of {parent!r}",
             max_order=parent.max_order,
         )
 
@@ -650,7 +652,7 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOS
             for other in by_order.get(target, ()):
                 if other & mask == identity_mask:
                     pair = sorted([(order, mask, members), (target, other, subgroups[other])])
-                    return tuple(EnumeratedSubgroup(G, [elems[i] for i in m]) for _, _, m in pair)
+                    return tuple(EnumeratedSubgroup([elems[i] for i in m]) for _, _, m in pair)
         subgroups[mask] = members
         by_order.setdefault(order, []).append(mask)
         queue.append(mask)

@@ -3,7 +3,7 @@
 Submodules of (Z/p^N)^n are kept in a canonical echelon form: pivot entries
 are pure powers of p at strictly increasing columns, entries above a pivot
 are reduced modulo that pivot, and every pivot row is completed with its
-p-power multiples so membership is decidable by column-wise reduction.  Two
+p-power multiples, so the order of the span is read off the pivots.  Two
 generating sets spanning the same submodule produce identical bases, so
 basis equality doubles as submodule equality.
 
@@ -147,26 +147,6 @@ def echelonize(p: int, N: int, vectors, width: int | None = None) -> EchelonBasi
         tuple(tuple(r) for r in rows),
         tuple((c, pivots[c][0]) for c in cols),
     )
-
-
-def submodule_member(v, basis: EchelonBasis) -> bool:
-    """Decide membership of ``v`` in the span of an echelon basis."""
-    p, N = basis.p, basis.N
-    mod = p**N
-    w = [int(x) % mod for x in v]
-    if basis.rows and len(w) != basis.width:
-        raise BadParameters("vector length does not match basis width")
-    for (col, val), row in zip(basis.pivots, basis.rows):
-        a = w[col]
-        if a == 0:
-            continue
-        pv = p**val
-        if a % pv:
-            return False
-        q = a // pv
-        for c in range(col, len(w)):
-            w[c] = (w[c] - q * row[c]) % mod
-    return not any(w)
 
 
 class AbelianInvariants:

@@ -58,7 +58,7 @@ def upper_central_series(G: FiniteGroup) -> CentralSeriesChain:
     if G._ucs is not None:
         return CentralSeriesChain(G, G._ucs)
     E = enumerate_group(G)
-    terms = [EnumeratedSubgroup(G, [G.identity])]
+    terms = [EnumeratedSubgroup([G.identity])]
     current = terms[0]
     while len(current) < len(E):
         if len(current) == 1:
@@ -68,7 +68,7 @@ def upper_central_series(G: FiniteGroup) -> CentralSeriesChain:
             ZQ = center(Q)
             zq = ZQ.as_set
             rep = Q._rep
-            nxt = EnumeratedSubgroup(G, [g for g in E.as_set if rep[g] in zq])
+            nxt = EnumeratedSubgroup([g for g in E.as_set if rep[g] in zq])
         if len(nxt) == len(current):
             raise InternalInconsistency(
                 "center stabilized before reaching the whole group; input is not nilpotent"

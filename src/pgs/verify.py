@@ -730,7 +730,7 @@ def _suite_checks(max_order, decompose_bound, seed, random_count):
         E = enumerate_group(G)
         x3 = subgroup_closure(G, [G.power(G.named_elements["x"], 3)])
         Z = center(G)
-        chain = CentralSeriesChain(G, (EnumeratedSubgroup(G, [G.identity]), x3, Z, E))
+        chain = CentralSeriesChain(G, (EnumeratedSubgroup([G.identity]), x3, Z, E))
         ok = is_central_series(G, chain) and not satisfies_ucs_characterization(G, chain)
         return ok, None, {}
 

@@ -269,7 +269,7 @@ def test_criterion_12_characterization():
     E = enumerate_group(D)
     x3 = subgroup_closure(D, [D.power(D.named_elements["x"], 3)])
     refined = CentralSeriesChain(
-        D, (EnumeratedSubgroup(D, [D.identity]), x3, center(D), E)
+        D, (EnumeratedSubgroup([D.identity]), x3, center(D), E)
     )
     assert refined != upper_central_series(D)
     assert not satisfies_ucs_characterization(D, refined)

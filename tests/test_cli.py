@@ -9,7 +9,7 @@ import pgs.groups
 import pgs.series
 from pgs.cli import build_parser, main
 from pgs.constructions import SemidirectGroup
-from pgs.groups import DirectProductGroup
+from pgs.groups import DirectProductGroup, SubgroupGroup
 
 
 @pytest.fixture
@@ -336,6 +336,42 @@ def test_over_bound_product_of_unknown_order_exits_3_before_building(write_desc,
     assert main(["describe", write_desc({"op": "product", "factors": [dc, dc]}), "--max-order", "1000"]) == 3
     assert "more than 1000 elements" in capsys.readouterr().err
     assert calls == [] and built == []
+
+
+@pytest.mark.parametrize(
+    "desc, name, within",
+    [
+        (
+            {"family": "homocyclic", "p": 3, "k": 2, "e": 6, "s": 1},
+            "homocyclic(3,2,6,1)",
+            {"family": "homocyclic", "p": 3, "k": 2, "e": 2, "s": 1},
+        ),
+        (
+            {"family": "partb", "p": 3, "cs": [3], "c": 6, "indecomposable": True},
+            "partb_indec(3,[3],6)",
+            {"family": "partb", "p": 2, "cs": [2], "c": 3, "indecomposable": True},
+        ),
+    ],
+)
+def test_over_bound_subgroup_family_exits_3_before_closing(write_desc, capsys, monkeypatch, desc, name, within):
+    """A subgroup family knows its order from its index, so an over-bound
+    one is refused before its closure makes a multiply."""
+    calls = []
+    real = SubgroupGroup.multiply
+
+    def counting(self, a, b):
+        calls.append(1)
+        return real(self, a, b)
+
+    monkeypatch.setattr(SubgroupGroup, "multiply", counting)
+    t0 = time.perf_counter()
+    assert main(["describe", write_desc(desc)]) == 3
+    assert time.perf_counter() - t0 < 1
+    assert f"{name} has more than 2000000 elements" in capsys.readouterr().err
+    assert calls == []
+    # the counter does see the closure of a subgroup family within the bound
+    assert main(["describe", write_desc(within)]) == 0
+    assert calls
 
 
 def test_suite_progress_goes_to_stderr(capsys):

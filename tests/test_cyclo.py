@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 from math import gcd
 
@@ -8,7 +9,15 @@ import pytest
 from pgs.constructions import _action_powers
 from pgs.cyclo import eq_powers_witness, mc_bottom, ring_make
 from pgs.errors import ResourceLimit
-from pgs.linalg import quotient_structure, submodule_member
+from pgs.linalg import echelonize, quotient_structure
+from test_linalg import submodule_member
+
+
+def ideal_basis(R, k):
+    """Echelon basis of I^k, the span of (w - 1)^k * w^j for j < p - 1."""
+    gen = R.power(R.omega_minus_one, k)
+    vectors = [R.mul(gen, R.power(R.omega, j)).coeffs for j in range(R.rank)]
+    return echelonize(R.p, R.N, vectors, width=R.rank)
 
 
 def abelian_order_census(exponents):
@@ -26,6 +35,7 @@ def abelian_order_census(exponents):
 def quotient_order_census(R, c):
     """Brute-force additive order census of ring/I^c."""
     mod = R.modulus
+    basis = ideal_basis(R, c)
     counts = Counter()
     seen = set()
     for v in itertools.product(range(mod), repeat=R.rank):
@@ -34,13 +44,13 @@ def quotient_order_census(R, c):
         # collect coset of v, counting its order in the quotient
         k = 1
         w = v
-        while not submodule_member(w, R.ideal_bases[c]):
+        while not submodule_member(w, basis):
             w = tuple((a + b) % mod for a, b in zip(w, v))
             k += 1
         counts[k] += 1
         coset = set()
         for s in itertools.product(range(mod), repeat=R.rank):
-            if submodule_member(tuple((a - b) % mod for a, b in zip(s, v)), R.ideal_bases[c]):
+            if submodule_member(tuple((a - b) % mod for a, b in zip(s, v)), basis):
                 coset.add(s)
         seen |= coset
     return counts
@@ -51,31 +61,46 @@ def test_ring_p2_is_two_adic():
     assert R.rank == 1
     assert R.N == 4
     for k in range(4):
-        assert R.ideal_bases[k].span_size == 2 ** (4 - k)
-    inv = quotient_structure(R.ideal_bases[3], 1)
+        assert ideal_basis(R, k).span_size == 2 ** (4 - k)
+    inv = quotient_structure(R.ideal_basis, 1)
     assert inv.exponents == (8,)
 
 
 def test_ring_p3_quotients():
     R2 = ring_make(3, 2)
-    assert quotient_structure(R2.ideal_bases[2], 2).exponents == (3, 3)
+    assert quotient_structure(R2.ideal_basis, 2).exponents == (3, 3)
     R3 = ring_make(3, 3)
-    assert quotient_structure(R3.ideal_bases[3], 2).exponents == (9, 3)
+    assert quotient_structure(R3.ideal_basis, 2).exponents == (9, 3)
 
 
 def test_ring_p3_c3_census_oracle():
     R = ring_make(3, 3)
-    inv = quotient_structure(R.ideal_bases[3], 2)
+    inv = quotient_structure(R.ideal_basis, 2)
     assert inv.order == 27
     # census oracle is exhaustive over (Z/27)^2 cosets; keep it for p=3, c=2
     R2 = ring_make(3, 2)
-    inv2 = quotient_structure(R2.ideal_bases[2], 2)
+    inv2 = quotient_structure(R2.ideal_basis, 2)
     assert quotient_order_census(R2, 2) == abelian_order_census(inv2.exponents)
 
 
 def test_parameter_bound():
     with pytest.raises(ResourceLimit):
         ring_make(3, 20, max_order=1000)
+
+
+def test_parameter_bound_never_forms_p_to_the_c():
+    # p^c for c = 10^6 has more digits than int formatting allows
+    start = time.perf_counter()
+    for c in (10_000, 10**6):
+        with pytest.raises(ResourceLimit):
+            ring_make(3, c, max_order=1000)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_ideal_basis_is_the_ideal_power():
+    for p, c in [(2, 1), (2, 3), (2, 6), (3, 1), (3, 4), (3, 7), (5, 3), (5, 6), (7, 5)]:
+        R = ring_make(p, c)
+        assert R.ideal_basis == ideal_basis(R, c)
 
 
 def test_mul_identity_and_minimal_polynomial():
@@ -129,24 +154,26 @@ def test_eq_powers_witness_small_primes():
 def test_ideal_filtration_products():
     for p, c in [(3, 4), (2, 3), (5, 3)]:
         R = ring_make(p, c)
+        bases = [ideal_basis(R, k) for k in range(c + 1)]
         for j in range(c + 1):
             for k in range(c + 1 - j):
                 gj = R.power(R.omega_minus_one, j)
                 gk = R.power(R.omega_minus_one, k)
                 for m in range(R.rank):
                     prod = R.mul(R.mul(gj, gk), R.element(R._omega_pows[m]))
-                    assert R.in_ideal(prod, j + k)
+                    assert submodule_member(prod.coeffs, bases[j + k])
 
 
 def test_s_sequence_law():
     # s(k + p - 1) = p * z * s(k) in ring/I^c whenever k + p - 1 <= c
     for p, c in [(3, 4), (2, 3), (5, 5)]:
         R = ring_make(p, c)
+        basis = ideal_basis(R, c)
         z = eq_powers_witness(R)
         for k in range(1, c - p + 2):
             lhs = R.s_element(k + p - 1)
             rhs = R.scalar(p, R.mul(z, R.s_element(k)))
-            assert R.in_ideal(R.sub(lhs, rhs), c)
+            assert submodule_member(R.sub(lhs, rhs).coeffs, basis)
 
 
 def test_mc_bottom_dihedral():

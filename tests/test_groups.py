@@ -13,10 +13,11 @@ from pgs.constructions import (
     make_cyclic,
     make_second_example,
 )
-from pgs.errors import NotNormal, ResourceLimit
+from pgs.errors import InternalInconsistency, NotNormal, ResourceLimit
 from pgs.groups import (
     DirectProductGroup,
     QuotientGroup,
+    SubgroupGroup,
     center,
     commutator,
     direct_factor_search,
@@ -153,6 +154,17 @@ def test_closure_bound_while_new_elements_are_extended():
 def test_enumerate_orders():
     assert len(enumerate_group(make_Mc(3, 2))) == 27
     assert len(enumerate_group(make_Dc(3, 2))) == 81
+
+
+def test_subgroup_group_checks_its_known_order():
+    D = make_Dc(3, 2)
+    x = D.named_elements["x"]
+    H = SubgroupGroup(D, 9, [("x", x)])
+    assert enumerate_group(H).as_set == subgroup_closure(D, [x]).as_set
+    with pytest.raises(InternalInconsistency):
+        enumerate_group(SubgroupGroup(D, 27, [("x", x)]))
+    with pytest.raises(ResourceLimit):
+        enumerate_group(SubgroupGroup(make_Dc(3, 2, max_order=20), 27, [("x", x)]))
 
 
 def test_center():

@@ -7,12 +7,28 @@ import pytest
 
 from pgs.constructions import SemidirectGroup, _action_powers
 from pgs.errors import BadParameters
-from pgs.linalg import (
-    echelonize,
-    quotient_structure,
-    submodule_member,
-    valuation,
-)
+from pgs.linalg import echelonize, quotient_structure, valuation
+
+
+def submodule_member(v, basis):
+    """Decide membership of ``v`` in the span of an echelon basis, by
+    column-wise reduction against its pivots."""
+    p, N = basis.p, basis.N
+    mod = p**N
+    w = [int(x) % mod for x in v]
+    if basis.rows and len(w) != basis.width:
+        raise BadParameters("vector length does not match basis width")
+    for (col, val), row in zip(basis.pivots, basis.rows):
+        a = w[col]
+        if a == 0:
+            continue
+        pv = p**val
+        if a % pv:
+            return False
+        q = a // pv
+        for c in range(col, len(w)):
+            w[c] = (w[c] - q * row[c]) % mod
+    return not any(w)
 
 
 def matmul(A, B, mod):

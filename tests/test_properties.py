@@ -6,7 +6,9 @@ incremental subgroup closure, a direct product's carrier and order-p scan
 read from its factors, its arithmetic on index tables, the lazily tabled
 direct-factor search and the generators-only ucs characterization are
 compared with a plain reference scan, on seeded random recipes with a small
-order cap and on every family and product the suite builds.
+order cap and on every family and product the suite builds.  B2's bracket
+and product, read from flat structure constants, are compared with a
+bracket read from a table of Hall-basis brackets.
 """
 
 import json
@@ -19,7 +21,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pgs.constructions import (
+    _HALL_DIMS,
     build_from_description,
+    make_B2,
     make_partb_decomposable,
     make_partb_indecomposable,
     make_second_example,
@@ -465,3 +469,102 @@ def test_recipes_carry_their_bound(desc, extra):
     P = G.parent if quotient else G
     assert len(enumerate_group(G)) <= b
     assert [H.max_order for H in (G, P, *P.factors)] == [b] * (2 + len(P.factors))
+
+
+# [e_i, e_j] for i < j in the Hall basis of LieBCHGroup, as (coef, t) terms
+REFERENCE_BRACKETS = {
+    (0, 1): ((1, 2),),
+    (0, 2): ((-1, 3),),
+    (1, 2): ((-1, 4),),
+    (0, 3): ((-1, 5),),
+    (0, 4): ((-1, 6),),
+    (1, 3): ((-1, 6),),
+    (1, 4): ((-1, 7),),
+}
+
+B2_PARAMS = [(p, k) for p in (3, 5, 7, 11, 13) for k in range(2, min(p - 1, 4) + 1)]
+
+
+def make_b2_at_its_order(p, k):
+    return make_B2(p, k, p ** _HALL_DIMS[k])
+
+
+def reference_bracket(G, u, v):
+    """[u, v] from the bracket table trimmed to G's dimension, switching the
+    sign where i > j."""
+    p, dim = G.prime, len(G.identity)
+    table = {}
+    for (i, j), terms in REFERENCE_BRACKETS.items():
+        if i < dim and j < dim:
+            kept = tuple((c, t) for c, t in terms if t < dim)
+            if kept:
+                table[(i, j)] = kept
+    out = [0] * dim
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        for j, vj in enumerate(v):
+            if not vj or i == j:
+                continue
+            if i < j:
+                terms = table.get((i, j))
+                sign = 1
+            else:
+                terms = table.get((j, i))
+                sign = -1
+            if terms:
+                c0 = sign * ui * vj
+                for coef, t in terms:
+                    out[t] = (out[t] + c0 * coef) % p
+    return tuple(out)
+
+
+def reference_bch(G, a, b):
+    """Truncated BCH product a + b + [a,b]/2 + ([a,[a,b]] - [b,[a,b]])/12
+    - [b,[a,[a,b]]]/24 up to G's class, through ``reference_bracket``."""
+    p, k = G.prime, G.klass
+    ab = reference_bracket(G, a, b)
+    terms = [(1, a), (1, b), (pow(2, -1, p), ab)]
+    if k >= 3:
+        a_ab = reference_bracket(G, a, ab)
+        terms += [(pow(12, -1, p), a_ab), (-pow(12, -1, p), reference_bracket(G, b, ab))]
+        if k >= 4:
+            terms.append((-pow(24, -1, p), reference_bracket(G, b, a_ab)))
+    return tuple(sum(c * v[i] for c, v in terms) % p for i in range(len(a)))
+
+
+def b2_vectors(G):
+    return st.tuples(*[st.integers(0, G.prime - 1)] * len(G.identity))
+
+
+@pytest.mark.parametrize("p, k", B2_PARAMS)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_b2_bracket_and_product_match_reference(p, k, data):
+    """bracket and multiply from the flat constants equal the table-and-sign
+    reference on the identity, the generators and drawn vectors."""
+    G = make_b2_at_its_order(p, k)
+    special = [G.identity] + [g for _, g in G.generators]
+    vec = b2_vectors(G)
+    drawn = [(data.draw(vec), data.draw(vec)) for _ in range(4)]
+    for a, b in [(a, b) for a in special for b in special] + drawn:
+        assert G.bracket(a, b) == reference_bracket(G, a, b)
+        assert G.multiply(a, b) == reference_bch(G, a, b)
+
+
+@pytest.mark.parametrize("p, k", B2_PARAMS)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_b2_constants_are_a_lie_bracket(p, k, data):
+    """The flat constants give an antisymmetric bracket satisfying the
+    Jacobi identity, on drawn vectors and on every triple of basis vectors."""
+    G = make_b2_at_its_order(p, k)
+    dim = len(G.identity)
+    basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    vec = b2_vectors(G)
+    drawn = tuple(data.draw(vec) for _ in range(3))
+    br = G.bracket
+    for u, v, w in [drawn] + [(u, v, w) for u in basis for v in basis for w in basis]:
+        assert br(u, v) == G.invert(br(v, u))
+        cycle = [br(u, br(v, w)), br(v, br(w, u)), br(w, br(u, v))]
+        assert tuple(sum(x) % p for x in zip(*cycle)) == G.identity

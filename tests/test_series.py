@@ -119,7 +119,7 @@ def test_spectrum_independent_of_generator_order():
     E = enumerate_group(D)
     swapped = SubgroupGroup(
         D,
-        E.as_set,
+        len(E),
         [("y", D.named_elements["y"]), ("x", D.named_elements["x"])],
         description="Dc(3,2) swapped gens",
     )
@@ -134,14 +134,14 @@ def test_is_central_series():
 
     x3 = subgroup_closure(D, [D.power(D.named_elements["x"], 3)])
     refined = CentralSeriesChain(
-        D, (EnumeratedSubgroup(D, [D.identity]), x3, center(D), E)
+        D, (EnumeratedSubgroup([D.identity]), x3, center(D), E)
     )
     assert is_central_series(D, refined)
 
     x_chain = CentralSeriesChain(
         D,
         (
-            EnumeratedSubgroup(D, [D.identity]),
+            EnumeratedSubgroup([D.identity]),
             subgroup_closure(D, [D.named_elements["x"]]),
             E,
         ),
@@ -156,7 +156,7 @@ def test_ucs_characterization():
     E = enumerate_group(D)
     x3 = subgroup_closure(D, [D.power(D.named_elements["x"], 3)])
     refined = CentralSeriesChain(
-        D, (EnumeratedSubgroup(D, [D.identity]), x3, center(D), E)
+        D, (EnumeratedSubgroup([D.identity]), x3, center(D), E)
     )
     assert not satisfies_ucs_characterization(D, refined)
 
@@ -168,7 +168,7 @@ def test_ucs_characterization():
     x_chain = CentralSeriesChain(
         D,
         (
-            EnumeratedSubgroup(D, [D.identity]),
+            EnumeratedSubgroup([D.identity]),
             subgroup_closure(D, [D.named_elements["x"]]),
             E,
         ),
