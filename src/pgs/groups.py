@@ -8,10 +8,11 @@ selection deterministic across runs.
 
 Everything here is exhaustive and exact: closures are incremental
 (Dimino's algorithm: about |H|·log_p|H| multiplies, however many seeds they
-get), the center tests against generators only, and quotients store the
-tuple-order minimum of each coset.  A direct product's carrier, order-p
-elements and p-th powers are read from its factors, with no multiply in
-the product, because they are the definition of the product; its center,
+get) and may also close under conjugation, the center tests against
+generators only, the order-p scan walks each cyclic subgroup once, and
+quotients store the tuple-order minimum of each coset.  A direct product's
+carrier, order-p elements and p-th powers are read from its factors, with
+no multiply in the product, because they are the definition of the product; its center,
 upper central series and quotients are computed on the product itself,
 never from its factors, so the product law Z_i(G x H) = Z_i(G) x Z_i(H)
 stays something the toolkit checks.  Each group caches its carrier, center,
@@ -36,7 +37,8 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from math import prod
+from itertools import chain
+from math import gcd, prod
 
 from .errors import (
     BadParameters,
@@ -168,20 +170,28 @@ class EnumeratedSubgroup:
         return f"EnumeratedSubgroup(order={len(self._set)})"
 
 
-def _close(mult, identity, seeds, bound) -> set:
-    """Subgroup generated by ``seeds`` under ``mult`` (Dimino's closure).
+def _close(mult, identity, seeds, bound, conjugators=()) -> tuple:
+    """Subgroup generated by ``seeds`` under ``mult`` (Dimino's closure),
+    returned with the kept seeds, which generate it.
 
     A seed already in the subgroup so far costs one lookup; a kept seed
     multiplies the old elements once, then each new element is multiplied
     by every kept seed.  In a p-group each kept seed at least multiplies the
-    order by p.  Raises ResourceLimit once the set passes ``bound``.
+    order by p.  ``conjugators`` holds pairs (h^-1, h): each kept seed's
+    conjugates h^-1 s h are queued as further seeds, so every kept seed's
+    conjugates lie in the result, and the result is the normal closure of
+    the seeds under the h (with none, the plain closure).  Raises
+    ResourceLimit once the set passes ``bound``.
     """
     elements = {identity}
     kept = []
-    for s in seeds:
+    conjugates = []  # read after the seeds; a list iterator sees what is appended
+    for s in chain(seeds, conjugates):
         if s in elements:
             continue
         kept.append(s)
+        for hinv, h in conjugators:
+            conjugates.append(mult(mult(hinv, s), h))
         batch, by = list(elements), (s,)
         while batch:
             new = []
@@ -194,7 +204,7 @@ def _close(mult, identity, seeds, bound) -> set:
                             raise ResourceLimit(f"closure exceeded {bound} elements")
                         new.append(y)
             batch, by = new, kept
-    return elements
+    return elements, kept
 
 
 class _Table:
@@ -251,7 +261,7 @@ def subgroup_closure(G: FiniteGroup, elements) -> EnumeratedSubgroup:
     ResourceLimit once the closure passes ``G.max_order``.
     """
     seeds = (tuple(g) for g in elements)
-    return EnumeratedSubgroup(_close(G.multiply, G.identity, seeds, G.max_order))
+    return EnumeratedSubgroup(_close(G.multiply, G.identity, seeds, G.max_order)[0])
 
 
 def _concatenations(parts) -> list:
@@ -340,6 +350,13 @@ def order_p_elements(G: FiniteGroup) -> tuple:
     reads.  In a direct product both are componentwise: the order-p elements
     are the non-identity tuples of factor elements of order dividing p, and
     the p-th powers are the tuples of the factors' p-th powers.
+
+    Any other group is scanned one cyclic subgroup at a time: from the
+    smallest element g not yet classified, the walk g, g^2, ... ends at the
+    identity and gives n = ord(g).  Every g^j with j prime to n generates
+    the same <g>, so it has order n and p-th power g^(pj mod n); all of
+    them are classified by that one walk.  In a p-group that is about
+    p/(p-1) multiplies per element, not the p-1 of computing each g^p.
     """
     if G._order_p is None and isinstance(G, DirectProductGroup):
         enumerate_group(G)  # the product's own bound and size check
@@ -350,18 +367,27 @@ def order_p_elements(G: FiniteGroup) -> tuple:
         p = G.prime
         identity = G.identity
         mult = G.multiply
-        out = []
+        elements = enumerate_group(G).elements
+        small = set()
         powers = {identity}
-        for g in enumerate_group(G).elements:
-            if g == identity:
+        done = {identity}
+        for g in elements:
+            if g in done:
                 continue
-            x = g
-            for _ in range(p - 1):
+            walk = [identity, g]  # walk[j] = g^j
+            x = mult(g, g)
+            while x != identity:
+                walk.append(x)
                 x = mult(x, g)
-            powers.add(x)
-            if x == identity:
-                out.append(g)
-        G._order_p = tuple(out)
+            n = len(walk)
+            for j in range(1, n):
+                if gcd(j, n) == 1:
+                    done.add(walk[j])
+                    powers.add(walk[p * j % n])
+            if n == p:
+                small.update(walk[1:])
+        # the carrier's own tuples, in canonical order: the walk's are equal copies
+        G._order_p = tuple(g for g in elements if g in small)
         G._pth_powers = frozenset(powers)
     return G._order_p
 
@@ -416,7 +442,8 @@ def quotient_group(G: FiniteGroup, N: EnumeratedSubgroup) -> QuotientGroup:
 
 def _quotient(G: FiniteGroup, N: EnumeratedSubgroup) -> QuotientGroup:
     """G/N for a subgroup N of G that is normal by construction (unchecked):
-    a term of the upper central series, or the span of a central element."""
+    the center of G, as in the upper central series, or the span of a
+    central element."""
     E = enumerate_group(G)
     rep_map = {}
     mult = G.multiply
@@ -637,7 +664,7 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOS
     atoms = {}  # mask -> members; classes come in order of their least index
     for cls in _conjugacy_classes_idx(n, mul, inv_of, gen_idx):
         if cls != [id_idx]:
-            members = sorted(_close(mul, id_idx, cls, n))
+            members = sorted(_close(mul, id_idx, cls, n)[0])
             atoms.setdefault(sum(1 << i for i in members), members)
 
     subgroups: dict[int, list] = {}  # mask -> members

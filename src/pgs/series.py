@@ -2,10 +2,13 @@
 
 The upper central series is computed through successive quotients with
 canonical coset representatives: Z_(i+1) is the preimage of the center of
-G/Z_i; its terms are cached on the group.  The spectrum assigns every element
-of order exactly p (the group's cached list) the index of the first
-upper-central term containing it; witnesses are the canonically smallest
-qualifying elements, so reports are reproducible bit for bit.
+G/Z_i, and each quotient is formed from the one before; its terms are cached
+on the group.  The lower central series works from generators: each term is
+the normal closure of the commutators of the last term's generators with
+G's.  The spectrum assigns every element of order exactly p (the group's
+cached list) the index of the first upper-central term containing it;
+witnesses are the canonically smallest qualifying elements, so reports are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from .errors import InternalInconsistency, NotInGroup, PreconditionFailed
 from .groups import (
     EnumeratedSubgroup,
     FiniteGroup,
+    QuotientGroup,
+    _close,
     _quotient,
     center,
     commutator,
@@ -52,57 +57,83 @@ class CentralSeriesChain:
 def upper_central_series(G: FiniteGroup) -> CentralSeriesChain:
     """Z_0 = 1 < Z_1 < ... < Z_c = G via centers of successive quotients (cached).
 
-    Each quotient is formed without a normality scan: Z_i is the preimage of
-    the center of G/Z_(i-1), hence normal.
+    Z_(i+1) is the preimage of the center of G/Z_i, and each quotient is
+    formed from the last: G/Z_(i+1) = (G/Z_i)/Z(G/Z_i), which costs
+    |G/Z_i| multiplies, not |G|.  Its coset map is then flattened through
+    G/Z_i's, so the quotient over G multiplies as one G multiply and one
+    lookup.  The representatives are those of G/Z_(i+1) formed directly: a
+    Z_(i+1)-coset is a union of Z_i-cosets, so its tuple-order minimum is
+    the least of their minima, which is what the ascending scan of
+    G/Z_i's elements picks.  No quotient needs a normality scan: each
+    kernel is a center.  A center that stays trivial before G is reached
+    raises InternalInconsistency (the input is not nilpotent).
     """
     if G._ucs is not None:
         return CentralSeriesChain(G, G._ucs)
     E = enumerate_group(G)
     terms = [EnumeratedSubgroup([G.identity])]
-    current = terms[0]
-    while len(current) < len(E):
-        if len(current) == 1:
-            nxt = center(G)
+    Q = G  # G/Z_i, a quotient of G from i = 1 on
+    while len(terms[-1]) < len(E):
+        ZQ = center(Q)
+        if Q is G:
+            nxt = ZQ
         else:
-            Q = _quotient(G, current)
-            ZQ = center(Q)
-            zq = ZQ.as_set
-            rep = Q._rep
+            zq, rep = ZQ.as_set, Q._rep
+            # the carrier's own tuples: the coset map's keys are equal copies
             nxt = EnumeratedSubgroup([g for g in E.as_set if rep[g] in zq])
-        if len(nxt) == len(current):
+        if len(nxt) == len(terms[-1]):
             raise InternalInconsistency(
                 "center stabilized before reaching the whole group; input is not nilpotent"
             )
         terms.append(nxt)
-        current = nxt
+        if len(nxt) < len(E):
+            Q = _next_quotient(G, Q, ZQ, nxt)
     G._ucs = tuple(terms)  # the terms only: a cached chain would point back at G
     return CentralSeriesChain(G, G._ucs)
+
+
+def _next_quotient(G, Q, ZQ, kernel):
+    """G/Z_(i+1), with kernel = Z_(i+1), from Q = G/Z_i (or G) and ZQ = Z(Q).
+
+    Q/ZQ costs |Q| multiplies.  Its coset map is composed into Q's in place,
+    as Q is not read again, so the result maps G straight to the coset
+    minima; the intermediate quotient is dropped on return.
+    """
+    step = _quotient(Q, ZQ)
+    if Q is G:
+        return step
+    rep, to_next = Q._rep, step._rep
+    for g, r in rep.items():
+        rep[g] = to_next[r]
+    return QuotientGroup(G, kernel, rep, enumerate_group(step).elements)
 
 
 def lower_central_series(G: FiniteGroup) -> CentralSeriesChain:
     """gamma_1 = G down to 1, returned as an ascending chain.
 
-    gamma_(k+1) is generated by the commutators [x, g] with x running over
-    the whole of gamma_k and g over the generators of G, which equals
-    [gamma_k, G] because gamma_k is normal.
+    gamma_(k+1) = [gamma_k, G] is the normal closure in G of the commutators
+    [a, g], a a generator of gamma_k and g a generator of G: those
+    commutators lie in [gamma_k, G], and modulo their normal closure N every
+    generator a commutes with every g, so gamma_k/N is central in G/N and
+    [gamma_k, G] <= N.  ``_close`` forms N from the commutators, queueing each
+    kept seed's conjugates by G's generators, and returns the kept seeds,
+    which generate gamma_(k+1) for the next step (gamma_1 takes G's
+    generators).  That is a few commutators per term, not |gamma_k|·d.  A
+    term equal to the one before it raises InternalInconsistency (the input
+    is not nilpotent).
     """
     E = enumerate_group(G)
-    gens = [g for _, g in G.generators]
-    descending = [E]
-    current = E
     mult = G.multiply
     invert = G.invert
-    while len(current) > 1:
-        comms = set()
-        for x in current.as_set:
-            xinv = invert(x)
-            for g in gens:
-                comms.add(mult(mult(xinv, invert(g)), mult(x, g)))
-        nxt = subgroup_closure(G, comms)
-        if len(nxt) == len(current):
+    kept = [g for _, g in G.generators]
+    conj = [(invert(g), g) for g in kept]
+    descending = [E]
+    while len(descending[-1]) > 1:
+        comms = [mult(mult(invert(a), ginv), mult(a, g)) for a in kept for ginv, g in conj]
+        elements, kept = _close(mult, G.identity, comms, G.max_order, conj)
+        if len(elements) == len(descending[-1]):
             raise InternalInconsistency("lower central series stalled; input is not nilpotent")
-        descending.append(nxt)
-        current = nxt
+        descending.append(EnumeratedSubgroup(elements))
     return CentralSeriesChain(G, tuple(reversed(descending)))
 
 

@@ -1,6 +1,23 @@
+import pytest
 from hypothesis import settings
+
+from pgs.constructions import LieBCHGroup, SemidirectGroup
 
 # Deterministic property tests: the same examples on every run, no example
 # database, and no per-example deadline (group sizes vary widely).
 settings.register_profile("pgs", derandomize=True, deadline=None, database=None)
 settings.load_profile("pgs")
+
+
+@pytest.fixture
+def native_multiplies(monkeypatch):
+    """The list every SemidirectGroup and LieBCHGroup multiply appends to;
+    clear it to count from that point on."""
+    calls = []
+    for cls in (SemidirectGroup, LieBCHGroup):
+        def counting(self, a, b, real=cls.multiply):
+            calls.append(1)
+            return real(self, a, b)
+
+        monkeypatch.setattr(cls, "multiply", counting)
+    return calls

@@ -5,7 +5,6 @@ import weakref
 import pytest
 
 from pgs.constructions import (
-    LieBCHGroup,
     SemidirectGroup,
     make_B2,
     make_Dc,
@@ -355,23 +354,12 @@ def test_direct_factor_search_bound():
         direct_factor_search(make_Dc(3, 2), decompose_bound=10)
 
 
-def count_native_multiplies(monkeypatch):
-    """Count SemidirectGroup and LieBCHGroup multiplies from now on."""
-    calls = []
-    for cls in (SemidirectGroup, LieBCHGroup):
-        def counting(self, a, b, real=cls.multiply):
-            calls.append(1)
-            return real(self, a, b)
-
-        monkeypatch.setattr(cls, "multiply", counting)
-    return calls
-
-
-def test_enumerating_a_product_fills_no_table_entry(monkeypatch):
+def test_enumerating_a_product_fills_no_table_entry(native_multiplies):
     D, B, C = make_Dc(3, 2), make_B2(3, 2), make_cyclic(3, 2)
     for f in (D, B, C):
         enumerate_group(f)
-    calls = count_native_multiplies(monkeypatch)
+    calls = native_multiplies
+    calls.clear()
     inner = direct_product([D, B])
     nested = direct_product([inner, C])
     E = enumerate_group(nested)
@@ -385,11 +373,12 @@ def test_enumerating_a_product_fills_no_table_entry(monkeypatch):
     assert len(D._table.products) == 81 * 81
 
 
-def test_tabled_product_fills_each_factor_entry_once(monkeypatch):
+def test_tabled_product_fills_each_factor_entry_once(native_multiplies):
     D, C = make_Dc(3, 2), make_cyclic(3, 2)
     P = direct_product([D, C])
     elems = enumerate_group(P).elements
-    calls = count_native_multiplies(monkeypatch)
+    calls = native_multiplies
+    calls.clear()
     a, b = elems[100], elems[200]
     ab = P.multiply(a, b)
     assert len(calls) == 2  # one miss in each factor's table
@@ -397,6 +386,18 @@ def test_tabled_product_fills_each_factor_entry_once(monkeypatch):
     assert sum(x >= 0 for x in D._table.products) == 1
     parts = [F.multiply(P.project(i, a), P.project(i, b)) for i, F in enumerate((D, C))]
     assert ab == parts[0] + parts[1]
+
+
+def test_order_p_scan_walks_each_cyclic_subgroup_once(native_multiplies):
+    # B2(7,3) has exponent 7: one walk of 6 multiplies classifies the 6
+    # generators of each cyclic subgroup, so |G| - 1 in all, where taking
+    # each g^7 separately makes 100,836
+    G = make_B2(7, 3)
+    E = enumerate_group(G)
+    native_multiplies.clear()
+    assert len(order_p_elements(G)) == len(E) - 1
+    assert len(native_multiplies) <= len(E) - 1 == 16_806
+    assert G._pth_powers == {G.identity}
 
 
 def test_dropping_a_product_frees_it_and_its_factors():

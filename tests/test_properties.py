@@ -1,12 +1,14 @@
 """Property tests for the per-group caches and the paper's identities.
 
-Each cached analysis (order-p elements, p-th powers, the upper central
-series, the spectrum's layer-2 witness, the question witness), the
-incremental subgroup closure, a direct product's carrier and order-p scan
-read from its factors, its arithmetic on index tables, the lazily tabled
-direct-factor search and the generators-only ucs characterization are
-compared with a plain reference scan, on seeded random recipes with a small
-order cap and on every family and product the suite builds.  B2's bracket
+Each cached analysis (order-p elements and p-th powers from the cyclic
+walk, the upper central series from its quotient chain, the spectrum's
+layer-2 witness, the question witness), the lower central series by normal
+closure, the incremental subgroup closure, a direct product's carrier and
+order-p scan read from its factors, its arithmetic on index tables, the
+lazily tabled direct-factor search and the generators-only ucs
+characterization are compared with a plain reference scan, on seeded random
+recipes with a small order cap and on every family and product the suite
+builds.  B2's bracket
 and product, read from flat structure constants, are compared with a
 bracket read from a table of Hall-basis brackets.
 """
@@ -104,6 +106,24 @@ def reference_ucs(G):
         terms.append(frozenset(g for g in elems if all(commutator(G, g, x) in below for x in gens)))
         assert len(terms[-1]) > len(below)
     return terms
+
+
+def reference_lcs(G):
+    """gamma_(k+1) closed from the |gamma_k|·d commutators [x, g], x over all
+    of gamma_k and g over G's generators; descending, as sets."""
+    gens = [g for _, g in G.generators]
+    terms = [enumerate_group(G).as_set]
+    while len(terms[-1]) > 1:
+        comms = {commutator(G, x, g) for x in terms[-1] for g in gens}
+        terms.append(subgroup_closure(G, comms).as_set)
+        assert len(terms[-1]) < len(terms[-2])
+    return terms
+
+
+def check_lcs(desc):
+    G = build_from_description(desc)
+    chain = lower_central_series(G)
+    assert [t.as_set for t in reversed(chain.terms)] == reference_lcs(G)
 
 
 def reference_closure(G, elements):
@@ -280,6 +300,8 @@ def check_shared_paths(desc):
     G = build_from_description(desc)
     assert order_p_elements(G) == reference_order_p(G)
     assert order_p_elements(G) is order_p_elements(G)
+    if not isinstance(G, DirectProductGroup):  # the cyclic walk's p-th powers
+        assert G._pth_powers == {G.power(g, G.prime) for g in enumerate_group(G).elements}
 
     chain = upper_central_series(G)
     assert upper_central_series(G).terms is chain.terms
@@ -337,6 +359,11 @@ def test_suite_products_tabled_arithmetic():
 @pytest.mark.parametrize("desc", SUITE_FAMILIES, ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
 def test_suite_families_ucs_characterization(desc):
     check_ucs_characterization(desc)
+
+
+@pytest.mark.parametrize("desc", SUITE_FAMILIES, ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
+def test_suite_families_lcs_matches_reference(desc):
+    check_lcs(desc)
 
 
 def test_lazy_search_on_suite_decompositions():
@@ -399,6 +426,12 @@ def test_recipes_ucs_characterization(desc):
 @given(recipes, st.integers(0, 2**32 - 1))
 def test_recipes_closure_matches_reference(desc, seed):
     check_closures(desc, seed)
+
+
+@settings(max_examples=30)
+@given(recipes)
+def test_recipes_lcs_matches_reference(desc):
+    check_lcs(desc)
 
 
 @settings(max_examples=40)

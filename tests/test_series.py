@@ -5,10 +5,13 @@ from pgs.errors import InternalInconsistency, NotInGroup, PreconditionFailed
 from pgs.groups import (
     EnumeratedSubgroup,
     SubgroupGroup,
+    _close,
     center,
+    commutator,
     direct_product,
     element_order,
     enumerate_group,
+    order_p_elements,
     quotient_group,
     subgroup_closure,
 )
@@ -56,25 +59,49 @@ def test_class_matches_lcs_length():
         assert upper_central_series(G).length == lower_central_series(G).length
 
 
+def all_pairs_lcs(G):
+    """Oracle: gamma_(k+1) = <[x, y] : x in gamma_k, y in all of G>, descending."""
+    E = enumerate_group(G)
+    terms = [E]
+    while len(terms[-1]) > 1:
+        comms = {commutator(G, x, y) for x in terms[-1].as_set for y in E.as_set}
+        terms.append(subgroup_closure(G, comms))
+    return terms
+
+
+LCS_ORACLE_GROUPS = [
+    lambda: make_Mc(2, 2),
+    lambda: make_Mc(3, 2),
+    lambda: make_Dc(3, 2),
+    lambda: make_Mc(3, 4),
+    lambda: make_B2(3, 2),
+]
+
+
 def test_lcs_generator_restriction_matches_full_commutator_oracle():
-    # oracle: gamma_(k+1) = <[x, y] : x in gamma_k, y in all of G>
     for G in [make_Mc(2, 2), make_Mc(3, 2), make_Dc(3, 2)]:
-        E = enumerate_group(G)
         chain = lower_central_series(G)
         descending = tuple(reversed(chain.terms))
-        current = E
-        for expected in descending[1:]:
-            comms = set()
-            for x in current.as_set:
-                for y in E.as_set:
-                    comms.add(
-                        G.multiply(
-                            G.multiply(G.invert(x), G.invert(y)), G.multiply(x, y)
-                        )
-                    )
-            oracle = subgroup_closure(G, comms)
-            assert oracle.as_set == expected.as_set
-            current = oracle
+        assert [t.as_set for t in descending] == [t.as_set for t in all_pairs_lcs(G)]
+
+
+@pytest.mark.parametrize("build", LCS_ORACLE_GROUPS, ids=lambda b: repr(b()))
+def test_kept_generators_normal_closure_matches_all_pairs_oracle(build):
+    # whatever generators of gamma_k the closure keeps, the normal closure of
+    # their commutators with G's generators is the oracle's gamma_(k+1), it is
+    # normal, and the seeds it keeps generate it
+    G = build()
+    mult, invert = G.multiply, G.invert
+    gens = [g for _, g in G.generators]
+    conj = [(invert(g), g) for g in gens]
+    oracle = all_pairs_lcs(G)
+    for term, expected in zip(oracle, oracle[1:]):
+        _, kept = _close(mult, G.identity, term.elements, G.max_order)
+        comms = [commutator(G, a, g) for a in kept for g in gens]
+        closed, closed_kept = _close(mult, G.identity, comms, G.max_order, conj)
+        assert closed == expected.as_set
+        assert all(G.conjugate(x, g) in closed for x in closed for g in gens)
+        assert subgroup_closure(G, closed_kept).as_set == closed
 
 
 def test_layer_index():
@@ -198,11 +225,64 @@ def test_mc_layer_orders_are_p_powers():
             assert len(chain.terms[i]) == 3**i
 
 
+def make_s3():
+    """S3 assembled from the semidirect machinery: C3 acted on by inversion."""
+    return SemidirectGroup(3, 2, (3,), ((2,),), [("r", (0, 1)), ("f", (1, 0))], description="S3")
+
+
 def test_non_nilpotent_input_is_rejected():
-    # S3 assembled from the semidirect machinery: center is trivial, so the
-    # upper central series must refuse to stabilize below the whole group
-    s3 = SemidirectGroup(
-        3, 2, (3,), ((2,),), [("r", (0, 1)), ("f", (1, 0))], description="S3"
-    )
+    # the center of S3 is trivial, so the upper central series must refuse to
+    # stabilize below the whole group; gamma_2 = [S3, S3] = A3 = gamma_3, so the
+    # lower one stalls at its second step
+    s3 = make_s3()
     with pytest.raises(InternalInconsistency):
         upper_central_series(s3)
+    with pytest.raises(InternalInconsistency):
+        lower_central_series(s3)
+
+
+@pytest.mark.parametrize("other", [make_cyclic(3, 1), make_Mc(3, 2)], ids=repr)
+def test_non_nilpotent_input_with_a_center_is_rejected(other):
+    # Z(S3 x H) = 1 x Z(H) is not trivial, so the ucs stalls only inside the
+    # quotient chain: at G/Z_1 = S3 for H = C3, and at G/Z_2 = S3, a quotient
+    # formed from G/Z_1, for H = Mc(3,2)
+    G = direct_product([make_s3(), other])
+    with pytest.raises(InternalInconsistency):
+        upper_central_series(G)
+    with pytest.raises(InternalInconsistency):
+        lower_central_series(G)
+    assert len(center(G)) == 3
+
+
+@pytest.mark.parametrize(
+    "build, bound", [(lambda: make_B2(7, 3), 2_000), (lambda: make_Mc(3, 8), 10_000)], ids=["B2(7,3)", "Mc(3,8)"]
+)
+def test_lcs_cost_grows_with_its_generators(native_multiplies, build, bound):
+    # beyond enumerating the group: 1,189 and 6,697 multiplies; all-elements
+    # commutators (|gamma_k|·d of them) made 104,321 on B2(7,3) and 147,486
+    # on Mc(3,8)
+    G = build()
+    enumerate_group(G)
+    native_multiplies.clear()
+    lower_central_series(G)
+    assert len(native_multiplies) <= bound
+
+
+def test_ucs_quotients_are_formed_from_the_last(native_multiplies):
+    # each G/Z_(i+1) costs |G/Z_i| multiplies: 29,628 on Mc(3,7), where
+    # forming every quotient from G made 59,166
+    G = make_Mc(3, 7)
+    enumerate_group(G)
+    native_multiplies.clear()
+    upper_central_series(G)
+    assert len(native_multiplies) <= 30_000
+
+
+def test_cached_analyses_hold_the_carriers_own_tuples():
+    # the power walk and the quotients' coset maps make equal copies of
+    # elements; caching those would keep a second copy of G alive
+    for G in [make_Mc(3, 5), make_B2(5, 3)]:
+        own = {id(g) for g in enumerate_group(G).elements}
+        assert all(id(g) in own for g in order_p_elements(G))
+        for term in upper_central_series(G).terms[1:]:
+            assert all(id(g) in own for g in term.as_set)
