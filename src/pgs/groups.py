@@ -8,8 +8,9 @@ selection deterministic across runs.
 
 Everything here is exhaustive and exact: closures are incremental
 (Dimino's algorithm: about |H|·log_p|H| multiplies, however many seeds they
-get) and may also close under conjugation, the center tests against
-generators only, the order-p scan walks each cyclic subgroup once, and
+get) and may also close under conjugation, the center is a coset sieve that
+tests one element per coset of the central subgroup found so far against the
+generators, the order-p scan walks each cyclic subgroup once, and
 quotients store the tuple-order minimum of each coset.  A direct product's
 carrier, order-p elements and p-th powers are read from its factors, with
 no multiply in the product, because they are the definition of the product; its center,
@@ -30,7 +31,8 @@ mixed radix into its factors' indices, and each factor's product is read
 from that factor's table, computed by the factor's own ``multiply`` the
 first time it is needed.  Index order is tuple order, so coset minima and
 witnesses do not depend on the path.  ``direct_factor_search`` reads the
-same tables.
+same tables, and in a p-group it never queues a normal subgroup that
+contains the center.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .errors import (
     NotNormal,
     ResourceLimit,
 )
+from .linalg import valuation
 
 DEFAULT_MAX_ORDER = 2_000_000
 DEFAULT_DECOMPOSE_BOUND = 20_000
@@ -331,15 +334,60 @@ def commutator(G: FiniteGroup, x, y):
     return mult(mult(G.invert(x), G.invert(y)), mult(x, y))
 
 
+def _sieve_center(mult, elements, identity, gens, bound) -> list:
+    """The members of ``elements``, a carrier in canonical order, that
+    commute with every generator in ``gens``, by a coset sieve; returned in
+    carrier order, as the carrier's own objects.
+
+    The scan keeps Z0, the central subgroup found so far.  An element in Z0
+    is central.  Any other element not yet marked is tested against the
+    generators: a central g extends Z0 by ``_close``, and a non-central g
+    marks its coset gZ0, none of which is central (if gz were, so would be
+    g = (gz)z^-1).  Only marks ahead of the scan are kept, and each is
+    dropped when the scan reaches it.  That is about |G| + 2d·|G|/|Z|
+    multiplies for d generators, not 2d·|G|.  A central element behind the
+    scan was already passed, so every new member of Z0 is collected when
+    the scan reaches it.
+    """
+    z0, kept = {identity}, []
+    marked = set()
+    central = []
+    for g in elements:
+        if g in z0:
+            central.append(g)
+        elif g in marked:
+            marked.discard(g)
+        elif all(mult(g, s) == mult(s, g) for s in gens):
+            central.append(g)
+            z0, kept = _close(mult, identity, kept + [g], bound)
+        else:
+            for z in z0:
+                y = mult(g, z)
+                if y > g:
+                    marked.add(y)
+    return central
+
+
 def center(G: FiniteGroup) -> EnumeratedSubgroup:
-    """Center, as the centralizer of the generators (cached)."""
+    """Center, as the centralizer of the generators, by ``_sieve_center``
+    (cached).
+
+    An enumerated direct product is sieved on indices, multiplying whole
+    product elements through ``_index_product``, and decoded at the end; the
+    center is never read off the factors.
+    """
     if G._center is None:
         E = enumerate_group(G)
-        mult = G.multiply
         gens = [g for _, g in G.generators]
-        G._center = EnumeratedSubgroup(
-            [g for g in E.as_set if all(mult(g, s) == mult(s, g) for s in gens)]
-        )
+        if isinstance(G, DirectProductGroup):
+            t = G._table
+            found = _sieve_center(
+                G._index_product, range(len(E)), t.index[G.identity], [t.index[g] for g in gens], G.max_order
+            )
+            central = [t.elements[i] for i in found]
+        else:
+            central = _sieve_center(G.multiply, E.elements, G.identity, gens, G.max_order)
+        G._center = EnumeratedSubgroup(central)
     return G._center
 
 
@@ -512,12 +560,16 @@ class DirectProductGroup(FiniteGroup):
             for s, e, f in self._parts:
                 out.extend(f.multiply(a[s:e], b[s:e]))
             return tuple(out)
-        i = t.index[a]
-        j = t.index[b]
+        return t.elements[self._index_product(t.index[a], t.index[b])]
+
+    def _index_product(self, i: int, j: int) -> int:
+        """Index of the product of the elements at indices i and j, once
+        enumerated: each index splits in mixed radix into the factors'
+        indices, and each factor's product is read from its table."""
         r = 0
         for f, n, stride, ft in self._radix:
             r += stride * ft.product(f, i // stride % n, j // stride % n)
-        return t.elements[r]
+        return r
 
     def invert(self, a):
         t = self._table
@@ -629,6 +681,17 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOS
     shared index table (filled only where the search looks, up to
     ``_TABLE_BOUND`` elements; a private cache above it); subgroups are
     bitmask integers so intersection tests are single AND operations.
+
+    In a p-group the search reads the cached center.  If G = A x B with A
+    and B nontrivial, then Z(G) = Z(A) x Z(B) with Z(B) != 1 outside A, so
+    a normal subgroup containing Z(G) is never a proper direct factor, and
+    neither is any join with it: such a subgroup is recorded as dead and
+    never queued.  Live subgroups come in the same relative order, so the
+    pair found is the one the unpruned search finds.  Z(A) and Z(B) each
+    hold an element of order p, so a center with exactly p - 1 of them
+    (read from the cached order-p elements) proves G indecomposable before
+    any table is built.  Outside p-groups (Z(A) may be trivial there) only
+    G itself is dead.
     """
     E = enumerate_group(G)
     n = len(E)
@@ -636,6 +699,12 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOS
         raise ResourceLimit(f"|G| = {n} exceeds the decomposition bound {decompose_bound}")
     if n == 1:
         return None
+    p = G.prime
+    p_group = p ** valuation(n, p) == n
+    if p_group:
+        Z = center(G)
+        if sum(g in Z for g in order_p_elements(G)) == p - 1:
+            return None
     table = _index_table(G)
     elems = table.elements
     idx = table.index
@@ -667,12 +736,19 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOS
             members = sorted(_close(mul, id_idx, cls, n)[0])
             atoms.setdefault(sum(1 << i for i in members), members)
 
-    subgroups: dict[int, list] = {}  # mask -> members
+    subgroups: dict[int, list] = {}  # live mask -> members
+    dead = set()
+    # Z(G) in a p-group, else G itself: a mask that contains it is dead
+    zmask = sum(1 << idx[z] for z in Z.as_set) if p_group else (1 << n) - 1
     by_order: dict[int, list[int]] = {}
     queue = deque()
 
     def register(mask, members):
-        """Record and queue a subgroup; return a complement pair if one appears."""
+        """Record and queue a live subgroup, or record a dead one; return a
+        complement pair if one appears."""
+        if mask & zmask == zmask:
+            dead.add(mask)
+            return None
         order = len(members)
         if 1 < order < n and n % order == 0:
             target = n // order
@@ -694,7 +770,7 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOS
         smask = queue.popleft()
         smembers = subgroups[smask]
         for amask, amembers in atoms.items():
-            if amask | smask == smask:
+            if amask | smask == smask or amask in dead:
                 continue
             res_mask = smask
             res = list(smembers)
@@ -707,8 +783,8 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOS
                     if not res_mask & bit:
                         res_mask |= bit
                         res.append(y)
-            if res_mask not in subgroups:
-                if len(subgroups) >= 4 * decompose_bound:
+            if res_mask not in subgroups and res_mask not in dead:
+                if len(subgroups) + len(dead) >= 4 * decompose_bound:
                     raise ResourceLimit("normal subgroup lattice exceeded the search cap")
                 hit = register(res_mask, sorted(res))
                 if hit:

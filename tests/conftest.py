@@ -2,6 +2,7 @@ import pytest
 from hypothesis import settings
 
 from pgs.constructions import LieBCHGroup, SemidirectGroup
+from pgs.groups import _Table
 
 # Deterministic property tests: the same examples on every run, no example
 # database, and no per-example deadline (group sizes vary widely).
@@ -20,4 +21,17 @@ def native_multiplies(monkeypatch):
             return real(self, a, b)
 
         monkeypatch.setattr(cls, "multiply", counting)
+    return calls
+
+
+@pytest.fixture
+def table_reads(monkeypatch):
+    """The list every ``_Table.product`` read appends to."""
+    calls = []
+
+    def counting(self, G, i, j, real=_Table.product):
+        calls.append(1)
+        return real(self, G, i, j)
+
+    monkeypatch.setattr(_Table, "product", counting)
     return calls

@@ -171,6 +171,14 @@ def test_decompose_command(write_desc, capsys):
     assert code == 0 and not out["decomposable"]
 
 
+def test_decompose_cyclic_center_builds_no_table(write_desc, capsys, table_reads):
+    # Z(Mc(3,8)) has order 3, so its 19,683 elements are indecomposable with
+    # no table read; the full search takes 7.6 s on Mc(3,7), a third the size
+    code = main(["decompose", write_desc({"family": "Mc", "p": 3, "c": 8})])
+    assert code == 0 and capsys.readouterr().out.strip() == "decomposable: no"
+    assert table_reads == []
+
+
 def test_env_max_order(write_desc, capsys, monkeypatch):
     monkeypatch.setenv("PGS_MAX_ORDER", "50")
     code = main(["describe", write_desc({"family": "Dc", "p": 3, "c": 2})])

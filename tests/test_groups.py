@@ -31,6 +31,7 @@ from pgs.groups import (
     subgroup_closure,
 )
 from pgs.series import nilpotence_class, spectrum, upper_central_series
+from test_series import make_s3
 
 
 def assert_group_axioms(G, seed=0, triples=1000):
@@ -431,7 +432,36 @@ def test_direct_factor_search_fills_part_of_the_table(monkeypatch):
             calls.append(1)
         return real(self, a, b)
 
+    center(Q), order_p_elements(Q)  # cached analyses the search reads; they fill no table entry
     monkeypatch.setattr(QuotientGroup, "multiply", counting)
     assert direct_factor_search(Q) is None
     filled = sum(x >= 0 for x in Q._table.products)
     assert len(calls) == filled < n * n // 2
+
+
+def test_center_sieves_cosets(native_multiplies):
+    # B2(7,3) has 16,807 elements and a center of 49: testing every element
+    # against both generators makes 34,300 multiplies, the sieve 17,567
+    G = make_B2(7, 3)
+    enumerate_group(G)
+    native_multiplies.clear()
+    assert len(center(G)) == 49
+    assert len(native_multiplies) <= 18_000
+
+
+def test_search_prunes_subgroups_containing_the_center(table_reads):
+    # the unpruned search reads the tables of second_example 4,177,012 times
+    # to prove it indecomposable, the pruned one 494,086
+    Q = make_second_example(3, 2, 2)
+    enumerate_group(Q)
+    table_reads.clear()
+    assert direct_factor_search(Q) is None
+    assert len(table_reads) <= 2_000_000
+
+
+def test_direct_factor_search_outside_p_groups():
+    # Z(S3) = 1, so S3 x C3 splits with Z(G) = C3 inside a factor: the center
+    # prune holds for p-groups only
+    split = direct_factor_search(direct_product([make_s3(), make_cyclic(3, 1)]))
+    assert split is not None
+    assert [len(H) for H in split] == [3, 6]

@@ -2,13 +2,13 @@
 
 Each cached analysis (order-p elements and p-th powers from the cyclic
 walk, the upper central series from its quotient chain, the spectrum's
-layer-2 witness, the question witness), the lower central series by normal
-closure, the incremental subgroup closure, a direct product's carrier and
-order-p scan read from its factors, its arithmetic on index tables, the
-lazily tabled direct-factor search and the generators-only ucs
-characterization are compared with a plain reference scan, on seeded random
-recipes with a small order cap and on every family and product the suite
-builds.  B2's bracket
+layer-2 witness, the question witness), the center by a coset sieve, the
+lower central series by normal closure, the incremental subgroup closure, a
+direct product's carrier and order-p scan read from its factors, its
+arithmetic on index tables, the lazily tabled direct-factor search with its
+center prunes and the generators-only ucs characterization are compared
+with a plain reference scan, on seeded random recipes with a small order cap
+and on every family and product the suite builds.  B2's bracket
 and product, read from flat structure constants, are compared with a
 bracket read from a table of Hall-basis brackets.
 """
@@ -35,8 +35,12 @@ from pgs.groups import (
     DEFAULT_DECOMPOSE_BOUND,
     DEFAULT_MAX_ORDER,
     DirectProductGroup,
+    EnumeratedSubgroup,
     QuotientGroup,
+    _close,
+    _conjugacy_classes_idx,
     _index_table,
+    _quotient,
     center,
     commutator,
     direct_factor_search,
@@ -106,6 +110,23 @@ def reference_ucs(G):
         terms.append(frozenset(g for g in elems if all(commutator(G, g, x) in below for x in gens)))
         assert len(terms[-1]) > len(below)
     return terms
+
+
+def reference_center(G):
+    """Every element tested against every generator."""
+    mult = G.multiply
+    gens = [g for _, g in G.generators]
+    return frozenset(g for g in enumerate_group(G).as_set if all(mult(g, s) == mult(s, g) for s in gens))
+
+
+def check_center(desc):
+    """The sieved center equals the reference on G and on G/Z_i for each
+    proper term Z_i of its upper central series."""
+    G = build_from_description(desc)
+    assert center(G).as_set == reference_center(G)
+    for term in upper_central_series(G).terms[1:-1]:
+        Q = _quotient(G, term)
+        assert center(Q).as_set == reference_center(Q)
 
 
 def reference_lcs(G):
@@ -215,18 +236,105 @@ def eager_table(G):
     return t
 
 
+def reference_direct_factor_search(G, decompose_bound=DEFAULT_DECOMPOSE_BOUND):
+    """The join-closure search with no center prune: every normal subgroup
+    found is queued, whatever it contains."""
+    E = enumerate_group(G)
+    n = len(E)
+    if n > decompose_bound:
+        raise AssertionError("reference search above its bound")
+    if n == 1:
+        return None
+    table = _index_table(G)
+    elems = table.elements
+    idx = table.index
+    id_idx = idx[G.identity]
+    identity_mask = 1 << id_idx
+    if table.products is not None:
+
+        def mul(i, j):
+            return table.product(G, i, j)
+
+    else:
+        cache = {}
+
+        def mul(i, j):
+            key = i * n + j
+            if key not in cache:
+                cache[key] = idx[G.multiply(elems[i], elems[j])]
+            return cache[key]
+
+    inv_of = [table.inverse(G, i) for i in range(n)]
+    gen_idx = sorted({idx[g] for _, g in G.generators if g != G.identity})
+    atoms = {}
+    for cls in _conjugacy_classes_idx(n, mul, inv_of, gen_idx):
+        if cls != [id_idx]:
+            members = sorted(_close(mul, id_idx, cls, n)[0])
+            atoms.setdefault(sum(1 << i for i in members), members)
+    subgroups, by_order, queue = {}, {}, deque()
+
+    def register(mask, members):
+        order = len(members)
+        if 1 < order < n and n % order == 0:
+            for other in by_order.get(n // order, ()):
+                if other & mask == identity_mask:
+                    pair = sorted([(order, mask, members), (n // order, other, subgroups[other])])
+                    return tuple(EnumeratedSubgroup([elems[i] for i in m]) for _, _, m in pair)
+        subgroups[mask] = members
+        by_order.setdefault(order, []).append(mask)
+        queue.append(mask)
+        return None
+
+    for mask, members in atoms.items():
+        if hit := register(mask, members):
+            return hit
+    while queue:
+        smask = queue.popleft()
+        smembers = subgroups[smask]
+        for amask, amembers in atoms.items():
+            if amask | smask == smask:
+                continue
+            res_mask, res = smask, list(smembers)
+            for b in amembers:
+                if not (res_mask >> b) & 1:
+                    for a in smembers:
+                        y = mul(a, b)
+                        if not (res_mask >> y) & 1:
+                            res_mask |= 1 << y
+                            res.append(y)
+            if res_mask not in subgroups and (hit := register(res_mask, sorted(res))):
+                return hit
+    return None
+
+
+def as_sets(split):
+    return None if split is None else [H.as_set for H in split]
+
+
 def check_lazy_search(build):
     """The search on a lazily filled table returns the pair (or None) that
-    it returns on an eagerly filled one, and every entry it filled agrees."""
-    lazy_G, eager_G = build(), build()
+    it returns on an eagerly filled one and that the unpruned reference
+    returns, and every entry it filled agrees.  A search the center settles
+    before any table is built fills none."""
+    lazy_G, eager_G, reference_G = build(), build(), build()
     lazy = direct_factor_search(lazy_G)
     eager_products = eager_table(eager_G).products
     eager = direct_factor_search(eager_G)
-    as_sets = lambda split: None if split is None else [H.as_set for H in split]  # noqa: E731
-    assert as_sets(lazy) == as_sets(eager)
-    filled = lazy_G._table.products
+    assert as_sets(lazy) == as_sets(eager) == as_sets(reference_direct_factor_search(reference_G))
+    filled = () if lazy_G._table is None else lazy_G._table.products
     assert all(x < 0 or x == y for x, y in zip(filled, eager_products))
     return lazy
+
+
+def check_search_premise(G, split):
+    """Neither factor of a returned pair contains Z(G), and their meets with
+    Z(G) are complementary in it."""
+    if split is None:
+        return
+    Z = center(G).as_set
+    A, B = (H.as_set for H in split)
+    assert not Z <= A and not Z <= B
+    assert len(A & Z) * len(B & Z) == len(Z)
 
 
 def reference_ucs_characterization(G, chain):
@@ -366,6 +474,11 @@ def test_suite_families_lcs_matches_reference(desc):
     check_lcs(desc)
 
 
+@pytest.mark.parametrize("desc", SUITE_FAMILIES, ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
+def test_suite_families_center_matches_reference(desc):
+    check_center(desc)
+
+
 def test_lazy_search_on_suite_decompositions():
     """Every group the suite decomposes: second_example and partb_decompose."""
     assert check_lazy_search(lambda: make_second_example(3, 2, 2)) is None
@@ -377,6 +490,17 @@ def test_lazy_search_on_small_recipes():
     descs = random_recipes(DEFAULT_SEED, 12, _TABLE_BOUND)
     splits = [check_lazy_search(lambda d=d: build_from_description(d)) for d in descs]
     assert any(s is None for s in splits) and any(s is not None for s in splits)
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 2**32 - 1).map(lambda seed: random_recipes(seed, 1, _TABLE_BOUND)[0]))
+def test_recipes_search_matches_reference(desc):
+    """The pruned search returns the reference's pair, and the pair meets
+    the premise of the prune."""
+    G = build_from_description(desc)
+    split = direct_factor_search(G)
+    assert as_sets(split) == as_sets(reference_direct_factor_search(build_from_description(desc)))
+    check_search_premise(G, split)
 
 
 @st.composite
@@ -432,6 +556,12 @@ def test_recipes_closure_matches_reference(desc, seed):
 @given(recipes)
 def test_recipes_lcs_matches_reference(desc):
     check_lcs(desc)
+
+
+@settings(max_examples=30)
+@given(recipes)
+def test_recipes_center_matches_reference(desc):
+    check_center(desc)
 
 
 @settings(max_examples=40)

@@ -279,10 +279,15 @@ def test_ucs_quotients_are_formed_from_the_last(native_multiplies):
 
 
 def test_cached_analyses_hold_the_carriers_own_tuples():
-    # the power walk and the quotients' coset maps make equal copies of
-    # elements; caching those would keep a second copy of G alive
+    # the power walk, the center's closure and the quotients' coset maps
+    # make equal copies of elements; caching those would keep a second copy
+    # of G alive
     for G in [make_Mc(3, 5), make_B2(5, 3)]:
         own = {id(g) for g in enumerate_group(G).elements}
         assert all(id(g) in own for g in order_p_elements(G))
         for term in upper_central_series(G).terms[1:]:
             assert all(id(g) in own for g in term.as_set)
+    # a product's center is sieved on indices and decoded through its carrier
+    P = direct_product([make_Mc(3, 3), make_Dc(3, 2)])
+    own = {id(g) for g in enumerate_group(P).elements}
+    assert all(id(g) in own for term in upper_central_series(P).terms[1:] for g in term.as_set)
