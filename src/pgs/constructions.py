@@ -37,6 +37,7 @@ from .groups import (
     QuotientGroup,
     SubgroupGroup,
     _check_order,
+    _coordinate_box,
     _quotient,
     commutator,
     direct_product,
@@ -54,7 +55,18 @@ class SemidirectGroup(FiniteGroup):
     action is a row-convention matrix applied with per-coordinate moduli,
     so mixed invariant factors (e.g. Z/9 x Z/3) are supported.  The action's
     distinct powers are computed once and indexed by t mod their count.
+
+    The carrier is every (t, v) with t below ``top_order`` and v below the
+    bottom moduli, enumerated as that coordinate box with no multiply, so
+    ``generators`` must generate the whole box: every analysis that reads
+    only the generators (the center, the lower central series, the central
+    series checks) relies on it.  Each family built here is checked against
+    the closure of its generators by
+    ``tests/test_properties.py::test_native_carrier_is_the_generators_closure``
+    and ``::test_drawn_native_carrier_is_the_generators_closure``.
     """
+
+    _carrier = _coordinate_box
 
     def __init__(
         self,
@@ -321,7 +333,18 @@ class LieBCHGroup(FiniteGroup):
     the Hall basis; the group product is the BCH series truncated at weight
     k, whose denominators 2, 12, 24 are invertible because k < p.  Every
     nonidentity element has order p, and inversion is negation.
+
+    The carrier is all of F_p^dim, enumerated as that coordinate box with
+    no multiply, so the generators s and t must generate every vector.
+    They do: they span G modulo its commutator subgroup (the weight-1
+    coordinates), and any such set generates a p-group (Burnside's basis
+    theorem).  Every analysis that reads only the generators relies on it;
+    the box is checked against the closure of s and t by
+    ``tests/test_properties.py::test_native_carrier_is_the_generators_closure``
+    and ``::test_drawn_native_carrier_is_the_generators_closure``.
     """
+
+    _carrier = _coordinate_box
 
     def __init__(self, p: int, k: int, max_order: int = DEFAULT_MAX_ORDER):
         check_prime(p)

@@ -6,13 +6,20 @@ derived groups (products, quotients, enumerated subgroups) reuse the parent
 coordinates, which keeps canonical coset representatives and witness
 selection deterministic across runs.
 
+A group's carrier is built by definition wherever it has one: a native
+family's (``SemidirectGroup``, ``LieBCHGroup``) is its coordinate box,
+every tuple below its moduli, and a direct product's is the Cartesian
+product of its factors' carriers, both with no multiply; a quotient is
+given its coset minima when it is formed.  Only a ``SubgroupGroup`` is
+closed from its generators.
+
 Everything here is exhaustive and exact: closures are incremental
 (Dimino's algorithm: about |H|·log_p|H| multiplies, however many seeds they
 get) and may also close under conjugation, the center is a coset sieve that
 tests one element per coset of the central subgroup found so far against the
 generators, the order-p scan walks each cyclic subgroup once, and
 quotients store the tuple-order minimum of each coset.  A direct product's
-carrier, order-p elements and p-th powers are read from its factors, with
+order-p elements and p-th powers are read from its factors, with
 no multiply in the product, because they are the definition of the product; its center,
 upper central series and quotients are computed on the product itself,
 never from its factors, so the product law Z_i(G x H) = Z_i(G) x Z_i(H)
@@ -39,7 +46,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from itertools import chain
+from itertools import chain, product
 from math import gcd, prod
 
 from .errors import (
@@ -107,6 +114,10 @@ class FiniteGroup:
         raise NotImplementedError
 
     def invert(self, a):
+        raise NotImplementedError
+
+    def _carrier(self) -> EnumeratedSubgroup:
+        """The carrier ``enumerate_group`` builds and caches."""
         raise NotImplementedError
 
     def power(self, g, n: int):
@@ -277,35 +288,28 @@ def _concatenations(parts) -> list:
 
 
 def enumerate_group(G: FiniteGroup) -> EnumeratedSubgroup:
-    """Full carrier of G, cached on the group.
+    """Full carrier of G, cached on the group: ``G._carrier()``.
 
-    A direct product's carrier is the Cartesian product of its factors'
-    carriers, by definition; any other group's is the closure of its
-    generators.  An order above ``G.max_order`` raises ResourceLimit before
-    the carrier is built: a known order before anything is enumerated, a
-    product of unknown order once its factors' orders are known.  Once a
-    product's carrier is stored, the product gets its index table and its
-    factors' (no entry filled yet), and it multiplies on indices from then on.
+    A native family's carrier is its coordinate box and a direct product's
+    the Cartesian product of its factors' carriers, both by definition and
+    with no multiply; only a ``SubgroupGroup`` is closed from its
+    generators, and a quotient is given its carrier when it is formed.  An
+    order above ``G.max_order`` raises ResourceLimit before the carrier is
+    built: a known order before anything is enumerated, a product of
+    unknown order once its factors' orders are known.  Once a product's
+    carrier is stored, the product gets its index table and its factors'
+    (no entry filled yet), and it multiplies on indices from then on.
     """
     if G._enumeration is None:
         if G.known_order is not None and G.known_order > G.max_order:
             raise ResourceLimit(f"{G!r} has more than {G.max_order} elements")
-        product = isinstance(G, DirectProductGroup)
-        if product:
-            parts = [enumerate_group(f).elements for f in G.factors]
-            if prod(map(len, parts)) > G.max_order:
-                raise ResourceLimit(f"{G!r} has more than {G.max_order} elements")
-            elements = tuple(_concatenations(parts))
-            E = EnumeratedSubgroup(elements)
-            E._sorted = elements  # already canonical: the parts are sorted
-        else:
-            E = subgroup_closure(G, [g for _, g in G.generators])
+        E = G._carrier()
         if G.known_order is not None and len(E) != G.known_order:
             raise InternalInconsistency(
                 f"{G!r}: enumerated {len(E)} elements, expected {G.known_order}"
             )
         G._enumeration = E
-        if product:
+        if isinstance(G, DirectProductGroup):
             radix = []
             stride = len(E)
             for f in G.factors:
@@ -315,6 +319,22 @@ def enumerate_group(G: FiniteGroup) -> EnumeratedSubgroup:
             G._radix = tuple(radix)
             G._table = _Table(E.elements)
     return G._enumeration
+
+
+def _canonical(elements: tuple) -> EnumeratedSubgroup:
+    """The EnumeratedSubgroup of ``elements``, given in canonical order."""
+    E = EnumeratedSubgroup(elements)
+    E._sorted = elements
+    return E
+
+
+def _coordinate_box(G: FiniteGroup) -> EnumeratedSubgroup:
+    """Every tuple below G's coordinate moduli, in canonical order
+    (itertools.product order is tuple order), with no multiply: the
+    ``_carrier`` of a family whose elements are that box by definition.
+    That the family's generators generate the whole box is not checked
+    here; the tests compare it with their closure."""
+    return _canonical(tuple(product(*map(range, G.coordinate_moduli))))
 
 
 def element_order(G: FiniteGroup, g) -> int:
@@ -391,13 +411,25 @@ def center(G: FiniteGroup) -> EnumeratedSubgroup:
     return G._center
 
 
+def _product_indices(G, parts) -> list:
+    """Indices in the enumerated product G of the elements with one
+    component from each part, in ascending order when every part is
+    sorted: each component's index in its factor's table, in mixed radix."""
+    out = [0]
+    for (_, _, stride, t), part in zip(G._radix, parts):
+        out = [i + stride * t.index[g] for i in out for g in part]
+    return out
+
+
 def order_p_elements(G: FiniteGroup) -> tuple:
     """Elements of order exactly p, in canonical order (cached).
 
     The same scan caches the set of p-th powers {g^p} that ``is_pth_power``
     reads.  In a direct product both are componentwise: the order-p elements
     are the non-identity tuples of factor elements of order dividing p, and
-    the p-th powers are the tuples of the factors' p-th powers.
+    the p-th powers are the tuples of the factors' p-th powers.  Both are
+    read from the product's carrier at the index each tuple has there
+    (``_product_indices``), so the caches hold the carrier's own tuples.
 
     Any other group is scanned one cyclic subgroup at a time: from the
     smallest element g not yet classified, the walk g, g^2, ... ends at the
@@ -407,10 +439,11 @@ def order_p_elements(G: FiniteGroup) -> tuple:
     p/(p-1) multiplies per element, not the p-1 of computing each g^p.
     """
     if G._order_p is None and isinstance(G, DirectProductGroup):
-        enumerate_group(G)  # the product's own bound and size check
+        elements = enumerate_group(G).elements  # the product's own bound and size check
         small = [sorted((f.identity, *order_p_elements(f))) for f in G.factors]
-        G._order_p = tuple(g for g in _concatenations(small) if g != G.identity)
-        G._pth_powers = frozenset(_concatenations(f._pth_powers for f in G.factors))
+        identity = G._table.index[G.identity]
+        G._order_p = tuple(elements[i] for i in _product_indices(G, small) if i != identity)
+        G._pth_powers = frozenset(elements[i] for i in _product_indices(G, [f._pth_powers for f in G.factors]))
     elif G._order_p is None:
         p = G.prime
         identity = G.identity
@@ -562,6 +595,14 @@ class DirectProductGroup(FiniteGroup):
             return tuple(out)
         return t.elements[self._index_product(t.index[a], t.index[b])]
 
+    def _carrier(self) -> EnumeratedSubgroup:
+        """The Cartesian product of the factors' carriers (canonical, as
+        they are), refused above ``max_order`` once their orders are known."""
+        parts = [enumerate_group(f).elements for f in self.factors]
+        if prod(map(len, parts)) > self.max_order:
+            raise ResourceLimit(f"{self!r} has more than {self.max_order} elements")
+        return _canonical(tuple(_concatenations(parts)))
+
     def _index_product(self, i: int, j: int) -> int:
         """Index of the product of the elements at indices i and j, once
         enumerated: each index splits in mixed radix into the factors'
@@ -623,6 +664,9 @@ class SubgroupGroup(FiniteGroup):
 
     def invert(self, a):
         return self.parent.invert(a)
+
+    def _carrier(self) -> EnumeratedSubgroup:
+        return subgroup_closure(self, [g for _, g in self.generators])
 
 
 def is_pth_power(G: FiniteGroup, z) -> bool:

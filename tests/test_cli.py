@@ -319,6 +319,7 @@ def test_over_bound_product_exits_3_before_multiplying(write_desc, capsys, monke
     # the counter does see the multiplications of a group within the bound
     assert main(["describe", write_desc({"family": "Dc", "p": 3, "c": 2})]) == 0
     assert calls
+    assert calls
 
 
 def test_over_bound_product_of_unknown_order_exits_3_before_building(write_desc, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import weakref
 import pytest
 
 from pgs.constructions import (
+    LieBCHGroup,
     SemidirectGroup,
     make_B2,
     make_Dc,
@@ -154,6 +155,25 @@ def test_closure_bound_while_new_elements_are_extended():
 def test_enumerate_orders():
     assert len(enumerate_group(make_Mc(3, 2))) == 27
     assert len(enumerate_group(make_Dc(3, 2))) == 81
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: make_B2(7, 3), lambda: make_Dc(3, 5), lambda: make_Mc(3, 7)], ids=["B2(7,3)", "Dc(3,5)", "Mc(3,7)"]
+)
+def test_native_carrier_is_its_coordinate_box(native_multiplies, build):
+    # the closure of the generators made 84,035 multiplies on B2(7,3)
+    G = build()
+    native_multiplies.clear()
+    E = enumerate_group(G)
+    assert native_multiplies == []
+    assert len(E) == G.known_order and E.elements[0] == G.identity
+
+
+def test_native_carrier_checks_its_order_before_the_box():
+    with pytest.raises(ResourceLimit, match="more than 20 elements"):
+        enumerate_group(LieBCHGroup(3, 2, max_order=20))
+    with pytest.raises(ResourceLimit, match="more than 20 elements"):
+        enumerate_group(SemidirectGroup(3, 3, (9,), ((4,),), [("x", (0, 1)), ("y", (1, 0))], max_order=20))
 
 
 def test_subgroup_group_checks_its_known_order():

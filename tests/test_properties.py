@@ -4,6 +4,7 @@ Each cached analysis (order-p elements and p-th powers from the cyclic
 walk, the upper central series from its quotient chain, the spectrum's
 layer-2 witness, the question witness), the center by a coset sieve, the
 lower central series by normal closure, the incremental subgroup closure, a
+native family's carrier enumerated as its coordinate box, a
 direct product's carrier and order-p scan read from its factors, its
 arithmetic on index tables, the lazily tabled direct-factor search with its
 center prunes and the generators-only ucs characterization are compared
@@ -24,12 +25,15 @@ from hypothesis import strategies as st
 
 from pgs.constructions import (
     _HALL_DIMS,
+    LieBCHGroup,
+    SemidirectGroup,
     build_from_description,
     make_B2,
     make_partb_decomposable,
     make_partb_indecomposable,
     make_second_example,
 )
+from pgs.errors import ResourceLimit
 from pgs.groups import (
     _TABLE_BOUND,
     DEFAULT_DECOMPOSE_BOUND,
@@ -69,6 +73,7 @@ from pgs.verify import (
 
 ORDER_CAP = 3000
 SUITE_PRODUCT_CAP = 20_000
+NATIVE_CAP = 20_000
 
 SUITE_FAMILIES = (
     [{"family": "Dc", "p": p, "c": c} for p, c in [(3, 2), (3, 3), (5, 2), (2, 3), (2, 4)]]
@@ -182,6 +187,16 @@ def check_closures(desc, seed):
     ]
     for seeds in seed_lists:
         assert subgroup_closure(G, seeds).as_set == reference_closure(G, seeds)
+
+
+def check_native_carrier(G):
+    """A native family's carrier, its coordinate box, is the closure of its
+    generators, in canonical order: the generators generate the whole box,
+    which every analysis reading only the generators relies on."""
+    assert isinstance(G, (SemidirectGroup, LieBCHGroup))
+    E = enumerate_group(G)
+    assert E.as_set == reference_closure(G, [g for _, g in G.generators])
+    assert E.elements == tuple(sorted(E.as_set))
 
 
 def check_product_paths(P):
@@ -448,6 +463,47 @@ def test_suite_families_shared_paths(desc):
     check_closures(desc, seed=0)
     G = build_from_description(desc)
     assert find_question_witness(G) == reference_question_witness(G)
+
+
+NATIVE_DESCS = [d for d in SUITE_FAMILIES if d["family"] != "second_example"] + [
+    {"family": "B2", "p": 7, "k": 3},
+    {"family": "Mc", "p": 3, "c": 7},
+    {"family": "Dc", "p": 3, "c": 5},
+]
+
+
+@pytest.mark.parametrize("desc", NATIVE_DESCS, ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
+def test_native_carrier_is_the_generators_closure(desc):
+    check_native_carrier(build_from_description(desc))
+
+
+@st.composite
+def small_native_descs(draw):
+    """Dc and Mc with p in {2, 3, 5} and small c, B2 with k < p, homocyclic
+    with s = 0, and cyclic; some are above NATIVE_CAP."""
+    family = draw(st.sampled_from(["Dc", "Mc", "B2", "homocyclic", "cyclic"]))
+    if family == "B2":
+        p = draw(st.sampled_from([3, 5, 7]))
+        return {"family": "B2", "p": p, "k": draw(st.integers(2, min(p - 1, 3)))}
+    p = draw(st.sampled_from([2, 3, 5]))
+    if family == "Dc":
+        return {"family": "Dc", "p": p, "c": draw(st.integers(3 if p == 2 else 2, {2: 7, 3: 4, 5: 3}[p]))}
+    if family == "Mc":
+        return {"family": "Mc", "p": p, "c": draw(st.integers(2, {2: 9, 3: 7, 5: 5}[p]))}
+    if family == "homocyclic":
+        return {"family": "homocyclic", "p": p, "k": draw(st.integers(1, p - 1)), "e": draw(st.integers(1, 3)), "s": 0}
+    return {"family": "cyclic", "p": p, "e": draw(st.integers(1, 8))}
+
+
+@settings(max_examples=60)
+@given(small_native_descs())
+def test_drawn_native_carrier_is_the_generators_closure(desc):
+    try:
+        G = build_from_description(desc, max_order=NATIVE_CAP)
+        enumerate_group(G)
+    except ResourceLimit:
+        assume(False)
+    check_native_carrier(G)
 
 
 def test_suite_products_read_their_factors():

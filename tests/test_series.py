@@ -287,7 +287,9 @@ def test_cached_analyses_hold_the_carriers_own_tuples():
         assert all(id(g) in own for g in order_p_elements(G))
         for term in upper_central_series(G).terms[1:]:
             assert all(id(g) in own for g in term.as_set)
-    # a product's center is sieved on indices and decoded through its carrier
+    # a product's center is sieved on indices and decoded through its carrier,
+    # and its order-p elements are read back through its index table
     P = direct_product([make_Mc(3, 3), make_Dc(3, 2)])
     own = {id(g) for g in enumerate_group(P).elements}
     assert all(id(g) in own for term in upper_central_series(P).terms[1:] for g in term.as_set)
+    assert all(id(g) in own for g in order_p_elements(P))
