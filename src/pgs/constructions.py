@@ -55,6 +55,11 @@ class SemidirectGroup(FiniteGroup):
     action is a row-convention matrix applied with per-coordinate moduli,
     so mixed invariant factors (e.g. Z/9 x Z/3) are supported.  The action's
     distinct powers are computed once and indexed by t mod their count.
+    With a rank-1 bottom (cyclic groups, Dc, Mc for p = 2, homocyclic with
+    k = 1) each power is a scalar, read from ``_scalars``:
+    (t1, v)(t2, w) = (t1 + t2, v * _scalars[t2] + w), with no matrix loop.
+    ``tests/test_properties.py::test_rank1_semidirect_matches_the_matrix_rows``
+    checks it against the matrix rows.
 
     The carrier is every (t, v) with t below ``top_order`` and v below the
     bottom moduli, enumerated as that coordinate box with no multiply, so
@@ -100,6 +105,7 @@ class SemidirectGroup(FiniteGroup):
         if top_order % len(pows):
             raise BadParameters("action order does not divide the top order")
         self._pows = pows * (top_order // len(pows))
+        self._scalars = tuple(M[0][0] for M in self._pows) if rank == 1 else ()
 
         order = top_order
         for m in mods:
@@ -117,24 +123,33 @@ class SemidirectGroup(FiniteGroup):
 
     def multiply(self, a, b):
         t2 = b[0]
+        rank = self._rank
+        if rank == 1:
+            return (
+                (a[0] + t2) % self.top_order,
+                (b[1] + a[1] * self._scalars[t2]) % self._mods[0],
+            )
         M = self._pows[t2]
         mods = self._mods
         out = [(a[0] + t2) % self.top_order]
-        for j in range(self._rank):
+        for j in range(rank):
             s = b[j + 1]
-            for i in range(self._rank):
+            for i in range(rank):
                 s += a[i + 1] * M[i][j]
             out.append(s % mods[j])
         return tuple(out)
 
     def invert(self, a):
         ti = (self.top_order - a[0]) % self.top_order
+        rank = self._rank
+        if rank == 1:
+            return (ti, (-a[1] * self._scalars[ti]) % self._mods[0])
         M = self._pows[ti]
         mods = self._mods
         out = [ti]
-        for j in range(self._rank):
+        for j in range(rank):
             s = 0
-            for i in range(self._rank):
+            for i in range(rank):
                 s -= a[i + 1] * M[i][j]
             out.append(s % mods[j])
         return tuple(out)
@@ -313,17 +328,58 @@ def make_homocyclic(p: int, k: int, e: int, s: int, max_order: int = DEFAULT_MAX
 #   6   : [x,y,x,y]  (=[x,y,y,x])  4
 #   7   : [x,y,y,y]                4
 _HALL_DIMS = {1: 2, 2: 3, 3: 5, 4: 8}
-# Structure constants (i, j, coef, t): [e_i, e_j] = coef * e_t for i < j.
-# Every other bracket of two basis elements is zero up to weight 4.
-_STRUCTURE = (
-    (0, 1, 1, 2),
-    (0, 2, -1, 3),
-    (1, 2, -1, 4),
-    (0, 3, -1, 5),
-    (0, 4, -1, 6),
-    (1, 3, -1, 6),
-    (1, 4, -1, 7),
-)
+
+
+# The truncated BCH product in Hall coordinates, one kernel per class k;
+# h, w, q are the inverses of 2, 12 and 24 mod p.  LieBCHGroup's docstring
+# derives the formulas.
+
+
+def _bch2(a, b, p, h, w, q):
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return ((a0 + b0) % p, (a1 + b1) % p, (a2 + b2 + h * (a0 * b1 - a1 * b0)) % p)
+
+
+def _bch3(a, b, p, h, w, q):
+    a0, a1, a2, a3, a4 = a
+    b0, b1, b2, b3, b4 = b
+    c2 = a0 * b1 - a1 * b0
+    return (
+        (a0 + b0) % p,
+        (a1 + b1) % p,
+        (a2 + b2 + h * c2) % p,
+        (a3 + b3 + h * (a2 * b0 - a0 * b2) + w * (b0 - a0) * c2) % p,
+        (a4 + b4 + h * (a2 * b1 - a1 * b2) + w * (b1 - a1) * c2) % p,
+    )
+
+
+def _bch4(a, b, p, h, w, q):
+    a0, a1, a2, a3, a4, a5, a6, a7 = a
+    b0, b1, b2, b3, b4, b5, b6, b7 = b
+    c2 = a0 * b1 - a1 * b0
+    c3 = a2 * b0 - a0 * b2
+    c4 = a2 * b1 - a1 * b2
+    dx = b0 - a0
+    dy = b1 - a1
+    return (
+        (a0 + b0) % p,
+        (a1 + b1) % p,
+        (a2 + b2 + h * c2) % p,
+        (a3 + b3 + h * c3 + w * dx * c2) % p,
+        (a4 + b4 + h * c4 + w * dy * c2) % p,
+        (a5 + b5 + h * (a3 * b0 - a0 * b3) + w * dx * c3 - q * a0 * b0 * c2) % p,
+        (
+            a6 + b6
+            + h * (a4 * b0 - a0 * b4 + a3 * b1 - a1 * b3)
+            + w * (dx * c4 + dy * c3)
+            - q * (a1 * b0 + a0 * b1) * c2
+        ) % p,
+        (a7 + b7 + h * (a4 * b1 - a1 * b4) + w * dy * c4 - q * a1 * b1 * c2) % p,
+    )
+
+
+_BCH_KERNELS = {2: _bch2, 3: _bch3, 4: _bch4}
 
 
 class LieBCHGroup(FiniteGroup):
@@ -331,8 +387,28 @@ class LieBCHGroup(FiniteGroup):
 
     Elements are vectors of a free nilpotent Lie ring of rank 2 over F_p in
     the Hall basis; the group product is the BCH series truncated at weight
-    k, whose denominators 2, 12, 24 are invertible because k < p.  Every
-    nonidentity element has order p, and inversion is negation.
+    k, whose denominators 2, 12, 24 are invertible because k < p:
+
+        a + b + [a,b]/2 + ([a,[a,b]] - [b,[a,b]])/12 - [b,[a,[a,b]]]/24.
+
+    Every nonidentity element has order p, and inversion is negation.
+
+    ``multiply`` evaluates this series as one polynomial per coordinate
+    (``_bch2``, ``_bch3``, ``_bch4``, the first ``_HALL_DIMS[k]``
+    coordinates of the class-4 formula).  The nonzero brackets of basis
+    vectors are [e0,e1] = e2, [e0,e2] = -e3, [e1,e2] = -e4, [e0,e3] = -e5,
+    [e0,e4] = [e1,e3] = -e6 and [e1,e4] = -e7.  So with
+    c2 = a0 b1 - a1 b0, c3 = a2 b0 - a0 b2 and c4 = a2 b1 - a1 b2,
+    [a,b] = (0, 0, c2, c3, c4, a3 b0 - a0 b3, a4 b0 - a0 b4 + a3 b1 - a1 b3,
+    a4 b1 - a1 b4); with dx = b0 - a0 and dy = b1 - a1,
+    [a,[a,b]] - [b,[a,b]] = (0, 0, 0, dx c2, dy c2, dx c3, dx c4 + dy c3,
+    dy c4); and [b,[a,[a,b]]] = (0, ..., 0, a0 b0 c2, (a1 b0 + a0 b1) c2,
+    a1 b1 c2) in weight 4.  Brackets above weight 4 vanish, so only a0 and
+    a1 meet [a,b] in [a,[a,b]], and only b0 and b1 meet the weight-3 part
+    (-a0 c2, -a1 c2) of [a,[a,b]] in [b,[a,[a,b]]].  The kernels are
+    checked against the series evaluated through the structure-constant
+    bracket by ``tests/test_properties.py::test_b2_kernel_matches_reference_*``
+    and, on drawn vectors, ``::test_b2_bracket_and_product_match_reference``.
 
     The carrier is all of F_p^dim, enumerated as that coordinate box with
     no multiply, so the generators s and t must generate every vector.
@@ -352,8 +428,7 @@ class LieBCHGroup(FiniteGroup):
             raise BadParameters("k must satisfy 2 <= k <= min(p - 1, 4)")
         dim = _HALL_DIMS[k]
         self.klass = k
-        self._dim = dim
-        self._constants = tuple(s for s in _STRUCTURE if s[3] < dim)
+        self._kernel = _BCH_KERNELS[k]
         self._half = pow(2, -1, p)
         self._twelfth = pow(12, -1, p) if k >= 3 else 0
         self._twenty4th = pow(24, -1, p) if k >= 4 else 0
@@ -371,27 +446,8 @@ class LieBCHGroup(FiniteGroup):
             max_order=max_order,
         )
 
-    def bracket(self, u, v):
-        out = [0] * self._dim
-        for i, j, coef, t in self._constants:
-            out[t] += coef * (u[i] * v[j] - u[j] * v[i])
-        p = self.prime
-        return tuple(x % p for x in out)
-
     def multiply(self, a, b):
-        p = self.prime
-        ab = self.bracket(a, b)
-        out = [(x + y + self._half * z) % p for x, y, z in zip(a, b, ab)]
-        if self.klass >= 3:
-            a_ab = self.bracket(a, ab)
-            b_ab = self.bracket(b, ab)
-            tw = self._twelfth
-            out = [(x + tw * (u - v)) % p for x, u, v in zip(out, a_ab, b_ab)]
-            if self.klass >= 4:
-                b_a_ab = self.bracket(b, a_ab)
-                t4 = self._twenty4th
-                out = [(x - t4 * w) % p for x, w in zip(out, b_a_ab)]
-        return tuple(out)
+        return self._kernel(a, b, self.prime, self._half, self._twelfth, self._twenty4th)
 
     def invert(self, a):
         p = self.prime

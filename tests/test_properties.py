@@ -9,9 +9,11 @@ direct product's carrier and order-p scan read from its factors, its
 arithmetic on index tables, the lazily tabled direct-factor search with its
 center prunes and the generators-only ucs characterization are compared
 with a plain reference scan, on seeded random recipes with a small order cap
-and on every family and product the suite builds.  B2's bracket
-and product, read from flat structure constants, are compared with a
-bracket read from a table of Hall-basis brackets.
+and on every family and product the suite builds.  B2's straight-line
+product kernels are compared with the BCH series evaluated through a bracket
+read from flat structure constants, which is itself compared with a table
+of Hall-basis brackets; the rank-1 semidirect product is compared with the
+matrix-row product.
 """
 
 import json
@@ -690,7 +692,21 @@ def test_recipes_carry_their_bound(desc, extra):
     assert [H.max_order for H in (G, P, *P.factors)] == [b] * (2 + len(P.factors))
 
 
-# [e_i, e_j] for i < j in the Hall basis of LieBCHGroup, as (coef, t) terms
+# Structure constants (i, j, coef, t): [e_i, e_j] = coef * e_t for i < j in
+# the Hall basis of LieBCHGroup; every other bracket of two basis elements
+# is zero up to weight 4.
+STRUCTURE = (
+    (0, 1, 1, 2),
+    (0, 2, -1, 3),
+    (1, 2, -1, 4),
+    (0, 3, -1, 5),
+    (0, 4, -1, 6),
+    (1, 3, -1, 6),
+    (1, 4, -1, 7),
+)
+
+# The same brackets as (coef, t) terms keyed by (i, j), read with a sign
+# switch where i > j
 REFERENCE_BRACKETS = {
     (0, 1): ((1, 2),),
     (0, 2): ((-1, 3),),
@@ -706,6 +722,16 @@ B2_PARAMS = [(p, k) for p in (3, 5, 7, 11, 13) for k in range(2, min(p - 1, 4) +
 
 def make_b2_at_its_order(p, k):
     return make_B2(p, k, p ** _HALL_DIMS[k])
+
+
+def structure_bracket(G, u, v):
+    """[u, v] from the structure constants kept below G's dimension."""
+    p, dim = G.prime, len(G.identity)
+    out = [0] * dim
+    for i, j, coef, t in STRUCTURE:
+        if t < dim:
+            out[t] += coef * (u[i] * v[j] - u[j] * v[i])
+    return tuple(x % p for x in out)
 
 
 def reference_bracket(G, u, v):
@@ -738,18 +764,23 @@ def reference_bracket(G, u, v):
     return tuple(out)
 
 
-def reference_bch(G, a, b):
+def reference_bch_multiply(G, a, b):
     """Truncated BCH product a + b + [a,b]/2 + ([a,[a,b]] - [b,[a,b]])/12
-    - [b,[a,[a,b]]]/24 up to G's class, through ``reference_bracket``."""
+    - [b,[a,[a,b]]]/24 up to G's class, through ``structure_bracket``: the
+    product before B2's straight-line kernels."""
     p, k = G.prime, G.klass
-    ab = reference_bracket(G, a, b)
-    terms = [(1, a), (1, b), (pow(2, -1, p), ab)]
+    ab = structure_bracket(G, a, b)
+    out = [(x + y + pow(2, -1, p) * z) % p for x, y, z in zip(a, b, ab)]
     if k >= 3:
-        a_ab = reference_bracket(G, a, ab)
-        terms += [(pow(12, -1, p), a_ab), (-pow(12, -1, p), reference_bracket(G, b, ab))]
+        a_ab = structure_bracket(G, a, ab)
+        b_ab = structure_bracket(G, b, ab)
+        tw = pow(12, -1, p)
+        out = [(x + tw * (u - v)) % p for x, u, v in zip(out, a_ab, b_ab)]
         if k >= 4:
-            terms.append((-pow(24, -1, p), reference_bracket(G, b, a_ab)))
-    return tuple(sum(c * v[i] for c, v in terms) % p for i in range(len(a)))
+            b_a_ab = structure_bracket(G, b, a_ab)
+            t4 = pow(24, -1, p)
+            out = [(x - t4 * w) % p for x, w in zip(out, b_a_ab)]
+    return tuple(out)
 
 
 def b2_vectors(G):
@@ -760,30 +791,107 @@ def b2_vectors(G):
 @settings(max_examples=25)
 @given(data=st.data())
 def test_b2_bracket_and_product_match_reference(p, k, data):
-    """bracket and multiply from the flat constants equal the table-and-sign
-    reference on the identity, the generators and drawn vectors."""
+    """The structure-constant bracket equals the table-and-sign reference,
+    and multiply equals the bracket-based product, on the identity, the
+    generators and drawn vectors."""
     G = make_b2_at_its_order(p, k)
     special = [G.identity] + [g for _, g in G.generators]
     vec = b2_vectors(G)
     drawn = [(data.draw(vec), data.draw(vec)) for _ in range(4)]
     for a, b in [(a, b) for a in special for b in special] + drawn:
-        assert G.bracket(a, b) == reference_bracket(G, a, b)
-        assert G.multiply(a, b) == reference_bch(G, a, b)
+        assert structure_bracket(G, a, b) == reference_bracket(G, a, b)
+        assert G.multiply(a, b) == reference_bch_multiply(G, a, b)
 
 
 @pytest.mark.parametrize("p, k", B2_PARAMS)
 @settings(max_examples=25)
 @given(data=st.data())
 def test_b2_constants_are_a_lie_bracket(p, k, data):
-    """The flat constants give an antisymmetric bracket satisfying the
+    """The structure constants give an antisymmetric bracket satisfying the
     Jacobi identity, on drawn vectors and on every triple of basis vectors."""
     G = make_b2_at_its_order(p, k)
     dim = len(G.identity)
     basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     vec = b2_vectors(G)
     drawn = tuple(data.draw(vec) for _ in range(3))
-    br = G.bracket
+
+    def br(u, v):
+        return structure_bracket(G, u, v)
+
     for u, v, w in [drawn] + [(u, v, w) for u in basis for v in basis for w in basis]:
         assert br(u, v) == G.invert(br(v, u))
         cycle = [br(u, br(v, w)), br(v, br(w, u)), br(w, br(u, v))]
         assert tuple(sum(x) % p for x in zip(*cycle)) == G.identity
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_b2_kernel_matches_reference_on_every_pair(p):
+    G = make_B2(p, 2)
+    elems = enumerate_group(G).elements
+    for a in elems:
+        for b in elems:
+            assert G.multiply(a, b) == reference_bch_multiply(G, a, b)
+
+
+@pytest.mark.parametrize("p, k", [(5, 3), (7, 3), (5, 4), (7, 4)])
+def test_b2_kernel_matches_reference_on_seeded_pairs(p, k):
+    # B2(7,4) has 7^8 elements, above the default bound: built at its order
+    # and never enumerated
+    G = make_b2_at_its_order(p, k)
+    rng = random.Random(f"B2({p},{k})")
+    dim = len(G.identity)
+    for _ in range(2_000):
+        a = tuple(rng.randrange(p) for _ in range(dim))
+        b = tuple(rng.randrange(p) for _ in range(dim))
+        assert G.multiply(a, b) == reference_bch_multiply(G, a, b)
+    assert G._enumeration is None
+
+
+def reference_semidirect_multiply(G, a, b):
+    """(t1, v)(t2, w) = (t1 + t2, v A^t2 + w) by the matrix rows, any rank."""
+    M = G._pows[b[0]]
+    rank = len(G._mods)
+    bottom = tuple(
+        (b[j + 1] + sum(a[i + 1] * M[i][j] for i in range(rank))) % G._mods[j] for j in range(rank)
+    )
+    return ((a[0] + b[0]) % G.top_order,) + bottom
+
+
+def reference_semidirect_invert(G, a):
+    """(t, v)^-1 = (-t, -v A^-t) by the matrix rows, any rank."""
+    ti = (G.top_order - a[0]) % G.top_order
+    M = G._pows[ti]
+    rank = len(G._mods)
+    bottom = tuple(-sum(a[i + 1] * M[i][j] for i in range(rank)) % G._mods[j] for j in range(rank))
+    return (ti,) + bottom
+
+
+def is_small_rank1(desc):
+    if desc["family"] not in ("Dc", "Mc", "cyclic", "homocyclic"):
+        return False
+    G = build_from_description(desc)
+    return isinstance(G, SemidirectGroup) and G._rank == 1 and G.known_order <= 1000
+
+
+RANK1_DESCS = [d for d in SUITE_FAMILIES if is_small_rank1(d)] + [
+    d
+    for d in [
+        {"family": "Dc", "p": 2, "c": 3},
+        {"family": "Dc", "p": 3, "c": 3},
+        {"family": "Dc", "p": 5, "c": 2},
+        {"family": "Mc", "p": 2, "c": 5},
+        {"family": "cyclic", "p": 3, "e": 3},
+    ]
+    if d not in SUITE_FAMILIES
+]
+
+
+@pytest.mark.parametrize("desc", RANK1_DESCS, ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
+def test_rank1_semidirect_matches_the_matrix_rows(desc):
+    G = build_from_description(desc)
+    assert G._rank == 1
+    elems = enumerate_group(G).elements
+    for a in elems:
+        assert G.invert(a) == reference_semidirect_invert(G, a)
+        for b in elems:
+            assert G.multiply(a, b) == reference_semidirect_multiply(G, a, b)

@@ -278,6 +278,22 @@ def test_ucs_quotients_are_formed_from_the_last(native_multiplies):
     assert len(native_multiplies) <= 30_000
 
 
+@pytest.mark.parametrize(
+    "build, count",
+    [(lambda: make_B2(7, 3), 52_091), (lambda: make_Dc(3, 5), 273_713), (lambda: make_Mc(3, 7), 36_325)],
+    ids=["B2(7,3)", "Dc(3,5)", "Mc(3,7)"],
+)
+def test_spectrum_multiply_count(native_multiplies, build, count):
+    # every native product goes through the class's own multiply, so this
+    # count (and every other pin on native_multiplies) sees each one; a
+    # straight-line kernel called from elsewhere would make these counts 0
+    G = build()
+    enumerate_group(G)
+    native_multiplies.clear()
+    spectrum(G)
+    assert len(native_multiplies) == count
+
+
 def test_cached_analyses_hold_the_carriers_own_tuples():
     # the power walk, the center's closure and the quotients' coset maps
     # make equal copies of elements; caching those would keep a second copy
