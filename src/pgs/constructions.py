@@ -582,13 +582,15 @@ class GroupDescription:
     word: str = ""
 
 
-_FAMILY_PARAMS = {
-    "Mc": ("p", "c"),
-    "Dc": ("p", "c"),
-    "homocyclic": ("p", "k", "e", "s"),
-    "B2": ("p", "k"),
-    "second_example": ("p", "k", "c"),
-    "cyclic": ("p", "e"),
+# each family's parameters, in order, and its constructor, called with them
+# by name and with max_order
+_FAMILIES = {
+    "Mc": (("p", "c"), make_Mc),
+    "Dc": (("p", "c"), make_Dc),
+    "homocyclic": (("p", "k", "e", "s"), make_homocyclic),
+    "B2": (("p", "k"), make_B2),
+    "second_example": (("p", "k", "c"), make_second_example),
+    "cyclic": (("p", "e"), make_cyclic),
 }
 
 _TERM_RE = re.compile(r"((?:f\d+\.)*[a-z][a-zA-Z0-9_]*)(?:\^(-?\d+))?\Z")
@@ -615,9 +617,9 @@ def parse_description(obj) -> GroupDescription:
                 "indecomposable": bool(obj.get("indecomposable", False)),
             }
             return GroupDescription("partb", params)
-        if fam not in _FAMILY_PARAMS:
+        if fam not in _FAMILIES:
             raise ParseError(f"unknown family {fam!r}")
-        params = {key: _int_param(obj, key) for key in _FAMILY_PARAMS[fam]}
+        params = {key: _int_param(obj, key) for key in _FAMILIES[fam][0]}
         return GroupDescription(fam, params)
     if obj.get("op") == "product":
         factors = obj.get("factors")
@@ -671,20 +673,8 @@ def evaluate_word(G: FiniteGroup, word: str):
 def build_from_description(desc, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Construct the group a description denotes; see parse_description."""
     d = parse_description(desc)
-    if d.kind == "Mc":
-        return make_Mc(d.params["p"], d.params["c"], max_order)
-    if d.kind == "Dc":
-        return make_Dc(d.params["p"], d.params["c"], max_order)
-    if d.kind == "homocyclic":
-        return make_homocyclic(
-            d.params["p"], d.params["k"], d.params["e"], d.params["s"], max_order
-        )
-    if d.kind == "B2":
-        return make_B2(d.params["p"], d.params["k"], max_order)
-    if d.kind == "second_example":
-        return make_second_example(d.params["p"], d.params["k"], d.params["c"], max_order)
-    if d.kind == "cyclic":
-        return make_cyclic(d.params["p"], d.params["e"], max_order=max_order)
+    if d.kind in _FAMILIES:
+        return _FAMILIES[d.kind][1](**d.params, max_order=max_order)
     if d.kind == "partb":
         maker = (
             make_partb_indecomposable

@@ -510,10 +510,12 @@ class QuotientGroup(FiniteGroup):
 
 
 def quotient_group(G: FiniteGroup, N: EnumeratedSubgroup) -> QuotientGroup:
-    """Quotient by a normal subgroup (normality is verified)."""
+    """Quotient by a normal subgroup N; that N is one is verified."""
     E = enumerate_group(G)
     if not N.as_set <= E.as_set:
         raise NotNormal("subgroup is not contained in the group")
+    if G.identity not in N or len(subgroup_closure(G, N)) != len(N):
+        raise NotNormal("kernel is not a subgroup")
     for _, g in G.generators:
         for n in N.as_set:
             if G.conjugate(n, g) not in N:
@@ -524,19 +526,20 @@ def quotient_group(G: FiniteGroup, N: EnumeratedSubgroup) -> QuotientGroup:
 def _quotient(G: FiniteGroup, N: EnumeratedSubgroup) -> QuotientGroup:
     """G/N for a subgroup N of G that is normal by construction (unchecked):
     the center of G, as in the upper central series, or the span of a
-    central element."""
+    central element.  The coset map's keys are the carrier's own tuples, in
+    carrier order."""
     E = enumerate_group(G)
-    rep_map = {}
+    rep_map = dict.fromkeys(E.elements)
     mult = G.multiply
     n_elems = N.elements
     reps = []
-    for g in E.elements:  # ascending scan: first untouched element is its coset minimum
-        if g in rep_map:
+    for g in E.elements:  # ascending scan: first unmapped element is its coset minimum
+        if rep_map[g] is not None:
             continue
         reps.append(g)
         for n in n_elems:
             rep_map[mult(g, n)] = g
-    if len(rep_map) != len(E):
+    if len(reps) * len(N) != len(E):
         raise InternalInconsistency("coset partition does not cover the group")
     return QuotientGroup(G, N, rep_map, reps)
 

@@ -1,11 +1,11 @@
 """Central series, nilpotence class, layers, and the order-p spectrum.
 
-The upper central series is computed through successive quotients with
-canonical coset representatives: Z_(i+1) is the preimage of the center of
-G/Z_i, and each quotient is formed from the one before; its terms are cached
-on the group.  The lower central series works from generators: each term is
-the normal closure of the commutators of the last term's generators with
-G's.  The spectrum assigns every element of order exactly p (the group's
+The upper central series is computed by recursion on G/Z(G): Z_1 is the
+center, and the higher terms are the preimages of the quotient's own upper
+central series, so each level is the plain quotient of the level above by
+its center; the terms are cached on the group.  The lower central series
+works from generators: each term is the normal closure of the commutators
+of the last term's generators with G's.  The spectrum assigns every element of order exactly p (the group's
 cached list) the index of the first upper-central term containing it;
 witnesses are the canonically smallest qualifying elements, so reports are
 reproducible bit for bit.
@@ -19,7 +19,7 @@ from .errors import InternalInconsistency, NotInGroup, PreconditionFailed
 from .groups import (
     EnumeratedSubgroup,
     FiniteGroup,
-    QuotientGroup,
+    _canonical,
     _close,
     _quotient,
     center,
@@ -55,57 +55,38 @@ class CentralSeriesChain:
 
 
 def upper_central_series(G: FiniteGroup) -> CentralSeriesChain:
-    """Z_0 = 1 < Z_1 < ... < Z_c = G via centers of successive quotients (cached).
+    """Z_0 = 1 < Z_1 < ... < Z_c = G by recursion on G/Z(G) (cached).
 
-    Z_(i+1) is the preimage of the center of G/Z_i, and each quotient is
-    formed from the last: G/Z_(i+1) = (G/Z_i)/Z(G/Z_i), which costs
-    |G/Z_i| multiplies, not |G|.  Its coset map is then flattened through
-    G/Z_i's, so the quotient over G multiplies as one G multiply and one
-    lookup.  The representatives are those of G/Z_(i+1) formed directly: a
-    Z_(i+1)-coset is a union of Z_i-cosets, so its tuple-order minimum is
-    the least of their minima, which is what the ascending scan of
-    G/Z_i's elements picks.  No quotient needs a normality scan: each
-    kernel is a center.  A center that stays trivial before G is reached
-    raises InternalInconsistency (the input is not nilpotent).
+    Z_1 is the center, and Z_(i+1)/Z_1 = Z_i(G/Z_1), so the terms between
+    Z_1 and G are the preimages of the proper terms of the quotient's own
+    series, read in one pass over its coset map.  The map's keys are G's
+    carrier tuples in carrier order, so each preimage holds the carrier's
+    own tuples in canonical order.  Forming G/Z_1 costs |G| multiplies, so
+    the level that forms G/Z_(i+1) from G/Z_i costs |G/Z_i|, and no
+    quotient needs a normality scan: each kernel is a center.  A trivial
+    center of a nontrivial group raises InternalInconsistency (the input is
+    not nilpotent).
     """
-    if G._ucs is not None:
-        return CentralSeriesChain(G, G._ucs)
-    E = enumerate_group(G)
-    terms = [EnumeratedSubgroup([G.identity])]
-    Q = G  # G/Z_i, a quotient of G from i = 1 on
-    while len(terms[-1]) < len(E):
-        ZQ = center(Q)
-        if Q is G:
-            nxt = ZQ
-        else:
-            zq, rep = ZQ.as_set, Q._rep
-            # the carrier's own tuples: the coset map's keys are equal copies
-            nxt = EnumeratedSubgroup([g for g in E.as_set if rep[g] in zq])
-        if len(nxt) == len(terms[-1]):
+    if G._ucs is None:
+        E = enumerate_group(G)
+        Z = center(G)
+        if len(Z) == len(E):  # abelian; the trivial group has class 0
+            G._ucs = (E,) if len(E) == 1 else (EnumeratedSubgroup([G.identity]), E)
+        elif len(Z) == 1:
             raise InternalInconsistency(
                 "center stabilized before reaching the whole group; input is not nilpotent"
             )
-        terms.append(nxt)
-        if len(nxt) < len(E):
-            Q = _next_quotient(G, Q, ZQ, nxt)
-    G._ucs = tuple(terms)  # the terms only: a cached chain would point back at G
-    return CentralSeriesChain(G, G._ucs)
-
-
-def _next_quotient(G, Q, ZQ, kernel):
-    """G/Z_(i+1), with kernel = Z_(i+1), from Q = G/Z_i (or G) and ZQ = Z(Q).
-
-    Q/ZQ costs |Q| multiplies.  Its coset map is composed into Q's in place,
-    as Q is not read again, so the result maps G straight to the coset
-    minima; the intermediate quotient is dropped on return.
-    """
-    step = _quotient(Q, ZQ)
-    if Q is G:
-        return step
-    rep, to_next = Q._rep, step._rep
-    for g, r in rep.items():
-        rep[g] = to_next[r]
-    return QuotientGroup(G, kernel, rep, enumerate_group(step).elements)
+        else:
+            Q = _quotient(G, Z)
+            upper = upper_central_series(Q).terms[1:-1]
+            preimages = [[] for _ in upper]
+            for g, r in Q._rep.items():
+                for pre, term in zip(preimages, upper):
+                    if r in term:
+                        pre.append(g)
+            middle = (_canonical(tuple(pre)) for pre in preimages)
+            G._ucs = (EnumeratedSubgroup([G.identity]), Z, *middle, E)
+    return CentralSeriesChain(G, G._ucs)  # only the terms are cached: a chain would point back at G
 
 
 def lower_central_series(G: FiniteGroup) -> CentralSeriesChain:

@@ -32,6 +32,7 @@ from .groups import (
     DEFAULT_MAX_ORDER,
     EnumeratedSubgroup,
     FiniteGroup,
+    _quotient,
     center,
     commutator,
     direct_factor_search,
@@ -41,12 +42,12 @@ from .groups import (
     generated_by_order_p,
     is_pth_power,
     order_p_elements,
-    quotient_group,
     subgroup_closure,
 )
 from .series import (
     CentralSeriesChain,
     is_central_series,
+    layer_index,
     lower_central_series,
     nilpotence_class,
     satisfies_ucs_characterization,
@@ -56,6 +57,8 @@ from .series import (
 
 DEFAULT_SEED = 20240601
 _EXHAUSTIVE_PAIRS = DEFAULT_MAX_ORDER  # a pair scan gets the budget of one enumeration
+_SAMPLE_PAIRS = 10_000  # seeded (x, y) pairs for verify_regularity_power above that budget
+_SAMPLE_ELEMENTS = 2000  # seeded elements for prop_same's sublemma above 729·p
 
 
 def verify_theorem_part1(G: FiniteGroup) -> dict:
@@ -133,13 +136,13 @@ def verify_question(G: FiniteGroup) -> dict:
     return {"applicable": applicable, "passed": not applicable, "witness": None}
 
 
-def verify_regularity_power(G: FiniteGroup, sample_pairs: int = 10_000, seed: int = DEFAULT_SEED) -> dict:
+def verify_regularity_power(G: FiniteGroup, seed: int = DEFAULT_SEED) -> dict:
     """In a group of class at most p-1, [x, y]^p = 1 whenever x^p = 1.
 
     Exhaustive when the pair count is small: since [x, yz] = [x, y] for
     central z, y runs over the tuple-order minima of the cosets of the
     center only, which finds the same first counterexample in canonical
-    order.  Otherwise checks ``sample_pairs`` seeded random pairs.
+    order.  Otherwise checks ``_SAMPLE_PAIRS`` seeded random pairs.
     ``pairs`` counts the (x, y) pairs the check covers.
     """
     p = G.prime
@@ -151,16 +154,16 @@ def verify_regularity_power(G: FiniteGroup, sample_pairs: int = 10_000, seed: in
     identity = G.identity
     exhaustive = len(small) * len(elems) <= _EXHAUSTIVE_PAIRS
     if exhaustive:
-        reps = enumerate_group(quotient_group(G, center(G))).elements
+        reps = enumerate_group(_quotient(G, center(G))).elements  # the center is normal
         pairs = ((x, y) for x in small for y in reps)
         checked = len(small) * len(elems)
     else:
         rng = random.Random(seed)
         pairs = (
             (small[rng.randrange(len(small))], elems[rng.randrange(len(elems))])
-            for _ in range(sample_pairs)
+            for _ in range(_SAMPLE_PAIRS)
         )
-        checked = sample_pairs
+        checked = _SAMPLE_PAIRS
     for x, y in pairs:
         c = commutator(G, x, y)
         if G.power(c, p) != identity:
@@ -189,15 +192,15 @@ def verify_product_spectrum(P: FiniteGroup) -> dict:
     }
 
 
-def verify_prop_same(Q: FiniteGroup, sample: int = 2000, seed: int = DEFAULT_SEED) -> dict:
+def verify_prop_same(Q: FiniteGroup, seed: int = DEFAULT_SEED) -> dict:
     """Diagonal central quotient Q = (G1 x G2)/<z> preserves class and spectrum.
 
     Requires each coordinate of z to have order p and z not to be a p-th
     power in the product; when it is, a PreconditionFailed is raised
     carrying the unguarded quotient's spectrum so callers can report how the
     conclusion fails.  The layer sub-lemma (image in Z_n(Q) iff both
-    coordinates lie in Z_n) is checked on all elements for |Q| <= 729 and
-    on seeded samples above.
+    coordinates lie in Z_n, ``_sublemma_holds``) is checked on all elements
+    for |Q| <= 729 and on ``_SAMPLE_ELEMENTS`` seeded samples above.
     """
     p = Q.prime
     P = getattr(Q, "parent", None)
@@ -222,32 +225,14 @@ def verify_prop_same(Q: FiniteGroup, sample: int = 2000, seed: int = DEFAULT_SEE
                 "product_class": g_spec.klass,
             },
         )
-    chain_q = upper_central_series(Q)
-    chain_1 = upper_central_series(G1)
-    chain_2 = upper_central_series(G2)
-    depth = max(len(chain_q.terms), len(chain_1.terms), len(chain_2.terms))
-
-    def z_term(chain, n):
-        return chain.terms[min(n, len(chain.terms) - 1)].as_set
-
+    chains = tuple(upper_central_series(H) for H in (Q, G1, G2))
     elems = enumerate_group(P).elements
     if len(elems) <= 729 * p:
         tested = elems
     else:
         rng = random.Random(seed)
-        tested = [elems[rng.randrange(len(elems))] for _ in range(sample)]
-    w1 = len(G1.identity)
-    sublemma = True
-    for g in tested:
-        x1, x2 = g[:w1], g[w1:]
-        img = Q.project(g)
-        for n in range(1, depth):
-            both = x1 in z_term(chain_1, n) and x2 in z_term(chain_2, n)
-            if (img in z_term(chain_q, n)) != both:
-                sublemma = False
-                break
-        if not sublemma:
-            break
+        tested = [elems[rng.randrange(len(elems))] for _ in range(_SAMPLE_ELEMENTS)]
+    sublemma = all(_sublemma_holds(Q, chains, g) for g in tested)
     passed = (
         q_spec.klass == g_spec.klass
         and q_spec.spectrum == g_spec.spectrum
@@ -261,6 +246,18 @@ def verify_prop_same(Q: FiniteGroup, sample: int = 2000, seed: int = DEFAULT_SEE
         "sublemma": sublemma,
         "elements_tested": len(tested),
     }
+
+
+def _sublemma_holds(Q: FiniteGroup, chains, g) -> bool:
+    """The image in Q of g, an element of P, lies in Z_n(Q) for exactly the
+    n >= 1 with both coordinates of g in Z_n: the terms ascend, so that is
+    one equation of layers, each raised to at least 1.  ``chains`` are the
+    upper central series of Q and of P's two factors."""
+    chain_q, chain_1, chain_2 = chains
+    P = Q.parent
+    return max(layer_index(chain_q, Q.project(g)), 1) == max(
+        layer_index(chain_1, P.project(0, g)), layer_index(chain_2, P.project(1, g)), 1
+    )
 
 
 def verify_lemma_fact(p: int, c: int, max_order: int = DEFAULT_MAX_ORDER) -> dict:

@@ -16,8 +16,10 @@ from pgs.constructions import (
 from pgs.errors import InternalInconsistency, NotNormal, ResourceLimit
 from pgs.groups import (
     DirectProductGroup,
+    EnumeratedSubgroup,
     QuotientGroup,
     SubgroupGroup,
+    _quotient,
     center,
     commutator,
     direct_factor_search,
@@ -220,6 +222,34 @@ def test_quotient_rejects_non_normal():
     refl = subgroup_closure(D8, [D8.named_elements["a"]])
     with pytest.raises(NotNormal):
         quotient_group(D8, refl)
+
+
+def test_quotient_rejects_a_kernel_that_is_not_a_subgroup():
+    # z is central of order 3: {1, z} is closed under conjugation but not
+    # under products, and {z} lacks the identity
+    D = make_Dc(3, 2)
+    z = D.power(D.named_elements["x"], 3)
+    assert z in center(D) and element_order(D, z) == 3
+    for kernel in ([D.identity, z], [z]):
+        with pytest.raises(NotNormal):
+            quotient_group(D, EnumeratedSubgroup(kernel))
+        # unchecked, the cosets do not partition the group
+        with pytest.raises(InternalInconsistency):
+            _quotient(D, EnumeratedSubgroup(kernel))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: make_Mc(3, 4), lambda: direct_product([make_Mc(3, 2), make_Dc(3, 2)])],
+    ids=["Mc(3,4)", "Mc(3,2)xDc(3,2)"],
+)
+def test_quotient_map_is_keyed_by_the_carriers_own_tuples(build):
+    G = build()
+    elements = enumerate_group(G).elements
+    Q = _quotient(G, center(G))
+    assert len(Q._rep) == len(elements)
+    assert all(k is g for k, g in zip(Q._rep, elements))
+    assert all(r is Q._rep[r] for r in enumerate_group(Q).elements)
 
 
 def test_quotient_projection_is_homomorphism():

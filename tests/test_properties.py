@@ -1,7 +1,7 @@
 """Property tests for the per-group caches and the paper's identities.
 
 Each cached analysis (order-p elements and p-th powers from the cyclic
-walk, the upper central series from its quotient chain, the spectrum's
+walk, the upper central series by recursion on G/Z(G), the spectrum's
 layer-2 witness, the question witness), the center by a coset sieve, the
 lower central series by normal closure, the incremental subgroup closure, a
 native family's carrier enumerated as its coordinate box, a
@@ -30,7 +30,10 @@ from pgs.constructions import (
     LieBCHGroup,
     SemidirectGroup,
     build_from_description,
+    central_quotient,
     make_B2,
+    make_Dc,
+    make_cyclic,
     make_partb_decomposable,
     make_partb_indecomposable,
     make_second_example,
@@ -67,6 +70,7 @@ from pgs.series import (
 from pgs.verify import (
     DEFAULT_SEED,
     _recipe_pool,
+    _sublemma_holds,
     _suite_checks,
     find_question_witness,
     random_recipes,
@@ -465,6 +469,52 @@ def test_suite_families_shared_paths(desc):
     check_closures(desc, seed=0)
     G = build_from_description(desc)
     assert find_question_witness(G) == reference_question_witness(G)
+
+
+def test_deep_ucs_matches_reference():
+    # Mc(3,7) has class 7, so the recursion runs six levels deep: each
+    # quotient is formed from the one before
+    G = build_from_description({"family": "Mc", "p": 3, "c": 7})
+    assert [t.as_set for t in upper_central_series(G).terms] == reference_ucs(G)
+
+
+def reference_sublemma(Q, chains, g):
+    """prop_same's layer sub-lemma at g in P, one n at a time: Q's image of
+    g lies in Z_n(Q) iff both coordinates of g lie in Z_n, for n = 1 up to
+    the longest chain."""
+    chain_q, chain_1, chain_2 = chains
+    depth = max(len(chain_q.terms), len(chain_1.terms), len(chain_2.terms))
+
+    def z_term(chain, n):
+        return chain.terms[min(n, len(chain.terms) - 1)].as_set
+
+    w1 = len(Q.parent.factors[0].identity)
+    x1, x2 = g[:w1], g[w1:]
+    img = Q.project(g)
+    return all(
+        (img in z_term(chain_q, n)) == (x1 in z_term(chain_1, n) and x2 in z_term(chain_2, n))
+        for n in range(1, depth)
+    )
+
+
+@pytest.mark.parametrize(
+    "right, z2, failures",
+    [
+        (lambda: make_B2(3, 2), lambda G: commutator(G, G.named_elements["t"], G.named_elements["s"]), 0),
+        (lambda: make_cyclic(3, 2), lambda G: G.identity, 6480),
+    ],
+    ids=["Dc(3,3)xB2(3,2)/<x^9[t,s]>", "Dc(3,3)xC9/<(x^9,1)>"],
+)
+def test_sublemma_equation_matches_the_loop(right, z2, failures):
+    # the first is the suite's prop_same quotient; in the second z has a
+    # trivial coordinate and the sub-lemma fails almost everywhere
+    G1, G2 = make_Dc(3, 3), right()
+    P = direct_product([G1, G2])
+    Q = central_quotient(P, G1.power(G1.named_elements["x"], 9) + z2(G2))
+    chains = tuple(upper_central_series(H) for H in (Q, G1, G2))
+    verdicts = [_sublemma_holds(Q, chains, g) for g in enumerate_group(P).elements]
+    assert verdicts == [reference_sublemma(Q, chains, g) for g in enumerate_group(P).elements]
+    assert verdicts.count(False) == failures
 
 
 NATIVE_DESCS = [d for d in SUITE_FAMILIES if d["family"] != "second_example"] + [

@@ -1,6 +1,6 @@
 import pytest
 
-from pgs.constructions import SemidirectGroup, make_B2, make_Dc, make_Mc, make_cyclic
+from pgs.constructions import SemidirectGroup, build_from_description, make_B2, make_Dc, make_Mc, make_cyclic
 from pgs.errors import InternalInconsistency, NotInGroup, PreconditionFailed
 from pgs.groups import (
     EnumeratedSubgroup,
@@ -297,12 +297,23 @@ def test_spectrum_multiply_count(native_multiplies, build, count):
 def test_cached_analyses_hold_the_carriers_own_tuples():
     # the power walk, the center's closure and the quotients' coset maps
     # make equal copies of elements; caching those would keep a second copy
-    # of G alive
-    for G in [make_Mc(3, 5), make_B2(5, 3)]:
+    # of G alive.  On the central quotient, of class 4, the ucs recursion
+    # runs on quotients of a quotient.
+    quotient = build_from_description(
+        {
+            "op": "central_quotient",
+            "group": {"op": "product", "factors": [{"family": "Mc", "p": 3, "c": 4}, {"family": "cyclic", "p": 3, "e": 1}]},
+            "word": "f0.s4*f1.d",
+        }
+    )
+    for G in [make_Mc(3, 5), make_B2(5, 3), quotient]:
         own = {id(g) for g in enumerate_group(G).elements}
         assert all(id(g) in own for g in order_p_elements(G))
-        for term in upper_central_series(G).terms[1:]:
+        chain = upper_central_series(G)
+        assert chain.terms[-1] is enumerate_group(G)
+        for term in chain.terms[1:]:
             assert all(id(g) in own for g in term.as_set)
+    assert upper_central_series(quotient).orders() == (1, 3, 9, 27, 243)
     # a product's center is sieved on indices and decoded through its carrier,
     # and its order-p elements are read back through its index table
     P = direct_product([make_Mc(3, 3), make_Dc(3, 2)])
