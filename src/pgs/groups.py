@@ -36,16 +36,22 @@ product and inverse indices, the n x n products only up to
 ``multiply`` and ``invert`` work on indices: an element's index splits in
 mixed radix into its factors' indices, and each factor's product is read
 from that factor's table, computed by the factor's own ``multiply`` the
-first time it is needed.  Index order is tuple order, so coset minima and
-witnesses do not depend on the path.  ``direct_factor_search`` reads the
-same tables, and in a p-group it never queues a normal subgroup that
-contains the center.
+first time it is needed.  A quotient of an enumerated product, or of such
+a quotient, multiplies on indices too, through two arrays and no table:
+each parent index's coset number and each coset minimum's parent index.
+The center, the order-p scan and the quotient scan run on indices for
+both (``_arithmetic`` makes that choice) and decode through the carrier,
+so no tuple is hashed in their loops and the caches hold the carrier's own
+tuples.  Index order is tuple order, so coset minima and witnesses do not
+depend on the path.  ``direct_factor_search`` reads the same tables, and
+in a p-group it never queues a normal subgroup that contains the center.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import deque
+from functools import partial
 from itertools import chain, product
 from math import gcd, prod
 
@@ -315,7 +321,7 @@ def enumerate_group(G: FiniteGroup) -> EnumeratedSubgroup:
             for f in G.factors:
                 t = _index_table(f)
                 stride //= len(t.elements)
-                radix.append((f, len(t.elements), stride, t))
+                radix.append((f, len(t.elements), stride, t, t.products))
             G._radix = tuple(radix)
             G._table = _Table(E.elements)
     return G._enumeration
@@ -388,26 +394,41 @@ def _sieve_center(mult, elements, identity, gens, bound) -> list:
     return central
 
 
+def _same(g):
+    return g
+
+
+def _arithmetic(G: FiniteGroup) -> tuple:
+    """How G's scans multiply, ``(mult, carrier, encode, decode)``: the one
+    place where indices or tuples are chosen.
+
+    An enumerated direct product, and a quotient formed from one (or from
+    such a quotient), multiply on indices: ``mult`` is G's
+    ``_index_product``, the carrier range(|G|), ``encode`` maps an element
+    to its index and ``decode`` maps a collection of indices to the
+    carrier's own tuples.  Index order is tuple order, so a scan meets the
+    elements in the same order either way.  Any other group multiplies its
+    canonical carrier's tuples by ``G.multiply``, and both maps return what
+    they are given (a set stays a set, which ``frozenset`` copies at its
+    size).
+    """
+    E = enumerate_group(G)
+    if isinstance(G, DirectProductGroup) or isinstance(G, QuotientGroup) and G._up is not None:
+        return G._index_product, range(len(E)), G._index, partial(map, E.elements.__getitem__)
+    return G.multiply, E.elements, _same, _same
+
+
 def center(G: FiniteGroup) -> EnumeratedSubgroup:
     """Center, as the centralizer of the generators, by ``_sieve_center``
-    (cached).
-
-    An enumerated direct product is sieved on indices, multiplying whole
-    product elements through ``_index_product``, and decoded at the end; the
-    center is never read off the factors.
+    (cached), on indices wherever ``_arithmetic`` gives them and decoded at
+    the end.  A product's center is sieved on whole product elements, never
+    read off the factors.
     """
     if G._center is None:
-        E = enumerate_group(G)
-        gens = [g for _, g in G.generators]
-        if isinstance(G, DirectProductGroup):
-            t = G._table
-            found = _sieve_center(
-                G._index_product, range(len(E)), t.index[G.identity], [t.index[g] for g in gens], G.max_order
-            )
-            central = [t.elements[i] for i in found]
-        else:
-            central = _sieve_center(G.multiply, E.elements, G.identity, gens, G.max_order)
-        G._center = EnumeratedSubgroup(central)
+        mult, carrier, encode, decode = _arithmetic(G)
+        gens = [encode(g) for _, g in G.generators]
+        found = _sieve_center(mult, carrier, encode(G.identity), gens, G.max_order)
+        G._center = EnumeratedSubgroup(decode(found))
     return G._center
 
 
@@ -416,7 +437,7 @@ def _product_indices(G, parts) -> list:
     component from each part, in ascending order when every part is
     sorted: each component's index in its factor's table, in mixed radix."""
     out = [0]
-    for (_, _, stride, t), part in zip(G._radix, parts):
+    for (_, _, stride, t, _), part in zip(G._radix, parts):
         out = [i + stride * t.index[g] for i in out for g in part]
     return out
 
@@ -431,12 +452,13 @@ def order_p_elements(G: FiniteGroup) -> tuple:
     read from the product's carrier at the index each tuple has there
     (``_product_indices``), so the caches hold the carrier's own tuples.
 
-    Any other group is scanned one cyclic subgroup at a time: from the
-    smallest element g not yet classified, the walk g, g^2, ... ends at the
-    identity and gives n = ord(g).  Every g^j with j prime to n generates
-    the same <g>, so it has order n and p-th power g^(pj mod n); all of
-    them are classified by that one walk.  In a p-group that is about
-    p/(p-1) multiplies per element, not the p-1 of computing each g^p.
+    Any other group is scanned one cyclic subgroup at a time, on indices
+    wherever ``_arithmetic`` gives them: from the smallest element g not yet
+    classified, the walk g, g^2, ... ends at the identity and gives
+    n = ord(g).  Every g^j with j prime to n generates the same <g>, so it
+    has order n and p-th power g^(pj mod n); all of them are classified by
+    that one walk.  In a p-group that is about p/(p-1) multiplies per
+    element, not the p-1 of computing each g^p.
     """
     if G._order_p is None and isinstance(G, DirectProductGroup):
         elements = enumerate_group(G).elements  # the product's own bound and size check
@@ -446,13 +468,12 @@ def order_p_elements(G: FiniteGroup) -> tuple:
         G._pth_powers = frozenset(elements[i] for i in _product_indices(G, [f._pth_powers for f in G.factors]))
     elif G._order_p is None:
         p = G.prime
-        identity = G.identity
-        mult = G.multiply
-        elements = enumerate_group(G).elements
+        mult, carrier, encode, decode = _arithmetic(G)
+        identity = encode(G.identity)
         small = set()
         powers = {identity}
         done = {identity}
-        for g in elements:
+        for g in carrier:
             if g in done:
                 continue
             walk = [identity, g]  # walk[j] = g^j
@@ -467,18 +488,26 @@ def order_p_elements(G: FiniteGroup) -> tuple:
                     powers.add(walk[p * j % n])
             if n == p:
                 small.update(walk[1:])
-        # the carrier's own tuples, in canonical order: the walk's are equal copies
-        G._order_p = tuple(g for g in elements if g in small)
-        G._pth_powers = frozenset(powers)
+        # the carrier's own tuples, in canonical order: a tuple walk's are equal copies
+        G._order_p = tuple(x for g, x in zip(carrier, enumerate_group(G).elements) if g in small)
+        G._pth_powers = frozenset(decode(powers))
     return G._order_p
 
 
 class QuotientGroup(FiniteGroup):
     """G/N with canonical coset representatives.
 
-    Elements are the tuple-order minima of their cosets; the group
-    operation is multiply-then-canonicalize through the stored coset map.
+    Elements are the tuple-order minima of their cosets; ``multiply`` is
+    multiply-then-canonicalize through the stored coset map ``_rep``.  A
+    quotient of an enumerated direct product, or of such a quotient, also
+    multiplies on indices: ``_down`` maps each parent index to its coset's
+    index here and ``_up`` lists the representatives' parent indices, so a
+    product of indices i, j is ``_down[parent product of _up[i], _up[j]]``
+    and no tuple is hashed.  Elsewhere both are None.
     """
+
+    _down = None
+    _up = None
 
     def __init__(self, parent: FiniteGroup, kernel: EnumeratedSubgroup, rep_map, reps, description=""):
         self.parent = parent
@@ -508,6 +537,14 @@ class QuotientGroup(FiniteGroup):
         """Canonical representative of the coset of a parent element."""
         return self._rep[g]
 
+    def _index_product(self, i: int, j: int) -> int:
+        up = self._up
+        return self._down[self.parent._index_product(up[i], up[j])]
+
+    def _index(self, g) -> int:
+        """Index of a carrier element: its parent index, read down."""
+        return self._down[self.parent._index(g)]
+
 
 def quotient_group(G: FiniteGroup, N: EnumeratedSubgroup) -> QuotientGroup:
     """Quotient by a normal subgroup N; that N is one is verified."""
@@ -526,22 +563,38 @@ def quotient_group(G: FiniteGroup, N: EnumeratedSubgroup) -> QuotientGroup:
 def _quotient(G: FiniteGroup, N: EnumeratedSubgroup) -> QuotientGroup:
     """G/N for a subgroup N of G that is normal by construction (unchecked):
     the center of G, as in the upper central series, or the span of a
-    central element.  The coset map's keys are the carrier's own tuples, in
-    carrier order."""
+    central element.
+
+    One ascending scan of G's carrier, on indices wherever ``_arithmetic``
+    gives them, maps the cosets: the first element not yet mapped is its
+    coset's minimum, and its products with N are mapped to it.  On tuples
+    that map is the coset map ``_rep``.  On indices each coset is mapped to
+    its number instead, kept as the quotient's ``_down`` array with the
+    minima's indices as its ``_up`` array, and ``_rep`` is read from them.
+    ``_rep`` is keyed by the carrier's own tuples, in carrier order.
+    """
     E = enumerate_group(G)
-    rep_map = dict.fromkeys(E.elements)
-    mult = G.multiply
-    n_elems = N.elements
-    reps = []
-    for g in E.elements:  # ascending scan: first unmapped element is its coset minimum
-        if rep_map[g] is not None:
-            continue
-        reps.append(g)
-        for n in n_elems:
-            rep_map[mult(g, n)] = g
-    if len(reps) * len(N) != len(E):
+    mult, carrier, encode, decode = _arithmetic(G)
+    on_indices = isinstance(carrier, range)
+    if on_indices:  # arrays, so that no element or coset holds an int object
+        down, up = array("i", [-1]) * len(E), array("i")
+    else:
+        down, up = dict.fromkeys(E.elements, -1), []
+    kernel = [encode(n) for n in N.elements]
+    for g in carrier:
+        if down[g] == -1:
+            coset = len(up) if on_indices else g
+            up.append(g)
+            for n in kernel:
+                down[mult(g, n)] = coset
+    if len(up) * len(N) != len(E):
         raise InternalInconsistency("coset partition does not cover the group")
-    return QuotientGroup(G, N, rep_map, reps)
+    if not on_indices:
+        return QuotientGroup(G, N, down, up)
+    reps = list(decode(up))
+    Q = QuotientGroup(G, N, dict(zip(E.elements, map(reps.__getitem__, down))), reps)
+    Q._down, Q._up = down, up
+    return Q
 
 
 class DirectProductGroup(FiniteGroup):
@@ -555,7 +608,7 @@ class DirectProductGroup(FiniteGroup):
         if any(f.prime != p for f in factors):
             raise BadParameters("all factors must share the same prime")
         self.factors = tuple(factors)
-        self._radix = None  # per factor (group, order, stride, table), once enumerated
+        self._radix = None  # per factor (group, order, stride, table, its products), once enumerated
         parts = []
         off = 0
         for f in factors:
@@ -609,11 +662,21 @@ class DirectProductGroup(FiniteGroup):
     def _index_product(self, i: int, j: int) -> int:
         """Index of the product of the elements at indices i and j, once
         enumerated: each index splits in mixed radix into the factors'
-        indices, and each factor's product is read from its table."""
+        indices, and each factor's product is read from its table's
+        ``products`` array, or on a miss (or above the table bound) through
+        ``_Table.product``, which fills it by the factor's own multiply."""
         r = 0
-        for f, n, stride, ft in self._radix:
-            r += stride * ft.product(f, i // stride % n, j // stride % n)
+        for f, n, stride, t, prods in self._radix:
+            a = i // stride % n
+            b = j // stride % n
+            x = -1 if prods is None else prods[a * n + b]
+            if x < 0:
+                x = t.product(f, a, b)
+            r += stride * x
         return r
+
+    def _index(self, g) -> int:
+        return self._table.index[g]
 
     def invert(self, a):
         t = self._table
@@ -626,7 +689,7 @@ class DirectProductGroup(FiniteGroup):
         r = t.inverses[i]
         if r < 0:
             r = t.inverses[i] = sum(
-                stride * ft.inverse(f, i // stride % n) for f, n, stride, ft in self._radix
+                stride * ft.inverse(f, i // stride % n) for f, n, stride, ft, _ in self._radix
             )
         return t.elements[r]
 

@@ -78,7 +78,7 @@ def upper_central_series(G: FiniteGroup) -> CentralSeriesChain:
             )
         else:
             Q = _quotient(G, Z)
-            upper = upper_central_series(Q).terms[1:-1]
+            upper = [term.as_set for term in upper_central_series(Q).terms[1:-1]]
             preimages = [[] for _ in upper]
             for g, r in Q._rep.items():
                 for pre, term in zip(preimages, upper):
@@ -125,10 +125,10 @@ def nilpotence_class(G: FiniteGroup) -> int:
 def layer_index(chain: CentralSeriesChain, g) -> int:
     """Least i with g in chain.terms[i]; 0 exactly for the identity."""
     g = tuple(g)
-    if g not in chain.terms[-1]:
+    if g not in chain.terms[-1].as_set:
         raise NotInGroup("element does not belong to the chain's group")
     for i, term in enumerate(chain.terms):
-        if g in term:
+        if g in term.as_set:
             return i
     raise InternalInconsistency("chain does not ascend to the full group")
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import settings
 
 from pgs.constructions import LieBCHGroup, SemidirectGroup
-from pgs.groups import _Table
+from pgs.groups import DirectProductGroup, QuotientGroup, _Table
 
 # Deterministic property tests: the same examples on every run, no example
 # database, and no per-example deadline (group sizes vary widely).
@@ -34,4 +34,18 @@ def table_reads(monkeypatch):
         return real(self, G, i, j)
 
     monkeypatch.setattr(_Table, "product", counting)
+    return calls
+
+
+@pytest.fixture
+def tuple_multiplies(monkeypatch):
+    """The list every DirectProductGroup and QuotientGroup multiply, the
+    tuple arithmetic of composite groups, appends to."""
+    calls = []
+    for cls in (DirectProductGroup, QuotientGroup):
+        def counting(self, a, b, real=cls.multiply):
+            calls.append(1)
+            return real(self, a, b)
+
+        monkeypatch.setattr(cls, "multiply", counting)
     return calls

@@ -6,20 +6,23 @@ layer-2 witness, the question witness), the center by a coset sieve, the
 lower central series by normal closure, the incremental subgroup closure, a
 native family's carrier enumerated as its coordinate box, a
 direct product's carrier and order-p scan read from its factors, its
-arithmetic on index tables, the lazily tabled direct-factor search with its
-center prunes and the generators-only ucs characterization are compared
-with a plain reference scan, on seeded random recipes with a small order cap
-and on every family and product the suite builds.  B2's straight-line
-product kernels are compared with the BCH series evaluated through a bracket
-read from flat structure constants, which is itself compared with a table
-of Hall-basis brackets; the rank-1 semidirect product is compared with the
-matrix-row product.
+arithmetic on index tables, the center, order-p scan and ucs quotients of a
+product and of its quotients on indices, the lazily tabled direct-factor
+search with its center prunes and the generators-only ucs characterization
+are compared with a plain reference scan, on seeded random recipes with a
+small order cap and on every family and product the suite builds.  B2's
+straight-line product kernels are compared with the BCH series evaluated
+through a bracket read from flat structure constants, which is itself
+compared with a table of Hall-basis brackets; the rank-1 semidirect product
+is compared with the matrix-row product.
 """
 
 import json
 import random
 from array import array
 from collections import deque
+from functools import partial
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -50,6 +53,7 @@ from pgs.groups import (
     _conjugacy_classes_idx,
     _index_table,
     _quotient,
+    _sieve_center,
     center,
     commutator,
     direct_factor_search,
@@ -80,6 +84,8 @@ from pgs.verify import (
 ORDER_CAP = 3000
 SUITE_PRODUCT_CAP = 20_000
 NATIVE_CAP = 20_000
+# the index-path reference multiplies componentwise: about 1 s per 20,000-element group
+INDEX_PATH_CAP = 10_000
 
 SUITE_FAMILIES = (
     [{"family": "Dc", "p": p, "c": c} for p, c in [(3, 2), (3, 3), (5, 2), (2, 3), (2, 4)]]
@@ -224,6 +230,95 @@ def reference_multiply(G, a, b):
     if isinstance(G, QuotientGroup):
         return G.project(reference_multiply(G.parent, a, b))
     return G.multiply(a, b)
+
+
+def reference_quotient(G, N):
+    """G/N by the coset scan on tuples, multiplying by ``reference_multiply``:
+    the quotient before index space.  It carries no index arrays."""
+    E = enumerate_group(G)
+    rep_map = dict.fromkeys(E.elements)
+    reps = []
+    for g in E.elements:
+        if rep_map[g] is not None:
+            continue
+        reps.append(g)
+        for n in N.elements:
+            rep_map[reference_multiply(G, g, n)] = g
+    assert len(reps) * len(N) == len(E)
+    return QuotientGroup(G, N, rep_map, reps)
+
+
+def reference_tuple_center(G):
+    """The coset sieve on tuples, multiplying by ``reference_multiply``."""
+    gens = [g for _, g in G.generators]
+    mult = partial(reference_multiply, G)
+    return tuple(_sieve_center(mult, enumerate_group(G).elements, G.identity, gens, G.max_order))
+
+
+def reference_walk(G):
+    """The cyclic walk on tuples, multiplying by ``reference_multiply``: the
+    order-p elements (as the carrier's own tuples) and the p-th powers."""
+    p, identity = G.prime, G.identity
+    elements = enumerate_group(G).elements
+    small, powers, done = set(), {identity}, {identity}
+    for g in elements:
+        if g in done:
+            continue
+        walk = [identity, g]
+        x = reference_multiply(G, g, g)
+        while x != identity:
+            walk.append(x)
+            x = reference_multiply(G, x, g)
+        n = len(walk)
+        for j in range(1, n):
+            if gcd(j, n) == 1:
+                done.add(walk[j])
+                powers.add(walk[p * j % n])
+        if n == p:
+            small.update(walk[1:])
+    return tuple(g for g in elements if g in small), frozenset(powers)
+
+
+def same_objects(xs, ys):
+    xs, ys = list(xs), list(ys)
+    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
+
+
+def check_index_paths(G, T=None):
+    """G, a product or a quotient of one, multiplies on indices, and the
+    tuple path on its twin T gives exactly what G's index path gives.
+
+    T is G itself for a product, else ``reference_quotient`` of G's parent
+    (a product) by G's kernel, with G's representatives and coset map as
+    the same objects.  G's center, order-p elements, p-th powers and ucs
+    terms equal the tuple path's on T, as the carrier's own tuples; the ucs
+    terms above the center are the preimages of G/Z(G)'s, checked the same
+    way against ``reference_quotient(T, Z)``.  Returns the ucs terms.
+    """
+    if T is None:
+        T = G if isinstance(G, DirectProductGroup) else reference_quotient(G.parent, G.kernel)
+    E = enumerate_group(G)
+    if T is not G:
+        assert G._up is not None and T._up is None
+        assert same_objects(E.elements, enumerate_group(T).elements)
+        assert same_objects(G._rep, T._rep) and same_objects(G._rep.values(), T._rep.values())
+    own = {id(g) for g in E.elements}
+    Z = center(G)
+    assert same_objects(Z.elements, reference_tuple_center(T))
+    small, powers = reference_walk(T)
+    assert same_objects(order_p_elements(G), small)
+    assert G._pth_powers == powers and all(id(g) in own for g in G._pth_powers)
+    if len(Z) == len(E):
+        expected = [E.elements] if len(E) == 1 else [(G.identity,), E.elements]
+    else:
+        R = reference_quotient(T, Z)
+        upper = check_index_paths(_quotient(G, Z), R)
+        preimages = [tuple(g for g, r in R._rep.items() if r in set(t)) for t in upper[1:-1]]
+        expected = [(G.identity,), Z.elements, *preimages, E.elements]
+    terms = upper_central_series(G).terms
+    assert [t.elements for t in terms] == expected
+    assert all(id(g) in own for t in terms[1:] for g in t.elements)
+    return expected
 
 
 def reference_invert(G, a):
@@ -425,6 +520,15 @@ def suite_product_descs():
     return [d for d in unique.values() if build_from_description(d).known_order <= SUITE_PRODUCT_CAP]
 
 
+def suite_quotient_descs():
+    """Every central quotient of a product among the suite's recipes."""
+    return [
+        params["recipe"]
+        for name, params, _ in _suite_checks(DEFAULT_MAX_ORDER, DEFAULT_DECOMPOSE_BOUND, DEFAULT_SEED, 50)
+        if name == "theorem_part1_random" and params["recipe"]["op"] == "central_quotient"
+    ]
+
+
 def check_shared_paths(desc):
     G = build_from_description(desc)
     assert order_p_elements(G) == reference_order_p(G)
@@ -563,6 +667,23 @@ def test_suite_products_read_their_factors():
     assert len(descs) >= 40
     for desc in descs:
         check_product_paths(build_from_description(desc))
+
+
+def test_suite_products_and_quotients_index_paths():
+    """Every product the suite builds and every central quotient of one
+    among its recipes, up to INDEX_PATH_CAP elements (and, through the
+    recursion, their ucs quotients), and second_example (3,2,2)."""
+    groups = [build_from_description(d) for d in suite_product_descs() + suite_quotient_descs()]
+    small = [G for G in groups if G.known_order <= INDEX_PATH_CAP]
+    assert sum(isinstance(G, QuotientGroup) for G in small) >= 10 and len(small) >= 40
+    for G in small + [make_second_example(3, 2, 2)]:
+        check_index_paths(G)
+
+
+@settings(max_examples=30)
+@given(recipes)
+def test_recipes_index_paths(desc):
+    check_index_paths(build_from_description(desc))
 
 
 def test_suite_products_tabled_arithmetic():

@@ -1,6 +1,14 @@
 import pytest
 
-from pgs.constructions import SemidirectGroup, build_from_description, make_B2, make_Dc, make_Mc, make_cyclic
+from pgs.constructions import (
+    SemidirectGroup,
+    build_from_description,
+    make_B2,
+    make_Dc,
+    make_Mc,
+    make_cyclic,
+    make_second_example,
+)
 from pgs.errors import InternalInconsistency, NotInGroup, PreconditionFailed
 from pgs.groups import (
     EnumeratedSubgroup,
@@ -294,6 +302,27 @@ def test_spectrum_multiply_count(native_multiplies, build, count):
     assert len(native_multiplies) == count
 
 
+@pytest.mark.parametrize(
+    "build, count",
+    [
+        (lambda: direct_product([make_Mc(3, 3), make_B2(3, 2), make_cyclic(3, 1)]), 403),
+        (lambda: make_second_example(3, 2, 2), 343),
+    ],
+    ids=["Mc(3,3)xB2(3,2)xC3", "second_example(3,2,2)"],
+)
+def test_spectrum_of_a_product_multiplies_no_tuples(native_multiplies, tuple_multiplies, build, count):
+    # the center, the order-p scan and every ucs quotient of an enumerated
+    # product, and of a quotient of one, run on indices; with tuple quotients
+    # these made 7,906 and 7,642 tuple multiplies, and the same native ones
+    G = build()
+    enumerate_group(G)
+    native_multiplies.clear()
+    tuple_multiplies.clear()
+    spectrum(G)
+    assert tuple_multiplies == []
+    assert len(native_multiplies) == count
+
+
 def test_cached_analyses_hold_the_carriers_own_tuples():
     # the power walk, the center's closure and the quotients' coset maps
     # make equal copies of elements; caching those would keep a second copy
@@ -314,6 +343,12 @@ def test_cached_analyses_hold_the_carriers_own_tuples():
         for term in chain.terms[1:]:
             assert all(id(g) in own for g in term.as_set)
     assert upper_central_series(quotient).orders() == (1, 3, 9, 27, 243)
+    # the quotient of a product multiplies on indices, and its center,
+    # order-p elements and p-th powers are decoded through its carrier
+    assert quotient._up is not None
+    own = {id(g) for g in enumerate_group(quotient).elements}
+    assert all(id(g) in own for g in center(quotient).as_set)
+    assert all(id(g) in own for g in quotient._pth_powers)
     # a product's center is sieved on indices and decoded through its carrier,
     # and its order-p elements are read back through its index table
     P = direct_product([make_Mc(3, 3), make_Dc(3, 2)])
