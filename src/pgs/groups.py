@@ -24,8 +24,8 @@ no multiply in the product, because they are the definition of the product; its 
 upper central series and quotients are computed on the product itself,
 never from its factors, so the product law Z_i(G x H) = Z_i(G) x Z_i(H)
 stays something the toolkit checks.  Each group caches its carrier, center,
-upper central series, order-p elements and p-th powers, so every analysis
-of one group object shares them.  Each group also carries the enumeration
+ucs layer labelling and terms, order-p elements and p-th powers, so every
+analysis of one group object shares them.  Each group also carries the enumeration
 bound it was built with, ``max_order``: a quotient or subgroup takes its
 parent's, a product the smallest of its factors'.
 
@@ -111,6 +111,7 @@ class FiniteGroup:
         self.description = description
         self._enumeration = None if carrier is None else EnumeratedSubgroup(carrier)
         self._center = None
+        self._layers = None
         self._ucs = None
         self._order_p = None
         self._pth_powers = None
@@ -324,6 +325,7 @@ def enumerate_group(G: FiniteGroup) -> EnumeratedSubgroup:
                 radix.append((f, len(t.elements), stride, t, t.products))
             G._radix = tuple(radix)
             G._table = _Table(E.elements)
+            G._index = G._table.index.__getitem__
     return G._enumeration
 
 
@@ -497,53 +499,53 @@ def order_p_elements(G: FiniteGroup) -> tuple:
 class QuotientGroup(FiniteGroup):
     """G/N with canonical coset representatives.
 
-    Elements are the tuple-order minima of their cosets; ``multiply`` is
-    multiply-then-canonicalize through the stored coset map ``_rep``.  A
-    quotient of an enumerated direct product, or of such a quotient, also
-    multiplies on indices: ``_down`` maps each parent index to its coset's
-    index here and ``_up`` lists the representatives' parent indices, so a
-    product of indices i, j is ``_down[parent product of _up[i], _up[j]]``
-    and no tuple is hashed.  Elsewhere both are None.
+    Elements are the tuple-order minima of their cosets, ``_reps``, in
+    carrier order, so a coset's number is its index here.  ``_down`` maps
+    each parent element to its coset's number: a dict keyed by the parent
+    carrier's own tuples, in carrier order, or, in a quotient of an
+    enumerated direct product or of such a quotient, an array over the
+    parent's indices, with ``_up`` the representatives' parent indices
+    (elsewhere None).  There a product of indices i, j is
+    ``_down[parent product of _up[i], _up[j]]`` and no tuple is hashed.
+    ``_index`` reads a parent element's number either way, and
+    ``multiply``, ``invert`` and ``project`` the representative at it.
     """
 
-    _down = None
-    _up = None
-
-    def __init__(self, parent: FiniteGroup, kernel: EnumeratedSubgroup, rep_map, reps, description=""):
+    def __init__(self, parent: FiniteGroup, kernel: EnumeratedSubgroup, down, reps, up=None):
         self.parent = parent
         self.kernel = kernel
-        self._rep = rep_map
-        gens = [(name, rep_map[g]) for name, g in parent.generators]
-        named = {name: rep_map[g] for name, g in parent.named_elements.items()}
+        self._down = down
+        self._up = up
+        self._reps = reps
+        if up is None:
+            self._index = down.__getitem__
+        else:
+            self._index = lambda g, index=parent._index: down[index(g)]
         self._init_group(
             parent.prime,
-            rep_map[parent.identity],
+            self.project(parent.identity),
             parent.coordinate_moduli,
-            gens,
-            named=named,
-            known_order=len(rep_map) // len(kernel),
-            description=description or f"{parent!r}/N{len(kernel)}",
+            [(name, self.project(g)) for name, g in parent.generators],
+            named={name: self.project(g) for name, g in parent.named_elements.items()},
+            known_order=len(reps),
+            description=f"{parent!r}/N{len(kernel)}",
             carrier=reps,
             max_order=parent.max_order,
         )
 
     def multiply(self, a, b):
-        return self._rep[self.parent.multiply(a, b)]
+        return self._reps[self._index(self.parent.multiply(a, b))]
 
     def invert(self, a):
-        return self._rep[self.parent.invert(a)]
+        return self._reps[self._index(self.parent.invert(a))]
 
     def project(self, g):
         """Canonical representative of the coset of a parent element."""
-        return self._rep[g]
+        return self._reps[self._index(g)]
 
     def _index_product(self, i: int, j: int) -> int:
         up = self._up
         return self._down[self.parent._index_product(up[i], up[j])]
-
-    def _index(self, g) -> int:
-        """Index of a carrier element: its parent index, read down."""
-        return self._down[self.parent._index(g)]
 
 
 def quotient_group(G: FiniteGroup, N: EnumeratedSubgroup) -> QuotientGroup:
@@ -566,12 +568,9 @@ def _quotient(G: FiniteGroup, N: EnumeratedSubgroup) -> QuotientGroup:
     central element.
 
     One ascending scan of G's carrier, on indices wherever ``_arithmetic``
-    gives them, maps the cosets: the first element not yet mapped is its
-    coset's minimum, and its products with N are mapped to it.  On tuples
-    that map is the coset map ``_rep``.  On indices each coset is mapped to
-    its number instead, kept as the quotient's ``_down`` array with the
-    minima's indices as its ``_up`` array, and ``_rep`` is read from them.
-    ``_rep`` is keyed by the carrier's own tuples, in carrier order.
+    gives them, numbers the cosets: the first element not yet numbered is
+    its coset's minimum, and its products with N get the next number.  The
+    numbers and minima are kept as in ``QuotientGroup``.
     """
     E = enumerate_group(G)
     mult, carrier, encode, decode = _arithmetic(G)
@@ -583,18 +582,13 @@ def _quotient(G: FiniteGroup, N: EnumeratedSubgroup) -> QuotientGroup:
     kernel = [encode(n) for n in N.elements]
     for g in carrier:
         if down[g] == -1:
-            coset = len(up) if on_indices else g
+            coset = len(up)
             up.append(g)
             for n in kernel:
                 down[mult(g, n)] = coset
     if len(up) * len(N) != len(E):
         raise InternalInconsistency("coset partition does not cover the group")
-    if not on_indices:
-        return QuotientGroup(G, N, down, up)
-    reps = list(decode(up))
-    Q = QuotientGroup(G, N, dict(zip(E.elements, map(reps.__getitem__, down))), reps)
-    Q._down, Q._up = down, up
-    return Q
+    return QuotientGroup(G, N, down, list(decode(up)), up if on_indices else None)
 
 
 class DirectProductGroup(FiniteGroup):
@@ -674,9 +668,6 @@ class DirectProductGroup(FiniteGroup):
                 x = t.product(f, a, b)
             r += stride * x
         return r
-
-    def _index(self, g) -> int:
-        return self._table.index[g]
 
     def invert(self, a):
         t = self._table

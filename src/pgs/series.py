@@ -1,19 +1,16 @@
 """Central series, nilpotence class, layers, and the order-p spectrum.
 
-The upper central series is computed by recursion on G/Z(G): Z_1 is the
-center, and the higher terms are the preimages of the quotient's own upper
-central series, so each level is the plain quotient of the level above by
-its center; the terms are cached on the group.  The lower central series
+Each group carries one ucs layer labelling (``_layers``), from which its
+upper central series and its spectrum are read.  The lower central series
 works from generators: each term is the normal closure of the commutators
-of the last term's generators with G's.  The spectrum assigns every element of order exactly p (the group's
-cached list) the index of the first upper-central term containing it;
-witnesses are the canonically smallest qualifying elements, so reports are
-reproducible bit for bit.
+of the last term's generators with G's.  Witnesses are the canonically
+smallest qualifying elements, so reports are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .errors import InternalInconsistency, NotInGroup, PreconditionFailed
 from .groups import (
@@ -34,7 +31,7 @@ from .groups import (
 class CentralSeriesChain:
     """Ascending chain of enumerated subgroups from the trivial group to G."""
 
-    group: FiniteGroup
+    group: FiniteGroup = field(compare=False)
     terms: tuple
 
     def __len__(self) -> int:
@@ -48,44 +45,47 @@ class CentralSeriesChain:
     def orders(self) -> tuple:
         return tuple(len(t) for t in self.terms)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CentralSeriesChain):
-            return NotImplemented
-        return [t.as_set for t in self.terms] == [t.as_set for t in other.terms]
 
-
-def upper_central_series(G: FiniteGroup) -> CentralSeriesChain:
-    """Z_0 = 1 < Z_1 < ... < Z_c = G by recursion on G/Z(G) (cached).
-
-    Z_1 is the center, and Z_(i+1)/Z_1 = Z_i(G/Z_1), so the terms between
-    Z_1 and G are the preimages of the proper terms of the quotient's own
-    series, read in one pass over its coset map.  The map's keys are G's
-    carrier tuples in carrier order, so each preimage holds the carrier's
-    own tuples in canonical order.  Forming G/Z_1 costs |G| multiplies, so
-    the level that forms G/Z_(i+1) from G/Z_i costs |G/Z_i|, and no
-    quotient needs a normality scan: each kernel is a center.  A trivial
-    center of a nontrivial group raises InternalInconsistency (the input is
-    not nilpotent).
+def _layers(G: FiniteGroup) -> bytearray:
+    """Each element's ucs layer, the least i with it in Z_i, in carrier
+    order (cached): the one place the ucs is computed.  The identity is in
+    layer 0 and any other g in 1 + layer(gZ) of Q = G/Z(G), read at the
+    coset number ``_quotient`` gives g.  The level forming G/Z_(i+1) from
+    G/Z_i costs |G/Z_i| multiplies and no normality scan (each kernel is a
+    center).  A trivial center of a nontrivial group raises
+    InternalInconsistency: the input is not nilpotent.
     """
-    if G._ucs is None:
+    if G._layers is None:
         E = enumerate_group(G)
         Z = center(G)
-        if len(Z) == len(E):  # abelian; the trivial group has class 0
-            G._ucs = (E,) if len(E) == 1 else (EnumeratedSubgroup([G.identity]), E)
+        if len(Z) == len(E):  # abelian: G/Z is trivial, so it is not formed
+            labels = bytearray(b"\1") * len(E)
         elif len(Z) == 1:
             raise InternalInconsistency(
                 "center stabilized before reaching the whole group; input is not nilpotent"
             )
         else:
             Q = _quotient(G, Z)
-            upper = [term.as_set for term in upper_central_series(Q).terms[1:-1]]
-            preimages = [[] for _ in upper]
-            for g, r in Q._rep.items():
-                for pre, term in zip(preimages, upper):
-                    if r in term:
-                        pre.append(g)
-            middle = (_canonical(tuple(pre)) for pre in preimages)
-            G._ucs = (EnumeratedSubgroup([G.identity]), Z, *middle, E)
+            above = bytes(1 + layer for layer in _layers(Q))
+            down = Q._down  # coset numbers in carrier order: a dict's values, or an array
+            labels = bytearray(map(above.__getitem__, down.values() if isinstance(down, dict) else down))
+        labels[E.elements.index(G.identity)] = 0
+        G._layers = labels
+    return G._layers
+
+
+def upper_central_series(G: FiniteGroup) -> CentralSeriesChain:
+    """Z_0 = 1 < Z_1 < ... < Z_c = G (cached).  Z_i is read from the carrier
+    as the elements labelled at most i, so it holds the carrier's own tuples
+    in canonical order; Z_1 is the cached center and Z_c the carrier."""
+    if G._ucs is None:
+        E = enumerate_group(G)
+        labels = _layers(G)
+        terms = [EnumeratedSubgroup([G.identity]), center(G)]
+        for i in range(2, max(labels)):
+            at_most_i = bytes(layer <= i for layer in range(256))
+            terms.append(_canonical(tuple(compress(E.elements, labels.translate(at_most_i)))))
+        G._ucs = (*terms[: max(labels)], E)  # class 0 gives (G,), class 1 (1, G)
     return CentralSeriesChain(G, G._ucs)  # only the terms are cached: a chain would point back at G
 
 
@@ -154,11 +154,17 @@ class SpectrumReport:
 
 
 def spectrum(G: FiniteGroup) -> SpectrumReport:
-    """Exact scan of all order-p elements, each assigned its ucs layer."""
+    """Exact scan of all order-p elements, the carrier's own tuples in
+    carrier order, so one walk beside the carrier reads each one's ucs
+    label."""
     chain = upper_central_series(G)
+    small = iter(order_p_elements(G))
+    g_p = next(small, None)
     occupied: dict[int, tuple] = {}
-    for g in order_p_elements(G):  # ascending: first hit per layer is the witness
-        occupied.setdefault(layer_index(chain, g), g)
+    for g, layer in zip(enumerate_group(G).elements, _layers(G)):
+        if g == g_p:  # ascending: first hit per layer is the witness
+            occupied.setdefault(layer, g)
+            g_p = next(small, None)
     return SpectrumReport(
         p=G.prime,
         klass=chain.length,

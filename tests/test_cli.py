@@ -10,6 +10,7 @@ import pgs.series
 from pgs.cli import build_parser, main
 from pgs.constructions import SemidirectGroup
 from pgs.groups import DirectProductGroup, SubgroupGroup
+from test_properties import SUITE_FAMILIES
 
 
 @pytest.fixture
@@ -397,6 +398,20 @@ def test_suite_progress_goes_to_stderr(capsys):
     assert lines[0].startswith('question_none_dihedral {"c": 2, "p": 2} ')
     assert lines[0].endswith(" ms (1 passed, 0 failed)")
     assert lines[-1].endswith(" ms (14 passed, 0 failed)")
+
+
+def test_describe_and_upper_series_digest(write_desc, capsys):
+    """`describe --json` and `series --upper --json` stdout on every suite
+    family and on a quotient of a native group (tuple path), pinned as
+    recorded before the ucs was read from one layer labelling."""
+    quotient = {"op": "central_quotient", "group": {"family": "Mc", "p": 3, "c": 4}, "word": "s4"}
+    h = hashlib.sha256()
+    for desc in [*SUITE_FAMILIES, quotient]:
+        path = write_desc(desc)
+        for argv in (["describe", path, "--json"], ["series", path, "--upper", "--json"]):
+            assert main(argv) == 0
+            h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == "125377863d462c814360fae393bb402fbe13831d9b1a3c4e3ce3bc685f4de14d"
 
 
 @pytest.mark.parametrize(

@@ -34,6 +34,7 @@ from pgs.groups import (
     subgroup_closure,
 )
 from pgs.series import nilpotence_class, spectrum, upper_central_series
+from test_properties import reference_quotient
 from test_series import make_s3
 
 
@@ -247,9 +248,24 @@ def test_quotient_map_is_keyed_by_the_carriers_own_tuples(build):
     G = build()
     elements = enumerate_group(G).elements
     Q = _quotient(G, center(G))
-    assert len(Q._rep) == len(elements)
-    assert all(k is g for k, g in zip(Q._rep, elements))
-    assert all(r is Q._rep[r] for r in enumerate_group(Q).elements)
+    reps = enumerate_group(Q).elements
+    own = {id(g) for g in elements}
+    # every parent element projects to a representative, the parent
+    # carrier's own tuple, and each representative to itself
+    assert all(id(Q.project(g)) in own for g in elements)
+    assert all(Q.project(r) is r for r in reps)
+    if Q._up is None:  # on tuples the coset map's keys are the carrier's own tuples
+        assert len(Q._down) == len(elements)
+        assert all(k is g for k, g in zip(Q._down, elements))
+        return
+    # on indices the quotient keeps arrays and no dict over the parent's
+    # carrier, and its tuple arithmetic is the tuple-path quotient's
+    assert len(Q._down) == len(elements)
+    assert not any(isinstance(v, dict) and len(v) >= len(elements) for v in vars(Q).values())
+    R = reference_quotient(G, center(G))
+    assert all(Q.project(g) is R.project(g) for g in elements)
+    assert all(Q.multiply(a, b) is R.multiply(a, b) for a in reps for b in reps)
+    assert all(Q.invert(a) is R.invert(a) for a in reps)
 
 
 def test_quotient_projection_is_homomorphism():

@@ -65,7 +65,10 @@ from pgs.groups import (
 )
 from pgs.series import (
     CentralSeriesChain,
+    SpectrumReport,
+    _layers,
     is_central_series,
+    layer_index,
     lower_central_series,
     satisfies_ucs_characterization,
     spectrum,
@@ -127,6 +130,26 @@ def reference_ucs(G):
         terms.append(frozenset(g for g in elems if all(commutator(G, g, x) in below for x in gens)))
         assert len(terms[-1]) > len(below)
     return terms
+
+
+def reference_spectrum(G):
+    """The spectrum by ``layer_index`` on each order-p element, over the
+    terms of ``reference_ucs``: the scan before the layer labelling."""
+    chain = CentralSeriesChain(G, tuple(map(EnumeratedSubgroup, reference_ucs(G))))
+    occupied = {}
+    for g in order_p_elements(G):  # ascending: first hit per layer is the witness
+        occupied.setdefault(layer_index(chain, g), g)
+    return SpectrumReport(G.prime, chain.length, tuple(sorted(occupied)), occupied, chain.orders())
+
+
+def check_layers(G):
+    """Each element's label is its layer in ``reference_ucs``, and the
+    spectrum read from the labels is ``reference_spectrum``."""
+    terms = reference_ucs(G)
+    assert list(_layers(G)) == [
+        next(i for i, t in enumerate(terms) if g in t) for g in enumerate_group(G).elements
+    ]
+    assert spectrum(G).as_dict() == reference_spectrum(G).as_dict()
 
 
 def reference_center(G):
@@ -234,18 +257,19 @@ def reference_multiply(G, a, b):
 
 def reference_quotient(G, N):
     """G/N by the coset scan on tuples, multiplying by ``reference_multiply``:
-    the quotient before index space.  It carries no index arrays."""
+    the quotient before index space.  Its cosets are numbered in a dict
+    keyed by G's carrier tuples, and it carries no index arrays."""
     E = enumerate_group(G)
-    rep_map = dict.fromkeys(E.elements)
+    down = dict.fromkeys(E.elements)
     reps = []
     for g in E.elements:
-        if rep_map[g] is not None:
+        if down[g] is not None:
             continue
-        reps.append(g)
         for n in N.elements:
-            rep_map[reference_multiply(G, g, n)] = g
+            down[reference_multiply(G, g, n)] = len(reps)
+        reps.append(g)
     assert len(reps) * len(N) == len(E)
-    return QuotientGroup(G, N, rep_map, reps)
+    return QuotientGroup(G, N, down, reps)
 
 
 def reference_tuple_center(G):
@@ -289,19 +313,22 @@ def check_index_paths(G, T=None):
     tuple path on its twin T gives exactly what G's index path gives.
 
     T is G itself for a product, else ``reference_quotient`` of G's parent
-    (a product) by G's kernel, with G's representatives and coset map as
-    the same objects.  G's center, order-p elements, p-th powers and ucs
-    terms equal the tuple path's on T, as the carrier's own tuples; the ucs
-    terms above the center are the preimages of G/Z(G)'s, checked the same
-    way against ``reference_quotient(T, Z)``.  Returns the ucs terms.
+    (a product) by G's kernel, with G's representatives, coset numbers and
+    projections of the parent's elements the same.  G's center, order-p
+    elements, p-th powers and ucs terms equal the tuple path's on T, as the
+    carrier's own tuples; the ucs terms above the center are the preimages
+    of G/Z(G)'s, checked the same way against ``reference_quotient(T, Z)``.
+    Returns the ucs terms.
     """
     if T is None:
         T = G if isinstance(G, DirectProductGroup) else reference_quotient(G.parent, G.kernel)
     E = enumerate_group(G)
     if T is not G:
         assert G._up is not None and T._up is None
+        parent = enumerate_group(G.parent).elements
         assert same_objects(E.elements, enumerate_group(T).elements)
-        assert same_objects(G._rep, T._rep) and same_objects(G._rep.values(), T._rep.values())
+        assert list(G._down) == list(T._down.values())
+        assert same_objects(map(G.project, parent), map(T.project, parent))
     own = {id(g) for g in E.elements}
     Z = center(G)
     assert same_objects(Z.elements, reference_tuple_center(T))
@@ -313,7 +340,7 @@ def check_index_paths(G, T=None):
     else:
         R = reference_quotient(T, Z)
         upper = check_index_paths(_quotient(G, Z), R)
-        preimages = [tuple(g for g, r in R._rep.items() if r in set(t)) for t in upper[1:-1]]
+        preimages = [tuple(g for g in E.elements if R.project(g) in t) for t in map(set, upper[1:-1])]
         expected = [(G.identity,), Z.elements, *preimages, E.elements]
     terms = upper_central_series(G).terms
     assert [t.elements for t in terms] == expected
@@ -580,6 +607,32 @@ def test_deep_ucs_matches_reference():
     # quotient is formed from the one before
     G = build_from_description({"family": "Mc", "p": 3, "c": 7})
     assert [t.as_set for t in upper_central_series(G).terms] == reference_ucs(G)
+    check_layers(G)
+
+
+# a quotient of a native group, so it and its ucs quotients number their
+# cosets on tuples
+TUPLE_QUOTIENT = {"op": "central_quotient", "group": {"family": "Mc", "p": 3, "c": 4}, "word": "s4"}
+
+
+@pytest.mark.parametrize(
+    "desc", SUITE_FAMILIES + [TUPLE_QUOTIENT], ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items())
+)
+def test_suite_families_layers(desc):
+    G = build_from_description(desc)
+    assert desc is not TUPLE_QUOTIENT or G._up is None
+    check_layers(G)
+
+
+@settings(max_examples=30)
+@given(recipes)
+def test_recipes_layers(desc):
+    """A recipe's labels, and for a quotient of a product (on indices) also
+    those of its twin on tuples, ``reference_quotient``."""
+    G = build_from_description(desc)
+    check_layers(G)
+    if isinstance(G, QuotientGroup):
+        check_layers(reference_quotient(G.parent, G.kernel))
 
 
 def reference_sublemma(Q, chains, g):
@@ -833,8 +886,9 @@ def factor_pairs(draw):
 @settings(max_examples=20)
 @given(factor_pairs())
 def test_product_layers_multiply(pair):
-    """|Z_i(G x H)| = |Z_i(G)| * |Z_i(H)|, each series held at its top, and
-    the spectrum does not depend on the order of the factors."""
+    """|Z_i(G x H)| = |Z_i(G)| * |Z_i(H)|, each series held at its top, the
+    layer of (g, h) is the larger of g's and h's, and the spectrum does not
+    depend on the order of the factors."""
     G, H = (build_from_description(d) for d in pair)
     GH = direct_product([G, H])
     zg, zh = upper_central_series(G).orders(), upper_central_series(H).orders()
@@ -842,6 +896,8 @@ def test_product_layers_multiply(pair):
     assert len(zp) == max(len(zg), len(zh))
     for i, order in enumerate(zp):
         assert order == zg[min(i, len(zg) - 1)] * zh[min(i, len(zh) - 1)]
+    # elementwise: the product's carrier is G's times H's, in that order
+    assert list(_layers(GH)) == [max(a, b) for a in _layers(G) for b in _layers(H)]
     straight, swapped = spectrum(GH), spectrum(direct_product([H, G]))
     assert (swapped.spectrum, swapped.klass, swapped.layer_orders) == (
         straight.spectrum,
