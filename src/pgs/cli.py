@@ -65,6 +65,8 @@ def _load_description(path: str):
         raise ParseError(f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}")
     except ValueError as exc:  # e.g. an integer literal above the digit limit
         raise ParseError(f"unreadable description in {path}: {exc}")
+    except RecursionError:
+        raise ParseError(f"description in {path} is nested too deeply to read")
 
 
 def _emit(obj, as_json: bool, text_lines) -> None:

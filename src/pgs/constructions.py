@@ -38,7 +38,6 @@ from .groups import (
     SubgroupGroup,
     _check_order,
     _coordinate_box,
-    _quotient,
     commutator,
     direct_product,
     element_order,
@@ -469,7 +468,7 @@ def central_quotient(G: FiniteGroup, z) -> QuotientGroup:
             raise NotCentral(f"{z} is not central in {G!r}")
     if element_order(G, z) != G.prime:
         raise WrongOrder(f"{z} does not have order {G.prime}")
-    return _quotient(G, subgroup_closure(G, [z]))  # <z> is normal: z is central
+    return QuotientGroup(G, subgroup_closure(G, [z]))  # <z> is normal: z is central
 
 
 def make_second_example(
@@ -595,10 +594,19 @@ _FAMILIES = {
 
 _TERM_RE = re.compile(r"((?:f\d+\.)*[a-z][a-zA-Z0-9_]*)(?:\^(-?\d+))?\Z")
 
+_MAX_DEPTH = 100  # deeper descriptions are refused: each level recurses in the build
+
 
 def parse_description(obj) -> GroupDescription:
+    return _parse(obj, 1)
+
+
+def _parse(obj, depth: int) -> GroupDescription:
+    """The description ``obj`` at nesting level ``depth`` (1 at the top)."""
     if isinstance(obj, GroupDescription):
         return obj
+    if depth > _MAX_DEPTH:
+        raise ParseError(f"description is nested more than {_MAX_DEPTH} levels deep")
     if not isinstance(obj, dict):
         raise ParseError(f"description must be an object, got {type(obj).__name__}")
     if "family" in obj:
@@ -608,13 +616,16 @@ def parse_description(obj) -> GroupDescription:
                 if key not in obj:
                     raise ParseError(f"partb is missing parameter {key!r}")
             cs = obj["cs"]
-            if not isinstance(cs, list) or not all(isinstance(x, int) for x in cs):
+            if not isinstance(cs, list) or not all(isinstance(x, int) and not isinstance(x, bool) for x in cs):
                 raise ParseError("partb parameter 'cs' must be a list of integers")
+            indecomposable = obj.get("indecomposable", False)
+            if not isinstance(indecomposable, bool):
+                raise ParseError("partb parameter 'indecomposable' must be true or false")
             params = {
                 "p": _int_param(obj, "p"),
                 "cs": tuple(cs),
                 "c": _int_param(obj, "c"),
-                "indecomposable": bool(obj.get("indecomposable", False)),
+                "indecomposable": indecomposable,
             }
             return GroupDescription("partb", params)
         if fam not in _FAMILIES:
@@ -625,7 +636,7 @@ def parse_description(obj) -> GroupDescription:
         factors = obj.get("factors")
         if not isinstance(factors, list) or not factors:
             raise ParseError("product requires a nonempty 'factors' list")
-        return GroupDescription("product", factors=tuple(parse_description(f) for f in factors))
+        return GroupDescription("product", factors=tuple(_parse(f, depth + 1) for f in factors))
     if obj.get("op") == "central_quotient":
         if "group" not in obj or "word" not in obj:
             raise ParseError("central_quotient requires 'group' and 'word'")
@@ -633,7 +644,7 @@ def parse_description(obj) -> GroupDescription:
         if not isinstance(word, str):
             raise ParseError("'word' must be a string")
         return GroupDescription(
-            "central_quotient", inner=parse_description(obj["group"]), word=word
+            "central_quotient", inner=_parse(obj["group"], depth + 1), word=word
         )
     raise ParseError("description must have a 'family' or a recognized 'op'")
 

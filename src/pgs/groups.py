@@ -6,12 +6,12 @@ derived groups (products, quotients, enumerated subgroups) reuse the parent
 coordinates, which keeps canonical coset representatives and witness
 selection deterministic across runs.
 
-A group's carrier is built by definition wherever it has one: a native
-family's (``SemidirectGroup``, ``LieBCHGroup``) is its coordinate box,
-every tuple below its moduli, and a direct product's is the Cartesian
-product of its factors' carriers, both with no multiply; a quotient is
-given its coset minima when it is formed.  Only a ``SubgroupGroup`` is
-closed from its generators.
+Each group class is built one way, and knows its order before its
+``_carrier`` builds it: a native family's (``SemidirectGroup``,
+``LieBCHGroup``) is its coordinate box, every tuple below its moduli, and a
+direct product's the Cartesian product of its factors' carriers, both with
+no multiply; a quotient's is the coset minima its scan found.  Only a
+``SubgroupGroup`` is closed from its generators.
 
 Everything here is exhaustive and exact: closures are incremental
 (Dimino's algorithm: about |H|·log_p|H| multiplies, however many seeds they
@@ -36,15 +36,14 @@ product and inverse indices, the n x n products only up to
 ``multiply`` and ``invert`` work on indices: an element's index splits in
 mixed radix into its factors' indices, and each factor's product is read
 from that factor's table, computed by the factor's own ``multiply`` the
-first time it is needed.  A quotient of an enumerated product, or of such
-a quotient, multiplies on indices too, through two arrays and no table:
-each parent index's coset number and each coset minimum's parent index.
-The center, the order-p scan and the quotient scan run on indices for
-both (``_arithmetic`` makes that choice) and decode through the carrier,
-so no tuple is hashed in their loops and the caches hold the carrier's own
-tuples.  Index order is tuple order, so coset minima and witnesses do not
-depend on the path.  ``direct_factor_search`` reads the same tables, and
-in a p-group it never queues a normal subgroup that contains the center.
+first time it is needed.  A quotient multiplies its coset numbers with no
+table, through the parent's scan arithmetic.  So products and all
+quotients scan on indices, native groups and ``SubgroupGroup``s on tuples
+(``_arithmetic`` makes that choice).  The center, the order-p scan and the
+quotient scan decode through the carrier, so the caches hold the carrier's
+own tuples.  Index order is tuple order, so coset minima and witnesses do
+not depend on the path.  ``direct_factor_search`` reads the same tables,
+and in a p-group it never queues a normal subgroup that contains the center.
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ class FiniteGroup:
     """
 
     def _init_group(
-        self, prime, identity, moduli, generators, named=None, known_order=None, description="", carrier=None,
+        self, prime, identity, moduli, generators, named=None, *, known_order, description="",
         max_order=DEFAULT_MAX_ORDER,
     ):
         self.prime = prime
@@ -109,7 +108,7 @@ class FiniteGroup:
         self.known_order = known_order
         self.max_order = max_order
         self.description = description
-        self._enumeration = None if carrier is None else EnumeratedSubgroup(carrier)
+        self._enumeration = None
         self._center = None
         self._layers = None
         self._ucs = None
@@ -297,35 +296,23 @@ def _concatenations(parts) -> list:
 def enumerate_group(G: FiniteGroup) -> EnumeratedSubgroup:
     """Full carrier of G, cached on the group: ``G._carrier()``.
 
-    A native family's carrier is its coordinate box and a direct product's
-    the Cartesian product of its factors' carriers, both by definition and
-    with no multiply; only a ``SubgroupGroup`` is closed from its
-    generators, and a quotient is given its carrier when it is formed.  An
-    order above ``G.max_order`` raises ResourceLimit before the carrier is
-    built: a known order before anything is enumerated, a product of
-    unknown order once its factors' orders are known.  Once a product's
-    carrier is stored, the product gets its index table and its factors'
-    (no entry filled yet), and it multiplies on indices from then on.
+    A native family's carrier is its coordinate box, a direct product's the
+    Cartesian product of its factors' carriers and a quotient's the coset
+    minima its scan found, none of them by a further multiply; only a
+    ``SubgroupGroup`` is closed from its generators.  Every group knows its
+    order, so one above ``G.max_order`` raises ResourceLimit before
+    anything is enumerated, and a carrier of any other size raises
+    InternalInconsistency.
     """
     if G._enumeration is None:
-        if G.known_order is not None and G.known_order > G.max_order:
+        if G.known_order > G.max_order:
             raise ResourceLimit(f"{G!r} has more than {G.max_order} elements")
         E = G._carrier()
-        if G.known_order is not None and len(E) != G.known_order:
+        if len(E) != G.known_order:
             raise InternalInconsistency(
                 f"{G!r}: enumerated {len(E)} elements, expected {G.known_order}"
             )
         G._enumeration = E
-        if isinstance(G, DirectProductGroup):
-            radix = []
-            stride = len(E)
-            for f in G.factors:
-                t = _index_table(f)
-                stride //= len(t.elements)
-                radix.append((f, len(t.elements), stride, t, t.products))
-            G._radix = tuple(radix)
-            G._table = _Table(E.elements)
-            G._index = G._table.index.__getitem__
     return G._enumeration
 
 
@@ -404,18 +391,17 @@ def _arithmetic(G: FiniteGroup) -> tuple:
     """How G's scans multiply, ``(mult, carrier, encode, decode)``: the one
     place where indices or tuples are chosen.
 
-    An enumerated direct product, and a quotient formed from one (or from
-    such a quotient), multiply on indices: ``mult`` is G's
-    ``_index_product``, the carrier range(|G|), ``encode`` maps an element
-    to its index and ``decode`` maps a collection of indices to the
+    A direct product and every quotient multiply on indices: ``mult`` is
+    G's ``_index_product``, the carrier range(|G|), ``encode`` maps an
+    element to its index and ``decode`` maps a collection of indices to the
     carrier's own tuples.  Index order is tuple order, so a scan meets the
-    elements in the same order either way.  Any other group multiplies its
-    canonical carrier's tuples by ``G.multiply``, and both maps return what
-    they are given (a set stays a set, which ``frozenset`` copies at its
-    size).
+    elements in the same order either way.  A native group or a
+    ``SubgroupGroup`` multiplies its canonical carrier's tuples by
+    ``G.multiply``, and both maps return what they are given (a set stays a
+    set, which ``frozenset`` copies at its size).
     """
     E = enumerate_group(G)
-    if isinstance(G, DirectProductGroup) or isinstance(G, QuotientGroup) and G._up is not None:
+    if isinstance(G, (DirectProductGroup, QuotientGroup)):
         return G._index_product, range(len(E)), G._index, partial(map, E.elements.__getitem__)
     return G.multiply, E.elements, _same, _same
 
@@ -423,14 +409,14 @@ def _arithmetic(G: FiniteGroup) -> tuple:
 def center(G: FiniteGroup) -> EnumeratedSubgroup:
     """Center, as the centralizer of the generators, by ``_sieve_center``
     (cached), on indices wherever ``_arithmetic`` gives them and decoded at
-    the end.  A product's center is sieved on whole product elements, never
-    read off the factors.
+    the end, in the carrier order the sieve returns.  A product's center is
+    sieved on whole product elements, never read off the factors.
     """
     if G._center is None:
         mult, carrier, encode, decode = _arithmetic(G)
         gens = [encode(g) for _, g in G.generators]
         found = _sieve_center(mult, carrier, encode(G.identity), gens, G.max_order)
-        G._center = EnumeratedSubgroup(decode(found))
+        G._center = _canonical(tuple(decode(found)))
     return G._center
 
 
@@ -497,39 +483,58 @@ def order_p_elements(G: FiniteGroup) -> tuple:
 
 
 class QuotientGroup(FiniteGroup):
-    """G/N with canonical coset representatives.
+    """G/N with canonical coset representatives, for a subgroup N of G that
+    is normal by construction (unchecked; ``quotient_group`` checks it): the
+    center of G, as in the upper central series, or the span of a central
+    element.
 
-    Elements are the tuple-order minima of their cosets, ``_reps``, in
-    carrier order, so a coset's number is its index here.  ``_down`` maps
-    each parent element to its coset's number: a dict keyed by the parent
-    carrier's own tuples, in carrier order, or, in a quotient of an
-    enumerated direct product or of such a quotient, an array over the
-    parent's indices, with ``_up`` the representatives' parent indices
-    (elsewhere None).  There a product of indices i, j is
-    ``_down[parent product of _up[i], _up[j]]`` and no tuple is hashed.
-    ``_index`` reads a parent element's number either way, and
-    ``multiply``, ``invert`` and ``project`` the representative at it.
+    One ascending scan of G's carrier, on G's ``_arithmetic``, numbers the
+    cosets: the first element not yet numbered is its coset's minimum, and
+    its products with N get the next number.  ``_down`` maps each element
+    of G, as G's scan sees it, to its coset's number, and ``_up`` lists the
+    minima the same way.  When G is a product or a quotient both are arrays
+    over G's indices; when G is a native group or a ``SubgroupGroup``,
+    ``_down`` is a dict keyed by G's own carrier tuples, in carrier order,
+    and ``_up`` lists the minima themselves.  The elements, ``_reps``, are
+    the minima as G's tuples, in carrier order, so a coset's number is its
+    index here.  The product of cosets i and j is
+    ``_down[mult(_up[i], _up[j])]`` with G's scan multiply, and ``_index``
+    reads the number of an element g of G as ``_down[encode(g)]``;
+    ``multiply``, ``invert`` and ``project`` return the representative at
+    it.
     """
 
-    def __init__(self, parent: FiniteGroup, kernel: EnumeratedSubgroup, down, reps, up=None):
+    def __init__(self, parent: FiniteGroup, kernel: EnumeratedSubgroup):
+        E = enumerate_group(parent)
+        mult, carrier, encode, decode = _arithmetic(parent)
+        if isinstance(carrier, range):  # arrays, so that no element or coset holds an int object
+            down, up = array("i", [-1]) * len(E), array("i")
+        else:
+            down, up = dict.fromkeys(E.elements, -1), []
+        encoded = [encode(n) for n in kernel.elements]
+        for g in carrier:
+            if down[g] == -1:
+                coset = len(up)
+                up.append(g)
+                for n in encoded:
+                    down[mult(g, n)] = coset
+        if len(up) * len(kernel) != len(E):
+            raise InternalInconsistency("coset partition does not cover the group")
         self.parent = parent
         self.kernel = kernel
         self._down = down
         self._up = up
-        self._reps = reps
-        if up is None:
-            self._index = down.__getitem__
-        else:
-            self._index = lambda g, index=parent._index: down[index(g)]
+        self._mult = mult
+        self._index = lambda g: down[encode(g)]
+        self._reps = tuple(decode(up))
         self._init_group(
             parent.prime,
             self.project(parent.identity),
             parent.coordinate_moduli,
             [(name, self.project(g)) for name, g in parent.generators],
             named={name: self.project(g) for name, g in parent.named_elements.items()},
-            known_order=len(reps),
+            known_order=len(up),
             description=f"{parent!r}/N{len(kernel)}",
-            carrier=reps,
             max_order=parent.max_order,
         )
 
@@ -543,9 +548,12 @@ class QuotientGroup(FiniteGroup):
         """Canonical representative of the coset of a parent element."""
         return self._reps[self._index(g)]
 
+    def _carrier(self) -> EnumeratedSubgroup:
+        return _canonical(self._reps)
+
     def _index_product(self, i: int, j: int) -> int:
         up = self._up
-        return self._down[self.parent._index_product(up[i], up[j])]
+        return self._down[self._mult(up[i], up[j])]
 
 
 def quotient_group(G: FiniteGroup, N: EnumeratedSubgroup) -> QuotientGroup:
@@ -559,36 +567,7 @@ def quotient_group(G: FiniteGroup, N: EnumeratedSubgroup) -> QuotientGroup:
         for n in N.as_set:
             if G.conjugate(n, g) not in N:
                 raise NotNormal("subgroup is not normal")
-    return _quotient(G, N)
-
-
-def _quotient(G: FiniteGroup, N: EnumeratedSubgroup) -> QuotientGroup:
-    """G/N for a subgroup N of G that is normal by construction (unchecked):
-    the center of G, as in the upper central series, or the span of a
-    central element.
-
-    One ascending scan of G's carrier, on indices wherever ``_arithmetic``
-    gives them, numbers the cosets: the first element not yet numbered is
-    its coset's minimum, and its products with N get the next number.  The
-    numbers and minima are kept as in ``QuotientGroup``.
-    """
-    E = enumerate_group(G)
-    mult, carrier, encode, decode = _arithmetic(G)
-    on_indices = isinstance(carrier, range)
-    if on_indices:  # arrays, so that no element or coset holds an int object
-        down, up = array("i", [-1]) * len(E), array("i")
-    else:
-        down, up = dict.fromkeys(E.elements, -1), []
-    kernel = [encode(n) for n in N.elements]
-    for g in carrier:
-        if down[g] == -1:
-            coset = len(up)
-            up.append(g)
-            for n in kernel:
-                down[mult(g, n)] = coset
-    if len(up) * len(N) != len(E):
-        raise InternalInconsistency("coset partition does not cover the group")
-    return QuotientGroup(G, N, down, list(decode(up)), up if on_indices else None)
+    return QuotientGroup(G, N)
 
 
 class DirectProductGroup(FiniteGroup):
@@ -619,19 +598,13 @@ class DirectProductGroup(FiniteGroup):
                 gens.append((f"f{i}.{name}", self.embed(i, g)))
             for name, g in f.named_elements.items():
                 named[f"f{i}.{name}"] = self.embed(i, g)
-        order = 1
-        for f in factors:
-            if f.known_order is None:
-                order = None
-                break
-            order *= f.known_order
         self._init_group(
             p,
             identity,
             moduli,
             gens,
             named=named,
-            known_order=order,
+            known_order=prod(f.known_order for f in factors),
             description=description or " x ".join(repr(f) for f in factors),
             max_order=min(f.max_order for f in factors),
         )
@@ -647,11 +620,19 @@ class DirectProductGroup(FiniteGroup):
 
     def _carrier(self) -> EnumeratedSubgroup:
         """The Cartesian product of the factors' carriers (canonical, as
-        they are), refused above ``max_order`` once their orders are known."""
-        parts = [enumerate_group(f).elements for f in self.factors]
-        if prod(map(len, parts)) > self.max_order:
-            raise ResourceLimit(f"{self!r} has more than {self.max_order} elements")
-        return _canonical(tuple(_concatenations(parts)))
+        they are).  The product gets its index table and its factors' (no
+        entry filled yet) with it, and multiplies on indices from then on."""
+        tables = [_index_table(f) for f in self.factors]
+        E = _canonical(tuple(_concatenations([t.elements for t in tables])))
+        radix = []
+        stride = len(E)
+        for f, t in zip(self.factors, tables):
+            stride //= len(t.elements)
+            radix.append((f, len(t.elements), stride, t, t.products))
+        self._radix = tuple(radix)
+        self._table = _Table(E.elements)
+        self._index = self._table.index.__getitem__
+        return E
 
     def _index_product(self, i: int, j: int) -> int:
         """Index of the product of the elements at indices i and j, once

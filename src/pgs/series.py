@@ -16,9 +16,9 @@ from .errors import InternalInconsistency, NotInGroup, PreconditionFailed
 from .groups import (
     EnumeratedSubgroup,
     FiniteGroup,
+    QuotientGroup,
     _canonical,
     _close,
-    _quotient,
     center,
     commutator,
     enumerate_group,
@@ -50,7 +50,7 @@ def _layers(G: FiniteGroup) -> bytearray:
     """Each element's ucs layer, the least i with it in Z_i, in carrier
     order (cached): the one place the ucs is computed.  The identity is in
     layer 0 and any other g in 1 + layer(gZ) of Q = G/Z(G), read at the
-    coset number ``_quotient`` gives g.  The level forming G/Z_(i+1) from
+    coset number ``QuotientGroup`` gives g.  The level forming G/Z_(i+1) from
     G/Z_i costs |G/Z_i| multiplies and no normality scan (each kernel is a
     center).  A trivial center of a nontrivial group raises
     InternalInconsistency: the input is not nilpotent.
@@ -65,7 +65,7 @@ def _layers(G: FiniteGroup) -> bytearray:
                 "center stabilized before reaching the whole group; input is not nilpotent"
             )
         else:
-            Q = _quotient(G, Z)
+            Q = QuotientGroup(G, Z)
             above = bytes(1 + layer for layer in _layers(Q))
             down = Q._down  # coset numbers in carrier order: a dict's values, or an array
             labels = bytearray(map(above.__getitem__, down.values() if isinstance(down, dict) else down))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 
@@ -32,7 +33,7 @@ from .groups import (
     DEFAULT_MAX_ORDER,
     EnumeratedSubgroup,
     FiniteGroup,
-    _quotient,
+    QuotientGroup,
     center,
     commutator,
     direct_factor_search,
@@ -46,6 +47,7 @@ from .groups import (
 )
 from .series import (
     CentralSeriesChain,
+    _layers,
     is_central_series,
     layer_index,
     lower_central_series,
@@ -154,7 +156,7 @@ def verify_regularity_power(G: FiniteGroup, seed: int = DEFAULT_SEED) -> dict:
     identity = G.identity
     exhaustive = len(small) * len(elems) <= _EXHAUSTIVE_PAIRS
     if exhaustive:
-        reps = enumerate_group(_quotient(G, center(G))).elements  # the center is normal
+        reps = enumerate_group(QuotientGroup(G, center(G))).elements  # the center is normal
         pairs = ((x, y) for x in small for y in reps)
         checked = len(small) * len(elems)
     else:
@@ -225,14 +227,13 @@ def verify_prop_same(Q: FiniteGroup, seed: int = DEFAULT_SEED) -> dict:
                 "product_class": g_spec.klass,
             },
         )
-    chains = tuple(upper_central_series(H) for H in (Q, G1, G2))
     elems = enumerate_group(P).elements
     if len(elems) <= 729 * p:
         tested = elems
     else:
         rng = random.Random(seed)
         tested = [elems[rng.randrange(len(elems))] for _ in range(_SAMPLE_ELEMENTS)]
-    sublemma = all(_sublemma_holds(Q, chains, g) for g in tested)
+    sublemma = all(_sublemma_holds(Q, g) for g in tested)
     passed = (
         q_spec.klass == g_spec.klass
         and q_spec.spectrum == g_spec.spectrum
@@ -248,16 +249,18 @@ def verify_prop_same(Q: FiniteGroup, seed: int = DEFAULT_SEED) -> dict:
     }
 
 
-def _sublemma_holds(Q: FiniteGroup, chains, g) -> bool:
+def _sublemma_holds(Q: FiniteGroup, g) -> bool:
     """The image in Q of g, an element of P, lies in Z_n(Q) for exactly the
     n >= 1 with both coordinates of g in Z_n: the terms ascend, so that is
-    one equation of layers, each raised to at least 1.  ``chains`` are the
-    upper central series of Q and of P's two factors."""
-    chain_q, chain_1, chain_2 = chains
+    one equation of layers, each raised to at least 1."""
     P = Q.parent
-    return max(layer_index(chain_q, Q.project(g)), 1) == max(
-        layer_index(chain_1, P.project(0, g)), layer_index(chain_2, P.project(1, g)), 1
-    )
+    G1, G2 = P.factors
+    return max(_layer(Q, Q.project(g)), 1) == max(_layer(G1, P.project(0, g)), _layer(G2, P.project(1, g)), 1)
+
+
+def _layer(G: FiniteGroup, g) -> int:
+    """g's ucs layer in G: G's labelling at g's position in the carrier."""
+    return _layers(G)[bisect_left(enumerate_group(G).elements, g)]
 
 
 def verify_lemma_fact(p: int, c: int, max_order: int = DEFAULT_MAX_ORDER) -> dict:
@@ -735,17 +738,10 @@ def _suite_checks(max_order, decompose_bound, seed, random_count):
 
     def t_dc_lcs_layers():
         G = make_Dc(3, 3, max_order)
-        rev = lower_central_series(G)
-        desc = tuple(reversed(rev.terms))  # gamma_1 .. gamma_(c+1)
-        layers = set()
-        for g in order_p_elements(G):
-            for i, term in enumerate(desc):
-                if g not in term.as_set:
-                    continue
-                if i + 1 >= len(desc) or g not in desc[i + 1].as_set:
-                    layers.add(i + 1)
-                    break
-        ok = layers == {1, len(desc) - 1}
+        rev = lower_central_series(G)  # ascending: gamma_(c+1) = 1 .. gamma_1 = G
+        # g's lcs layer, the largest k with g in gamma_k
+        layers = {len(rev.terms) - layer_index(rev, g) for g in order_p_elements(G)}
+        ok = layers == {1, len(rev.terms) - 1}
         return ok, None, {"occupied_lcs_layers": sorted(layers)}
 
     add("dc_lcs_layers", {"p": 3, "c": 3}, t_dc_lcs_layers)

@@ -4,7 +4,6 @@ import time
 
 import pytest
 
-import pgs.constructions
 import pgs.groups
 import pgs.series
 from pgs.cli import build_parser, main
@@ -247,6 +246,43 @@ def test_overlong_integers_exit_2(tmp_path, write_desc, capsys):
     assert "unreadable description" in err and "too many digits" in err
 
 
+def test_partb_flags_must_be_json_booleans(write_desc, capsys):
+    base = {"family": "partb", "p": 2, "cs": [2], "c": 3}
+    # a string is not a flag: "false" would otherwise build the indecomposable group
+    assert main(["describe", write_desc(dict(base, indecomposable="false"))]) == 2
+    assert "'indecomposable' must be true or false" in capsys.readouterr().err
+    # nor is a boolean an integer in 'cs'
+    assert main(["describe", write_desc(dict(base, cs=[True]))]) == 2
+    assert "'cs' must be a list of integers" in capsys.readouterr().err
+    # absent means false
+    assert main(["describe", write_desc(base), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["description"] == "partb_dec(2,[2],3)"
+    assert main(["describe", write_desc(dict(base, indecomposable=True)), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["description"] == "partb_indec(2,[2],3)"
+
+
+def test_deeply_nested_descriptions_exit_2(tmp_path, write_desc, capsys):
+    leaf = {"family": "cyclic", "p": 3, "e": 1}
+
+    def nested(levels):
+        desc = leaf
+        for _ in range(levels - 1):
+            desc = {"op": "product", "factors": [desc]}
+        return desc
+
+    assert main(["describe", write_desc(nested(100))]) == 0
+    capsys.readouterr()
+    # refused by the parser, before the build or the enumeration recurses
+    for levels in (101, 400):
+        assert main(["describe", write_desc(nested(levels))]) == 2
+        assert "nested more than 100 levels deep" in capsys.readouterr().err
+    # too deep for the JSON decoder itself
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"op": "product", "factors": [' * 2999 + json.dumps(leaf) + "]}" * 2999, encoding="utf-8")
+    assert main(["describe", str(deep)]) == 2
+    assert "nested too deeply to read" in capsys.readouterr().err
+
+
 def test_prop_same_word_shape_exits_2(write_desc, capsys):
     swapped = dict(K_DESC, word="f1.d^3*f0.x^3")
     assert main(["verify", write_desc(swapped), "--check", "prop_same"]) == 2
@@ -256,13 +292,13 @@ def test_prop_same_word_shape_exits_2(write_desc, capsys):
 def test_verify_builds_the_ucs_once(write_desc, capsys, monkeypatch):
     # on a class-2 group each ucs build forms exactly one quotient, G/Z_1
     quotients = []
-    real = pgs.series._quotient
+    real = pgs.series.QuotientGroup
 
     def counting(G, N):
         quotients.append(len(N))
         return real(G, N)
 
-    monkeypatch.setattr(pgs.series, "_quotient", counting)
+    monkeypatch.setattr(pgs.series, "QuotientGroup", counting)
     code = main(["verify", write_desc({"family": "Mc", "p": 3, "c": 2}), "--json"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and len(out["records"]) >= 4
@@ -305,7 +341,7 @@ def test_verify_closes_the_product_once(write_desc, capsys, monkeypatch, desc, p
 
 
 def test_over_bound_product_exits_3_before_multiplying(write_desc, capsys, monkeypatch):
-    calls = []
+    calls, built = [], []
     real = SemidirectGroup.multiply
 
     def counting(self, a, b):
@@ -313,39 +349,17 @@ def test_over_bound_product_exits_3_before_multiplying(write_desc, capsys, monke
         return real(self, a, b)
 
     monkeypatch.setattr(SemidirectGroup, "multiply", counting)
+    real_concatenations = pgs.groups._concatenations
+    monkeypatch.setattr(pgs.groups, "_concatenations", lambda parts: built.append(1) or real_concatenations(parts))
     dc = {"family": "Dc", "p": 3, "c": 5}  # 3^10 elements each, 3^20 together
     assert main(["describe", write_desc({"op": "product", "factors": [dc, dc]}), "--max-order", "200000"]) == 3
     assert "more than 200000 elements" in capsys.readouterr().err
-    assert calls == []
-    # the counter does see the multiplications of a group within the bound
-    assert main(["describe", write_desc({"family": "Dc", "p": 3, "c": 2})]) == 0
-    assert calls
-    assert calls
-
-
-def test_over_bound_product_of_unknown_order_exits_3_before_building(write_desc, capsys, monkeypatch):
-    real_make_Dc = pgs.constructions.make_Dc
-
-    def order_unknown(*args):
-        G = real_make_Dc(*args)
-        G.known_order = None
-        return G
-
-    calls, built = [], []
-    real = DirectProductGroup.multiply
-
-    def counting(self, a, b):
-        calls.append(1)
-        return real(self, a, b)
-
-    monkeypatch.setattr(pgs.constructions, "make_Dc", order_unknown)
-    monkeypatch.setattr(DirectProductGroup, "multiply", counting)
-    real_concatenations = pgs.groups._concatenations
-    monkeypatch.setattr(pgs.groups, "_concatenations", lambda parts: built.append(1) or real_concatenations(parts))
-    dc = {"family": "Dc", "p": 3, "c": 2}  # 81 elements each, 6,561 together
-    assert main(["describe", write_desc({"op": "product", "factors": [dc, dc]}), "--max-order", "1000"]) == 3
-    assert "more than 1000 elements" in capsys.readouterr().err
+    # refused on its known order: no multiply, and no carrier built
     assert calls == [] and built == []
+    # the counters do see a product within the bound
+    small = {"family": "Dc", "p": 3, "c": 2}
+    assert main(["describe", write_desc({"op": "product", "factors": [small, small]})]) == 0
+    assert calls and built
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from pgs.constructions import (
     make_Dc,
     make_Mc,
     make_cyclic,
+    make_homocyclic,
     make_second_example,
 )
 from pgs.errors import InternalInconsistency, NotNormal, ResourceLimit
@@ -19,7 +20,6 @@ from pgs.groups import (
     EnumeratedSubgroup,
     QuotientGroup,
     SubgroupGroup,
-    _quotient,
     center,
     commutator,
     direct_factor_search,
@@ -34,7 +34,7 @@ from pgs.groups import (
     subgroup_closure,
 )
 from pgs.series import nilpotence_class, spectrum, upper_central_series
-from test_properties import reference_quotient
+from test_properties import ReferenceQuotient
 from test_series import make_s3
 
 
@@ -236,35 +236,45 @@ def test_quotient_rejects_a_kernel_that_is_not_a_subgroup():
             quotient_group(D, EnumeratedSubgroup(kernel))
         # unchecked, the cosets do not partition the group
         with pytest.raises(InternalInconsistency):
-            _quotient(D, EnumeratedSubgroup(kernel))
+            QuotientGroup(D, EnumeratedSubgroup(kernel))
 
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: make_Mc(3, 4), lambda: direct_product([make_Mc(3, 2), make_Dc(3, 2)])],
-    ids=["Mc(3,4)", "Mc(3,2)xDc(3,2)"],
+    [
+        lambda: make_Mc(3, 4),
+        lambda: make_homocyclic(3, 2, 2, 1),
+        lambda: direct_product([make_Mc(3, 2), make_Dc(3, 2)]),
+    ],
+    ids=["Mc(3,4)", "homocyclic(3,2,2,1)", "Mc(3,2)xDc(3,2)"],
 )
 def test_quotient_map_is_keyed_by_the_carriers_own_tuples(build):
     G = build()
     elements = enumerate_group(G).elements
-    Q = _quotient(G, center(G))
+    Q = QuotientGroup(G, center(G))
     reps = enumerate_group(Q).elements
     own = {id(g) for g in elements}
     # every parent element projects to a representative, the parent
     # carrier's own tuple, and each representative to itself
     assert all(id(Q.project(g)) in own for g in elements)
     assert all(Q.project(r) is r for r in reps)
-    if Q._up is None:  # on tuples the coset map's keys are the carrier's own tuples
-        assert len(Q._down) == len(elements)
-        assert all(k is g for k, g in zip(Q._down, elements))
-        return
-    # on indices the quotient keeps arrays and no dict over the parent's
-    # carrier, and its tuple arithmetic is the tuple-path quotient's
+    # one coset number per parent element, in carrier order: over a parent
+    # that scans on tuples, a dict keyed by the carrier's own tuples; over
+    # a product, an array and no dict over the parent's carrier
     assert len(Q._down) == len(elements)
-    assert not any(isinstance(v, dict) and len(v) >= len(elements) for v in vars(Q).values())
-    R = reference_quotient(G, center(G))
+    if isinstance(G, DirectProductGroup):
+        assert not any(isinstance(v, dict) and len(v) >= len(elements) for v in vars(Q).values())
+        numbers = list(Q._down)
+    else:
+        assert all(k is g for k, g in zip(Q._down, elements))
+        numbers = list(Q._down.values())
+    # the quotient's arithmetic, on tuples and on coset numbers, is the
+    # tuple-only reference quotient's on all pairs
+    R = ReferenceQuotient(G, center(G))
+    assert numbers == list(R._down.values())
     assert all(Q.project(g) is R.project(g) for g in elements)
     assert all(Q.multiply(a, b) is R.multiply(a, b) for a in reps for b in reps)
+    assert all(reps[Q._index_product(i, j)] is R.multiply(a, b) for i, a in enumerate(reps) for j, b in enumerate(reps))
     assert all(Q.invert(a) is R.invert(a) for a in reps)
 
 

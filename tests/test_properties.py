@@ -7,7 +7,7 @@ lower central series by normal closure, the incremental subgroup closure, a
 native family's carrier enumerated as its coordinate box, a
 direct product's carrier and order-p scan read from its factors, its
 arithmetic on index tables, the center, order-p scan and ucs quotients of a
-product and of its quotients on indices, the lazily tabled direct-factor
+product and of every quotient on indices, the lazily tabled direct-factor
 search with its center prunes and the generators-only ucs characterization
 are compared with a plain reference scan, on seeded random recipes with a
 small order cap and on every family and product the suite builds.  B2's
@@ -36,7 +36,9 @@ from pgs.constructions import (
     central_quotient,
     make_B2,
     make_Dc,
+    make_Mc,
     make_cyclic,
+    make_homocyclic,
     make_partb_decomposable,
     make_partb_indecomposable,
     make_second_example,
@@ -48,11 +50,13 @@ from pgs.groups import (
     DEFAULT_MAX_ORDER,
     DirectProductGroup,
     EnumeratedSubgroup,
+    FiniteGroup,
     QuotientGroup,
+    _arithmetic,
+    _canonical,
     _close,
     _conjugacy_classes_idx,
     _index_table,
-    _quotient,
     _sieve_center,
     center,
     commutator,
@@ -165,7 +169,7 @@ def check_center(desc):
     G = build_from_description(desc)
     assert center(G).as_set == reference_center(G)
     for term in upper_central_series(G).terms[1:-1]:
-        Q = _quotient(G, term)
+        Q = QuotientGroup(G, term)
         assert center(Q).as_set == reference_center(Q)
 
 
@@ -255,21 +259,46 @@ def reference_multiply(G, a, b):
     return G.multiply(a, b)
 
 
-def reference_quotient(G, N):
-    """G/N by the coset scan on tuples, multiplying by ``reference_multiply``:
-    the quotient before index space.  Its cosets are numbered in a dict
-    keyed by G's carrier tuples, and it carries no index arrays."""
-    E = enumerate_group(G)
-    down = dict.fromkeys(E.elements)
-    reps = []
-    for g in E.elements:
-        if down[g] is not None:
-            continue
-        for n in N.elements:
-            down[reference_multiply(G, g, n)] = len(reps)
-        reps.append(g)
-    assert len(reps) * len(N) == len(E)
-    return QuotientGroup(G, N, down, reps)
+class ReferenceQuotient(FiniteGroup):
+    """G/N on tuples only, the quotient before index space: one coset scan
+    of G's carrier multiplies by ``reference_multiply``, a dict keyed by
+    G's carrier tuples numbers the cosets, and ``multiply``, ``invert`` and
+    ``project`` read the minimum at a coset's number."""
+
+    def __init__(self, G, N):
+        E = enumerate_group(G)
+        down = dict.fromkeys(E.elements)
+        reps = []
+        for g in E.elements:
+            if down[g] is not None:
+                continue
+            for n in N.elements:
+                down[reference_multiply(G, g, n)] = len(reps)
+            reps.append(g)
+        assert len(reps) * len(N) == len(E)
+        self.parent, self.kernel, self._down, self._reps = G, N, down, tuple(reps)
+        self._init_group(
+            G.prime,
+            self.project(G.identity),
+            G.coordinate_moduli,
+            [(name, self.project(g)) for name, g in G.generators],
+            named={name: self.project(g) for name, g in G.named_elements.items()},
+            known_order=len(reps),
+            description=f"{G!r}/N{len(N)}",
+            max_order=G.max_order,
+        )
+
+    def project(self, g):
+        return self._reps[self._down[g]]
+
+    def multiply(self, a, b):
+        return self.project(reference_multiply(self.parent, a, b))
+
+    def invert(self, a):
+        return self.project(reference_invert(self.parent, a))
+
+    def _carrier(self):
+        return _canonical(self._reps)
 
 
 def reference_tuple_center(G):
@@ -309,26 +338,32 @@ def same_objects(xs, ys):
 
 
 def check_index_paths(G, T=None):
-    """G, a product or a quotient of one, multiplies on indices, and the
-    tuple path on its twin T gives exactly what G's index path gives.
+    """G, a product or a quotient, scans on indices, and the tuple path on
+    its twin T gives exactly what G's index path gives.
 
-    T is G itself for a product, else ``reference_quotient`` of G's parent
-    (a product) by G's kernel, with G's representatives, coset numbers and
-    projections of the parent's elements the same.  G's center, order-p
-    elements, p-th powers and ucs terms equal the tuple path's on T, as the
-    carrier's own tuples; the ucs terms above the center are the preimages
-    of G/Z(G)'s, checked the same way against ``reference_quotient(T, Z)``.
-    Returns the ucs terms.
+    T is G itself for a product, else a ``ReferenceQuotient`` of G's parent
+    by G's kernel, with G's representatives, coset numbers (in the parent's
+    carrier order) and projections of the parent's elements the same.  G's
+    products of indices, on seeded pairs, decode to T's tuple products.
+    G's center, order-p elements, p-th powers and ucs terms equal the tuple
+    path's on T, as the carrier's own tuples; the ucs terms above the center
+    are the preimages of G/Z(G)'s, checked the same way against
+    ``ReferenceQuotient(T, Z)``.  Returns the ucs terms.
     """
     if T is None:
-        T = G if isinstance(G, DirectProductGroup) else reference_quotient(G.parent, G.kernel)
+        T = G if isinstance(G, DirectProductGroup) else ReferenceQuotient(G.parent, G.kernel)
     E = enumerate_group(G)
+    assert isinstance(_arithmetic(G)[1], range)
     if T is not G:
-        assert G._up is not None and T._up is None
         parent = enumerate_group(G.parent).elements
+        down = G._down.values() if isinstance(G._down, dict) else G._down
         assert same_objects(E.elements, enumerate_group(T).elements)
-        assert list(G._down) == list(T._down.values())
+        assert list(down) == list(T._down.values())
         assert same_objects(map(G.project, parent), map(T.project, parent))
+    rng = random.Random(len(E))
+    elems = E.elements
+    for i, j in [(rng.randrange(len(E)), rng.randrange(len(E))) for _ in range(100)]:
+        assert elems[G._index_product(i, j)] == reference_multiply(T, elems[i], elems[j])
     own = {id(g) for g in E.elements}
     Z = center(G)
     assert same_objects(Z.elements, reference_tuple_center(T))
@@ -338,8 +373,8 @@ def check_index_paths(G, T=None):
     if len(Z) == len(E):
         expected = [E.elements] if len(E) == 1 else [(G.identity,), E.elements]
     else:
-        R = reference_quotient(T, Z)
-        upper = check_index_paths(_quotient(G, Z), R)
+        R = ReferenceQuotient(T, Z)
+        upper = check_index_paths(QuotientGroup(G, Z), R)
         preimages = [tuple(g for g in E.elements if R.project(g) in t) for t in map(set, upper[1:-1])]
         expected = [(G.identity,), Z.elements, *preimages, E.elements]
     terms = upper_central_series(G).terms
@@ -610,29 +645,31 @@ def test_deep_ucs_matches_reference():
     check_layers(G)
 
 
-# a quotient of a native group, so it and its ucs quotients number their
-# cosets on tuples
-TUPLE_QUOTIENT = {"op": "central_quotient", "group": {"family": "Mc", "p": 3, "c": 4}, "word": "s4"}
+# a quotient of a native group: its coset map is a dict keyed by the native
+# parent's tuples, and its own ucs quotients number their cosets in arrays
+NATIVE_QUOTIENT = {"op": "central_quotient", "group": {"family": "Mc", "p": 3, "c": 4}, "word": "s4"}
 
 
 @pytest.mark.parametrize(
-    "desc", SUITE_FAMILIES + [TUPLE_QUOTIENT], ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items())
+    "desc", SUITE_FAMILIES + [NATIVE_QUOTIENT], ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items())
 )
 def test_suite_families_layers(desc):
     G = build_from_description(desc)
-    assert desc is not TUPLE_QUOTIENT or G._up is None
+    if desc is NATIVE_QUOTIENT:
+        assert isinstance(G._down, dict) and isinstance(QuotientGroup(G, center(G))._down, array)
     check_layers(G)
 
 
 @settings(max_examples=30)
 @given(recipes)
 def test_recipes_layers(desc):
-    """A recipe's labels, and for a quotient of a product (on indices) also
-    those of its twin on tuples, ``reference_quotient``."""
+    """A recipe's labels, and for a quotient of a product also those of its
+    twin on tuples, ``ReferenceQuotient``, whose own ucs quotients are
+    formed over a parent that scans on tuples."""
     G = build_from_description(desc)
     check_layers(G)
     if isinstance(G, QuotientGroup):
-        check_layers(reference_quotient(G.parent, G.kernel))
+        check_layers(ReferenceQuotient(G.parent, G.kernel))
 
 
 def reference_sublemma(Q, chains, g):
@@ -669,7 +706,7 @@ def test_sublemma_equation_matches_the_loop(right, z2, failures):
     P = direct_product([G1, G2])
     Q = central_quotient(P, G1.power(G1.named_elements["x"], 9) + z2(G2))
     chains = tuple(upper_central_series(H) for H in (Q, G1, G2))
-    verdicts = [_sublemma_holds(Q, chains, g) for g in enumerate_group(P).elements]
+    verdicts = [_sublemma_holds(Q, g) for g in enumerate_group(P).elements]
     assert verdicts == [reference_sublemma(Q, chains, g) for g in enumerate_group(P).elements]
     assert verdicts.count(False) == failures
 
@@ -725,11 +762,13 @@ def test_suite_products_read_their_factors():
 def test_suite_products_and_quotients_index_paths():
     """Every product the suite builds and every central quotient of one
     among its recipes, up to INDEX_PATH_CAP elements (and, through the
-    recursion, their ucs quotients), and second_example (3,2,2)."""
+    recursion, their ucs quotients), second_example (3,2,2), and the
+    centers' quotients of a native group and of a ``SubgroupGroup``."""
     groups = [build_from_description(d) for d in suite_product_descs() + suite_quotient_descs()]
     small = [G for G in groups if G.known_order <= INDEX_PATH_CAP]
     assert sum(isinstance(G, QuotientGroup) for G in small) >= 10 and len(small) >= 40
-    for G in small + [make_second_example(3, 2, 2)]:
+    over_tuples = [QuotientGroup(H, center(H)) for H in (make_Mc(3, 4), make_homocyclic(3, 2, 2, 1))]
+    for G in small + [make_second_example(3, 2, 2)] + over_tuples:
         check_index_paths(G)
 
 
