@@ -395,8 +395,8 @@ def _arithmetic(G: FiniteGroup) -> tuple:
     G's ``_index_product``, the carrier range(|G|), ``encode`` maps an
     element to its index and ``decode`` maps a collection of indices to the
     carrier's own tuples.  Index order is tuple order, so a scan meets the
-    elements in the same order either way.  A native group or a
-    ``SubgroupGroup`` multiplies its canonical carrier's tuples by
+    elements in the same order either way.  Any other group (a native group
+    or a ``SubgroupGroup``) multiplies its canonical carrier's tuples by
     ``G.multiply``, and both maps return what they are given (a set stays a
     set, which ``frozenset`` copies at its size).
     """
