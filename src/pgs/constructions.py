@@ -14,7 +14,13 @@ Families built here:
 
 Every constructor returns a FiniteGroup over flat integer tuples;
 descriptions (JSON-shaped dicts) are interpreted by
-``build_from_description``.
+``build_from_description``.  Each group enumerates with no multiply: a
+native family (``SemidirectGroup``, ``LieBCHGroup``) as its coordinate box,
+and the index-lowering homocyclic subgroups and the indecomposable part-(b)
+groups as ``SubgroupGroup``s, their parent's box cut by the linear
+congruences mod p that define them (a maximal subgroup of a p-group is the
+kernel of a map onto C_p).  That the generators generate the carrier is
+tested against their closure.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ from .groups import (
     QuotientGroup,
     SubgroupGroup,
     _check_order,
-    _coordinate_box,
     commutator,
     direct_product,
     element_order,
@@ -69,8 +74,6 @@ class SemidirectGroup(FiniteGroup):
     ``tests/test_properties.py::test_native_carrier_is_the_generators_closure``
     and ``::test_drawn_native_carrier_is_the_generators_closure``.
     """
-
-    _carrier = _coordinate_box
 
     def __init__(
         self,
@@ -111,7 +114,6 @@ class SemidirectGroup(FiniteGroup):
             order *= m
         self._init_group(
             p,
-            (0,) * (rank + 1),
             (top_order,) + mods,
             generators,
             named=named,
@@ -181,8 +183,8 @@ def _action_powers(rows, mods, bound):
     return tuple(pows)
 
 
-def make_cyclic(p: int, e: int, name: str = "d", max_order: int = DEFAULT_MAX_ORDER) -> SemidirectGroup:
-    """Cyclic group of order p^e with a single named generator."""
+def make_cyclic(p: int, e: int, max_order: int = DEFAULT_MAX_ORDER) -> SemidirectGroup:
+    """Cyclic group of order p^e with the single generator "d"."""
     _check_order(p, e, max_order, f"C{p}^{e}")
     check_prime(p)
     if e < 1:
@@ -192,7 +194,7 @@ def make_cyclic(p: int, e: int, name: str = "d", max_order: int = DEFAULT_MAX_OR
         1,
         (p**e,),
         ((1,),),
-        [(name, (0, 1))],
+        [("d", (0, 1))],
         description=f"C{p**e}",
         max_order=max_order,
     )
@@ -271,7 +273,8 @@ def make_homocyclic(p: int, k: int, e: int, s: int, max_order: int = DEFAULT_MAX
     the top generator b has order p times the action order.  For s > 0 the
     returned group is the subgroup generated by a_1^p ... a_s^p,
     a_(s+1) ... a_k and b, of index p^s, which lowers the class from k*e to
-    k*e - s.
+    k*e - s.  It is the set of (t, v) with v_i = 0 mod p for i <= s, which
+    the action keeps (it adds v_(i-1) to v_i for i > 1, and p v_k to v_1).
     """
     # the bottom part alone has p^(k*e - s) elements and the top at least p
     _check_order(p, k * e - s + 1, max_order, f"homocyclic({p},{k},{e},{s})")
@@ -304,16 +307,9 @@ def make_homocyclic(p: int, k: int, e: int, s: int, max_order: int = DEFAULT_MAX
     )
     if s == 0:
         return G0
-    sub_gens = []
-    for i in range(k):
-        g = G0.named_elements[f"a{i + 1}"]
-        if i < s:
-            g = G0.power(g, p)
-        sub_gens.append((f"a{i + 1}", g))
-    sub_gens.append(("b", G0.named_elements["b"]))
-    return SubgroupGroup(
-        G0, G0.known_order // p**s, sub_gens, description=f"homocyclic({p},{k},{e},{s})"
-    )
+    sub_gens = [(name, G0.power(g, p) if i < s else g) for i, (name, g) in enumerate(G0.generators)]
+    congruences = [g for _, g in G0.generators[:s]]  # a_i's coordinates: v_i = 0 mod p
+    return SubgroupGroup(G0, congruences, sub_gens, description=f"homocyclic({p},{k},{e},{s})")
 
 
 # Hall basis of the free Lie ring on two generators, up to weight 4.
@@ -419,8 +415,6 @@ class LieBCHGroup(FiniteGroup):
     and ``::test_drawn_native_carrier_is_the_generators_closure``.
     """
 
-    _carrier = _coordinate_box
-
     def __init__(self, p: int, k: int, max_order: int = DEFAULT_MAX_ORDER):
         check_prime(p)
         if not (2 <= k <= min(p - 1, 4)):
@@ -437,7 +431,6 @@ class LieBCHGroup(FiniteGroup):
         ]
         self._init_group(
             p,
-            (0,) * dim,
             (p,) * dim,
             gens,
             known_order=p**dim,
@@ -536,6 +529,13 @@ def make_partb_indecomposable(p, cs, c, max_order: int = DEFAULT_MAX_ORDER):
     (with x_i = a_i * s_1) and the embedded maximal subgroup <x, y^p> of
     the metacyclic factor.  When n = 1 and c_1 = c = p the construction
     degenerates and the maximal-class group itself is returned.
+
+    The subgroup is the common kernel of the n maps onto C_p
+    (m_1, ..., m_n, d) -> phi_i(m_i) + psi(d).  Here phi_i(t, v) = lambda(v) - t
+    has kernel X_i, where lambda sends the ring element v to its image under
+    w -> 1 (the sum of its coefficients mod p), and psi reads the top
+    coordinate of d mod p, with kernel <x, y^p>.  Each generator is in every
+    kernel, and the index is p^n.
     """
     cs = _check_partb_params(p, cs, c)
     if c < 3:
@@ -562,9 +562,14 @@ def make_partb_indecomposable(p, cs, c, max_order: int = DEFAULT_MAX_ORDER):
     gens.append(("x", H.embed(n, D.named_elements["x"])))
     gens.append(("yp", H.embed(n, D.power(D.named_elements["y"], p))))
 
-    return SubgroupGroup(
-        H, H.known_order // p**n, gens, description=f"partb_indec({p},{cs},{c})"
-    )
+    td = H.embed(n, D.named_elements["y"])  # psi: 1 at Dc's top coordinate
+    congruences = []
+    for i, M in enumerate(factors[:n]):
+        inv = M.bottom_invariants
+        units = [[int(j == l) for l in range(inv.rank)] for j in range(inv.rank)]
+        phi = (-1, *(sum(inv.from_canonical(u)) % p for u in units))
+        congruences.append(tuple(x + y for x, y in zip(H.embed(i, phi), td)))
+    return SubgroupGroup(H, congruences, gens, description=f"partb_indec({p},{cs},{c})")
 
 
 # description parsing

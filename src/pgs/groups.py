@@ -7,11 +7,14 @@ coordinates, which keeps canonical coset representatives and witness
 selection deterministic across runs.
 
 Each group class is built one way, and knows its order before its
-``_carrier`` builds it: a native family's (``SemidirectGroup``,
-``LieBCHGroup``) is its coordinate box, every tuple below its moduli, and a
-direct product's the Cartesian product of its factors' carriers, both with
-no multiply; a quotient's is the coset minima its scan found.  Only a
-``SubgroupGroup`` is closed from its generators.
+``_carrier`` builds it, with no multiply: by default the coordinate box cut
+by the group's ``congruences`` (rows mod p), which is a native family's
+(``SemidirectGroup``, ``LieBCHGroup``: no rows, every tuple below its
+moduli) and a ``SubgroupGroup``'s (a subgroup of a box group, cut out by
+its construction's congruences); a direct product's is the Cartesian
+product of its factors' carriers, and a quotient's the coset minima its
+scan found.  The identity is the zero tuple, so it is the least element of
+every carrier, at position 0.
 
 Everything here is exhaustive and exact: closures are incremental
 (Dimino's algorithm: about |H|·log_p|H| multiplies, however many seeds they
@@ -48,6 +51,7 @@ and in a p-group it never queues a normal subgroup that contains the center.
 
 from __future__ import annotations
 
+import operator
 from array import array
 from collections import deque
 from functools import partial
@@ -60,7 +64,7 @@ from .errors import (
     NotNormal,
     ResourceLimit,
 )
-from .linalg import valuation
+from .linalg import echelonize, valuation
 
 DEFAULT_MAX_ORDER = 2_000_000
 DEFAULT_DECOMPOSE_BOUND = 20_000
@@ -88,13 +92,15 @@ class FiniteGroup:
     after construction; the per-group caches are write-once.
     """
 
+    congruences = ()  # rows mod p that cut the carrier out of the coordinate box
+
     def _init_group(
-        self, prime, identity, moduli, generators, named=None, *, known_order, description="",
+        self, prime, moduli, generators, named=None, *, known_order, description="",
         max_order=DEFAULT_MAX_ORDER,
     ):
         self.prime = prime
-        self.identity = tuple(identity)
         self.coordinate_moduli = tuple(moduli)
+        self.identity = (0,) * len(self.coordinate_moduli)  # the least tuple of the carrier
         self.generators = tuple((name, tuple(g)) for name, g in generators)
         names = {}
         for name, g in self.generators:
@@ -123,8 +129,33 @@ class FiniteGroup:
         raise NotImplementedError
 
     def _carrier(self) -> EnumeratedSubgroup:
-        """The carrier ``enumerate_group`` builds and caches."""
-        raise NotImplementedError
+        """The carrier ``enumerate_group`` builds and caches; by default the
+        coordinate box cut by ``congruences``, with no multiply: every tuple
+        below the moduli on which each row vanishes mod p, in canonical order.
+
+        The rows are echeloned from the last coordinate, so each ends with a
+        1 at its own coordinate, which runs over the one residue class mod p
+        that the coordinates before it fix; any other coordinate runs over
+        its whole range.  The coordinates after the last such one are the
+        ``itertools.product`` of their ranges (product order is tuple order),
+        so with no rows (a native family) the carrier is the whole box, as
+        one product.  That the generators generate it is not checked here;
+        the tests compare it with their closure."""
+        p, moduli = self.prime, self.coordinate_moduli
+        last = len(moduli) - 1
+        basis = echelonize(p, 1, [row[::-1] for row in self.congruences])
+        # a row's own coordinate -> its coefficients before it
+        cuts = {last - col: row[:col:-1] for (col, _), row in zip(basis.pivots, basis.rows)}
+        free = max(cuts, default=-1) + 1
+        prefixes = [()]
+        for k in range(free):
+            if k in cuts:  # the residue class mod p that the prefix fixes
+                row = cuts[k]
+                prefixes = [a + (x,) for a in prefixes for x in range(-sum(map(operator.mul, row, a)) % p, moduli[k], p)]
+            else:
+                prefixes = [a + (x,) for a in prefixes for x in range(moduli[k])]
+        # the free coordinates go straight into the tuple, with no list of the whole box
+        return _canonical(tuple(a + b for a in prefixes for b in product(*map(range, moduli[free:]))))
 
     def power(self, g, n: int):
         if n < 0:
@@ -296,12 +327,12 @@ def _concatenations(parts) -> list:
 def enumerate_group(G: FiniteGroup) -> EnumeratedSubgroup:
     """Full carrier of G, cached on the group: ``G._carrier()``.
 
-    A native family's carrier is its coordinate box, a direct product's the
-    Cartesian product of its factors' carriers and a quotient's the coset
-    minima its scan found, none of them by a further multiply; only a
-    ``SubgroupGroup`` is closed from its generators.  Every group knows its
-    order, so one above ``G.max_order`` raises ResourceLimit before
-    anything is enumerated, and a carrier of any other size raises
+    A native family's or a ``SubgroupGroup``'s carrier is its coordinate box
+    cut by its congruences, a direct product's the Cartesian product of its
+    factors' carriers and a quotient's the coset minima its scan found, none
+    of them by a further multiply; each starts with the identity.  Every
+    group knows its order, so one above ``G.max_order`` raises ResourceLimit
+    before anything is enumerated, and a carrier of any other size raises
     InternalInconsistency.
     """
     if G._enumeration is None:
@@ -321,15 +352,6 @@ def _canonical(elements: tuple) -> EnumeratedSubgroup:
     E = EnumeratedSubgroup(elements)
     E._sorted = elements
     return E
-
-
-def _coordinate_box(G: FiniteGroup) -> EnumeratedSubgroup:
-    """Every tuple below G's coordinate moduli, in canonical order
-    (itertools.product order is tuple order), with no multiply: the
-    ``_carrier`` of a family whose elements are that box by definition.
-    That the family's generators generate the whole box is not checked
-    here; the tests compare it with their closure."""
-    return _canonical(tuple(product(*map(range, G.coordinate_moduli))))
 
 
 def element_order(G: FiniteGroup, g) -> int:
@@ -451,8 +473,7 @@ def order_p_elements(G: FiniteGroup) -> tuple:
     if G._order_p is None and isinstance(G, DirectProductGroup):
         elements = enumerate_group(G).elements  # the product's own bound and size check
         small = [sorted((f.identity, *order_p_elements(f))) for f in G.factors]
-        identity = G._table.index[G.identity]
-        G._order_p = tuple(elements[i] for i in _product_indices(G, small) if i != identity)
+        G._order_p = tuple(elements[i] for i in _product_indices(G, small) if i)  # the identity is at 0
         G._pth_powers = frozenset(elements[i] for i in _product_indices(G, [f._pth_powers for f in G.factors]))
     elif G._order_p is None:
         p = G.prime
@@ -529,7 +550,6 @@ class QuotientGroup(FiniteGroup):
         self._reps = tuple(decode(up))
         self._init_group(
             parent.prime,
-            self.project(parent.identity),
             parent.coordinate_moduli,
             [(name, self.project(g)) for name, g in parent.generators],
             named={name: self.project(g) for name, g in parent.named_elements.items()},
@@ -589,7 +609,6 @@ class DirectProductGroup(FiniteGroup):
             parts.append((off, off + width, f))
             off += width
         self._parts = tuple(parts)
-        identity = tuple(x for f in factors for x in f.identity)
         moduli = tuple(m for f in factors for m in f.coordinate_moduli)
         gens = []
         named = {}
@@ -600,7 +619,6 @@ class DirectProductGroup(FiniteGroup):
                 named[f"f{i}.{name}"] = self.embed(i, g)
         self._init_group(
             p,
-            identity,
             moduli,
             gens,
             named=named,
@@ -681,19 +699,25 @@ def direct_product(groups, description="") -> DirectProductGroup:
 
 
 class SubgroupGroup(FiniteGroup):
-    """The subgroup of a parent group that ``generators`` generate, promoted
-    to a standalone group of order ``known_order``; it is closed when first
-    enumerated, and refused before any multiply if above the bound."""
+    """The subgroup of a parent group whose carrier is its whole coordinate
+    box (a native group or a product of them) cut out by ``congruences``,
+    independent linear rows mod p on the parent's coordinates, promoted to a
+    standalone group of order |parent| / p^rows.  It enumerates as that cut
+    box, with no multiply, so ``generators`` must generate it: the two are
+    compared by ``tests/test_properties.py::test_subgroup_carrier_is_the_generators_closure``
+    and ``::test_drawn_subgroup_carrier_is_the_generators_closure``.  One
+    above the bound is refused before its carrier is built."""
 
-    def __init__(self, parent: FiniteGroup, known_order: int, generators, description=""):
+    def __init__(self, parent: FiniteGroup, congruences, generators, description=""):
         self.parent = parent
+        self.congruences = tuple(map(tuple, congruences))
+        order = parent.known_order // parent.prime ** len(self.congruences)
         self._init_group(
             parent.prime,
-            parent.identity,
             parent.coordinate_moduli,
             generators,
-            known_order=known_order,
-            description=description or f"subgroup({known_order}) of {parent!r}",
+            known_order=order,
+            description=description or f"subgroup({order}) of {parent!r}",
             max_order=parent.max_order,
         )
 
@@ -702,9 +726,6 @@ class SubgroupGroup(FiniteGroup):
 
     def invert(self, a):
         return self.parent.invert(a)
-
-    def _carrier(self) -> EnumeratedSubgroup:
-        return subgroup_closure(self, [g for _, g in self.generators])
 
 
 def is_pth_power(G: FiniteGroup, z) -> bool:
@@ -775,9 +796,8 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOS
     any table is built.  Outside p-groups (Z(A) may be trivial there) only
     G itself is dead.
     """
-    E = enumerate_group(G)
-    n = len(E)
-    if n > decompose_bound:
+    n = G.known_order
+    if n > decompose_bound:  # before the carrier is built
         raise ResourceLimit(f"|G| = {n} exceeds the decomposition bound {decompose_bound}")
     if n == 1:
         return None
@@ -790,8 +810,6 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOS
     table = _index_table(G)
     elems = table.elements
     idx = table.index
-    id_idx = idx[G.identity]
-    identity_mask = 1 << id_idx
 
     if table.products is not None:
 
@@ -814,8 +832,8 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOS
 
     atoms = {}  # mask -> members; classes come in order of their least index
     for cls in _conjugacy_classes_idx(n, mul, inv_of, gen_idx):
-        if cls != [id_idx]:
-            members = sorted(_close(mul, id_idx, cls, n)[0])
+        if cls != [0]:  # the identity is at index 0
+            members = sorted(_close(mul, 0, cls, n)[0])
             atoms.setdefault(sum(1 << i for i in members), members)
 
     subgroups: dict[int, list] = {}  # live mask -> members
@@ -835,7 +853,7 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOS
         if 1 < order < n and n % order == 0:
             target = n // order
             for other in by_order.get(target, ()):
-                if other & mask == identity_mask:
+                if other & mask == 1:  # only the identity in common
                     pair = sorted([(order, mask, members), (target, other, subgroups[other])])
                     return tuple(EnumeratedSubgroup([elems[i] for i in m]) for _, _, m in pair)
         subgroups[mask] = members

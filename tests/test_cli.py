@@ -7,7 +7,7 @@ import pytest
 import pgs.groups
 import pgs.series
 from pgs.cli import build_parser, main
-from pgs.constructions import SemidirectGroup
+from pgs.constructions import SemidirectGroup, build_from_description
 from pgs.groups import DirectProductGroup, SubgroupGroup
 from test_properties import SUITE_FAMILIES
 
@@ -177,6 +177,26 @@ def test_decompose_cyclic_center_builds_no_table(write_desc, capsys, table_reads
     code = main(["decompose", write_desc({"family": "Mc", "p": 3, "c": 8})])
     assert code == 0 and capsys.readouterr().out.strip() == "decomposable: no"
     assert table_reads == []
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [{"family": "homocyclic", "p": 5, "k": 3, "e": 2, "s": 1}, {"family": "Mc", "p": 3, "c": 12}],
+    ids=["homocyclic(5,3,2,1)", "Mc(3,12)"],
+)
+def test_decompose_over_its_bound_exits_3_before_enumerating(write_desc, capsys, monkeypatch, native_multiplies, desc):
+    """The decomposition bound is checked on the known order, before the
+    carrier is built: closing homocyclic (5,3,2,1) took 5.2 s and
+    enumerating Mc(3,12) 1.1 s before the search refused them."""
+    subgroup_multiplies = []
+    monkeypatch.setattr(SubgroupGroup, "multiply", lambda self, a, b: subgroup_multiplies.append(1))
+    build_from_description(desc)
+    building = len(native_multiplies)  # homocyclic forms a_1^5 when it is built
+    t0 = time.perf_counter()
+    assert main(["decompose", write_desc(desc)]) == 3
+    assert time.perf_counter() - t0 < 1
+    assert "exceeds the decomposition bound 20000" in capsys.readouterr().err
+    assert len(native_multiplies) == 2 * building and subgroup_multiplies == []
 
 
 def test_env_max_order(write_desc, capsys, monkeypatch):
@@ -379,7 +399,7 @@ def test_over_bound_product_exits_3_before_multiplying(write_desc, capsys, monke
 )
 def test_over_bound_subgroup_family_exits_3_before_closing(write_desc, capsys, monkeypatch, desc, name, within):
     """A subgroup family knows its order from its index, so an over-bound
-    one is refused before its closure makes a multiply."""
+    one is refused before its carrier is built or anything multiplied."""
     calls = []
     real = SubgroupGroup.multiply
 
@@ -393,7 +413,7 @@ def test_over_bound_subgroup_family_exits_3_before_closing(write_desc, capsys, m
     assert time.perf_counter() - t0 < 1
     assert f"{name} has more than 2000000 elements" in capsys.readouterr().err
     assert calls == []
-    # the counter does see the closure of a subgroup family within the bound
+    # the counter does see the analysis of a subgroup family within the bound
     assert main(["describe", write_desc(within)]) == 0
     assert calls
 

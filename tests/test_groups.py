@@ -12,6 +12,7 @@ from pgs.constructions import (
     make_Mc,
     make_cyclic,
     make_homocyclic,
+    make_partb_indecomposable,
     make_second_example,
 )
 from pgs.errors import InternalInconsistency, NotNormal, ResourceLimit
@@ -161,14 +162,25 @@ def test_enumerate_orders():
 
 
 @pytest.mark.parametrize(
-    "build", [lambda: make_B2(7, 3), lambda: make_Dc(3, 5), lambda: make_Mc(3, 7)], ids=["B2(7,3)", "Dc(3,5)", "Mc(3,7)"]
+    "build",
+    [
+        lambda: make_B2(7, 3),
+        lambda: make_Dc(3, 5),
+        lambda: make_Mc(3, 7),
+        lambda: make_homocyclic(5, 3, 2, 1),
+        lambda: make_partb_indecomposable(3, [3], 4),
+    ],
+    ids=["B2(7,3)", "Dc(3,5)", "Mc(3,7)", "homocyclic(5,3,2,1)", "partb(3,[3],4)"],
 )
-def test_native_carrier_is_its_coordinate_box(native_multiplies, build):
-    # the closure of the generators made 84,035 multiplies on B2(7,3)
+def test_native_carrier_is_its_coordinate_box(native_multiplies, monkeypatch, build):
+    # the closure of the generators made 84,035 multiplies on B2(7,3); a
+    # SubgroupGroup's carrier is its parent's box cut by its congruences
     G = build()
+    subgroup_multiplies = []
+    monkeypatch.setattr(SubgroupGroup, "multiply", lambda self, a, b: subgroup_multiplies.append(1))
     native_multiplies.clear()
     E = enumerate_group(G)
-    assert native_multiplies == []
+    assert native_multiplies == [] and subgroup_multiplies == []
     assert len(E) == G.known_order and E.elements[0] == G.identity
 
 
@@ -180,14 +192,18 @@ def test_native_carrier_checks_its_order_before_the_box():
 
 
 def test_subgroup_group_checks_its_known_order():
+    # in Dc(3,2), coordinates (t, v) mod 9, <x, y^3> is cut out by t = 0 mod 3
     D = make_Dc(3, 2)
-    x = D.named_elements["x"]
-    H = SubgroupGroup(D, 9, [("x", x)])
-    assert enumerate_group(H).as_set == subgroup_closure(D, [x]).as_set
+    x, y = D.named_elements["x"], D.named_elements["y"]
+    H = SubgroupGroup(D, [y], [("x", x), ("yp", D.power(y, 3))])
+    assert H.known_order == 27 and H.identity == (0, 0)
+    assert enumerate_group(H).elements == subgroup_closure(D, [x, D.power(y, 3)]).elements
+    assert len(enumerate_group(SubgroupGroup(D, [y, x], [("x3", D.power(x, 3)), ("y3", D.power(y, 3))]))) == 9
+    # dependent rows claim index 9 but cut index 3
     with pytest.raises(InternalInconsistency):
-        enumerate_group(SubgroupGroup(D, 27, [("x", x)]))
+        enumerate_group(SubgroupGroup(D, [y, D.power(y, 2)], [("x", x)]))
     with pytest.raises(ResourceLimit):
-        enumerate_group(SubgroupGroup(make_Dc(3, 2, max_order=20), 27, [("x", x)]))
+        enumerate_group(SubgroupGroup(make_Dc(3, 2, max_order=20), [y], [("x", x)]))
 
 
 def test_center():

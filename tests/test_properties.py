@@ -52,6 +52,7 @@ from pgs.groups import (
     EnumeratedSubgroup,
     FiniteGroup,
     QuotientGroup,
+    SubgroupGroup,
     _arithmetic,
     _canonical,
     _close,
@@ -238,6 +239,16 @@ def check_native_carrier(G):
     assert E.elements == tuple(sorted(E.as_set))
 
 
+def check_subgroup_carrier(G):
+    """A ``SubgroupGroup``'s carrier, its parent's coordinate box cut by its
+    congruences, is the closure of its generators in the parent, in the
+    same canonical order: the congruences the construction derives cut out
+    exactly the group its generators generate."""
+    assert isinstance(G, SubgroupGroup)
+    E = enumerate_group(G)
+    assert E.elements == subgroup_closure(G.parent, [g for _, g in G.generators]).elements
+
+
 def check_product_paths(P):
     """A product's carrier, order-p elements and p-th powers, read from its
     factors, equal the closure of its generators and a G.power scan."""
@@ -279,7 +290,6 @@ class ReferenceQuotient(FiniteGroup):
         self.parent, self.kernel, self._down, self._reps = G, N, down, tuple(reps)
         self._init_group(
             G.prime,
-            self.project(G.identity),
             G.coordinate_moduli,
             [(name, self.project(g)) for name, g in G.generators],
             named={name: self.project(g) for name, g in G.named_elements.items()},
@@ -616,10 +626,13 @@ def check_shared_paths(desc):
 
 
 def check_identities(desc):
-    """|Z_i| divides |G|, ucs and lcs have the same length, and every ucs
-    term (formed with no normality scan) is normal."""
+    """The identity is the carrier's first element, |Z_i| divides |G|, ucs
+    and lcs have the same length, and every ucs term (formed with no
+    normality scan) is normal."""
     G = build_from_description(desc)
-    n = len(enumerate_group(G))
+    E = enumerate_group(G)
+    assert E.elements[0] == G.identity
+    n = len(E)
     ucs = upper_central_series(G)
     assert all(n % len(t) == 0 for t in ucs.terms)
     assert len(ucs) == len(lower_central_series(G))
@@ -721,6 +734,45 @@ NATIVE_DESCS = [d for d in SUITE_FAMILIES if d["family"] != "second_example"] + 
 @pytest.mark.parametrize("desc", NATIVE_DESCS, ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
 def test_native_carrier_is_the_generators_closure(desc):
     check_native_carrier(build_from_description(desc))
+
+
+# every SubgroupGroup the paper suite builds (partb (3,[3],3) is Mc(3,3))
+SUITE_SUBGROUPS = [
+    {"family": "homocyclic", "p": 3, "k": 2, "e": 2, "s": 1},
+    {"family": "partb", "p": 2, "cs": [2], "c": 3, "indecomposable": True},
+    {"family": "partb", "p": 2, "cs": [2, 3], "c": 4, "indecomposable": True},
+    {"family": "partb", "p": 3, "cs": [3], "c": 4, "indecomposable": True},
+]
+
+
+@pytest.mark.parametrize("desc", SUITE_SUBGROUPS, ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
+def test_subgroup_carrier_is_the_generators_closure(desc):
+    check_subgroup_carrier(build_from_description(desc))
+
+
+@st.composite
+def small_subgroup_descs(draw):
+    """homocyclic with s > 0 and p in {3, 5}, and indecomposable partb with
+    p = 2 (for p = 3 the least has 3^11 elements: the suite's (3,[3],4),
+    closed once above); some are above NATIVE_CAP."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    if p > 2:
+        k = draw(st.integers(2, p - 1))
+        return {"family": "homocyclic", "p": p, "k": k, "e": draw(st.integers(1, 3)), "s": draw(st.integers(1, k - 1))}
+    c = draw(st.integers(3, 5))
+    cs = sorted(draw(st.sets(st.integers(2, c), min_size=1, max_size=3)))
+    return {"family": "partb", "p": 2, "cs": cs, "c": c, "indecomposable": True}
+
+
+@settings(max_examples=40)
+@given(small_subgroup_descs())
+def test_drawn_subgroup_carrier_is_the_generators_closure(desc):
+    try:
+        G = build_from_description(desc, max_order=NATIVE_CAP)
+        enumerate_group(G)
+    except ResourceLimit:
+        assume(False)
+    check_subgroup_carrier(G)
 
 
 @st.composite

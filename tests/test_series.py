@@ -156,10 +156,11 @@ def test_spectrum_independent_of_generator_order():
     E = enumerate_group(D)
     swapped = SubgroupGroup(
         D,
-        len(E),
+        [],  # no congruence: all of D
         [("y", D.named_elements["y"]), ("x", D.named_elements["x"])],
         description="Dc(3,2) swapped gens",
     )
+    assert enumerate_group(swapped).elements == E.elements
     assert spectrum(swapped).as_dict() == spectrum(D).as_dict()
 
 
