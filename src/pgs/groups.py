@@ -46,7 +46,8 @@ quotients scan on indices, native groups and ``SubgroupGroup``s on tuples
 quotient scan decode through the carrier, so the caches hold the carrier's
 own tuples.  Index order is tuple order, so coset minima and witnesses do
 not depend on the path.  ``direct_factor_search`` reads the same tables,
-and in a p-group it never queues a normal subgroup that contains the center.
+and in a p-group it never queues a normal subgroup that contains the center;
+it forms each join of a queued subgroup with the atoms once.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import operator
 from array import array
 from collections import deque
 from functools import partial
-from itertools import chain, product
+from itertools import chain, islice, product
 from math import gcd, prod
 
 from .errors import (
@@ -773,6 +774,16 @@ def _conjugacy_classes_idx(n, mul, inv_of, gen_idx):
     return classes
 
 
+def _note_join(formed: set, atom_of: dict, res: list, ns: int) -> None:
+    """Add (k, |T|) to ``formed`` for each atom k whose x_k is a new member
+    of the join T = ``res``: one after the ``ns`` members of S it starts with."""
+    order = len(res)
+    for y in islice(res, ns, None):
+        k = atom_of.get(y)
+        if k is not None:
+            formed.add((k, order))
+
+
 def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOSE_BOUND):
     """Find a nontrivial internal direct decomposition, or None.
 
@@ -795,6 +806,16 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOS
     (read from the cached order-p elements) proves G indecomposable before
     any table is built.  Outside p-groups (Z(A) may be trivial there) only
     G itself is dead.
+
+    Each join of a queued S is formed once.  Each atom A_k keeps one element
+    x_k of the class whose normal closure it is, so a normal subgroup holds
+    A_k iff it holds x_k.  While S is joined with the atoms, ``formed`` holds
+    (k, |T|) for every join T formed from S with x_k among its new elements.
+    S and A_k are normal, so S.A_k is their join, of order
+    |S| |A_k| / |S & A_k|; a T that holds S and x_k holds S.A_k, so when that
+    order is |T| the two are equal, T is already recorded, and A_k is
+    skipped.  Registrations, their order and the returned pair are those of
+    the search that forms every join.
     """
     n = G.known_order
     if n > decompose_bound:  # before the carrier is built
@@ -831,10 +852,14 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOS
     gen_idx = sorted({idx[g] for _, g in G.generators if g != G.identity})
 
     atoms = {}  # mask -> members; classes come in order of their least index
+    atom_of = {}  # x_k -> k, where atom k is the normal closure of x_k's class
     for cls in _conjugacy_classes_idx(n, mul, inv_of, gen_idx):
         if cls != [0]:  # the identity is at index 0
             members = sorted(_close(mul, 0, cls, n)[0])
-            atoms.setdefault(sum(1 << i for i in members), members)
+            mask = sum(1 << i for i in members)
+            if mask not in atoms:
+                atom_of[cls[0]] = len(atoms)
+                atoms[mask] = members
 
     subgroups: dict[int, list] = {}  # live mask -> members
     dead = set()
@@ -869,9 +894,13 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOS
     while queue:
         smask = queue.popleft()
         smembers = subgroups[smask]
-        for amask, amembers in atoms.items():
+        ns = len(smembers)
+        formed = set()  # (k, |T|) for each join T of S formed so far holding x_k
+        for k, (amask, amembers) in enumerate(atoms.items()):
             if amask | smask == smask or amask in dead:
                 continue
+            if (k, ns * len(amembers) // (smask & amask).bit_count()) in formed:
+                continue  # that T is S.A_k, already recorded
             res_mask = smask
             res = list(smembers)
             for b in amembers:
@@ -883,6 +912,7 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOS
                     if not res_mask & bit:
                         res_mask |= bit
                         res.append(y)
+            _note_join(formed, atom_of, res, ns)
             if res_mask not in subgroups and res_mask not in dead:
                 if len(subgroups) + len(dead) >= 4 * decompose_bound:
                     raise ResourceLimit("normal subgroup lattice exceeded the search cap")

@@ -226,7 +226,7 @@ def test_criterion_10_second_example():
     report(10, True, f"second_example(3,2,2): order 729, class 2, spectrum {{1,2}}, indecomposable ({elapsed:.1f}s)")
 
 
-def test_criterion_11_partb():
+def test_criterion_11_partb(native_multiplies):
     t0 = time.perf_counter()
     for p, cs, c in [(2, [2], 3), (2, [2, 3], 4), (3, [3], 3), (3, [3], 4)]:
         r = verify_partb_structure(p, cs, c)
@@ -241,6 +241,13 @@ def test_criterion_11_partb():
     G = make_partb_indecomposable(2, [2], 3)
     assert len(enumerate_group(G)) == 128
     assert direct_factor_search(G) is None
+    # 4,096 elements, above the table bound: the search multiplies natively,
+    # 3,825,930 times when it formed every join S.A, 1,183,344 forming each once
+    G = make_partb_indecomposable(2, [2, 3], 4)
+    enumerate_group(G)
+    native_multiplies.clear()
+    assert direct_factor_search(G) is None
+    assert len(native_multiplies) <= 1_300_000
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, f"{elapsed:.1f}s"
     report(11, True, f"part (b) structure, decomposable split, indecomposable no-split ({elapsed:.1f}s)")

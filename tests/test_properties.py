@@ -43,7 +43,9 @@ from pgs.constructions import (
     make_partb_indecomposable,
     make_second_example,
 )
+from pgs import groups as groups_module
 from pgs.errors import ResourceLimit
+from pgs.linalg import valuation
 from pgs.groups import (
     _TABLE_BOUND,
     DEFAULT_DECOMPOSE_BOUND,
@@ -499,6 +501,100 @@ def as_sets(split):
     return None if split is None else [H.as_set for H in split]
 
 
+def unskipped_direct_factor_search(G, decompose_bound=DEFAULT_DECOMPOSE_BOUND):
+    """The search as it stood before it skipped joins already in hand: the
+    center prune, but every join S.A formed.  Returns the pair (or None),
+    the atoms' masks, the joins registered after the atoms as (mask, live)
+    in order, Z(G)'s mask and the number of joins formed."""
+    n, p = G.known_order, G.prime
+    assert n <= decompose_bound and p ** valuation(n, p) == n  # a p-group: Z(G) prunes
+    Z = center(G)
+    if n == 1 or sum(g in Z for g in order_p_elements(G)) == p - 1:
+        return None, [], [], 0, 0
+    table = _index_table(G)
+    elems, idx = table.elements, table.index
+    inv_of = [table.inverse(G, i) for i in range(n)]
+    gen_idx = sorted({idx[g] for _, g in G.generators if g != G.identity})
+    mul = partial(table.product, G)
+    atoms = {}
+    for cls in _conjugacy_classes_idx(n, mul, inv_of, gen_idx):
+        if cls != [0]:
+            members = sorted(_close(mul, 0, cls, n)[0])
+            atoms.setdefault(sum(1 << i for i in members), members)
+    zmask = sum(1 << idx[z] for z in Z.as_set)
+    subgroups, dead, by_order, queue, joins = {}, set(), {}, deque(), []
+
+    def register(mask, members):
+        if mask & zmask == zmask:
+            dead.add(mask)
+            return None
+        order = len(members)
+        if 1 < order < n:
+            for other in by_order.get(n // order, ()):
+                if other & mask == 1:
+                    pair = sorted([(order, mask, members), (n // order, other, subgroups[other])])
+                    return tuple(EnumeratedSubgroup([elems[i] for i in m]) for _, _, m in pair)
+        subgroups[mask] = members
+        by_order.setdefault(order, []).append(mask)
+        queue.append(mask)
+        return None
+
+    formed = 0
+    result = lambda hit: (hit, list(atoms), joins, zmask, formed)  # noqa: E731
+    for mask, members in atoms.items():
+        if hit := register(mask, members):
+            return result(hit)
+    while queue:
+        smask = queue.popleft()
+        smembers = subgroups[smask]
+        for amask, amembers in atoms.items():
+            if amask | smask == smask or amask in dead:
+                continue
+            formed += 1
+            res_mask, res = smask, list(smembers)
+            for b in amembers:
+                if not (res_mask >> b) & 1:
+                    for a in smembers:
+                        y = mul(a, b)
+                        if not (res_mask >> y) & 1:
+                            res_mask |= 1 << y
+                            res.append(y)
+            if res_mask not in subgroups and res_mask not in dead:
+                joins.append((res_mask, res_mask & zmask != zmask))
+                if hit := register(res_mask, sorted(res)):
+                    return result(hit)
+    return result(None)
+
+
+def check_join_skips(build):
+    """The search records the subgroups, live and dead, in the order the
+    unskipped search records them, and returns its pair.  It records the
+    atoms as before, then each join the first time it forms it; so its
+    joins' first formations, read from ``_note_join``, are compared with
+    the unskipped search's registrations.  No join of the same S is formed
+    twice.  Returns the number of joins each formed."""
+    G, H = build(), build()
+    formed = []
+
+    def noting(formed_set, atom_of, res, ns, real=groups_module._note_join):
+        formed.append((sum(1 << i for i in res[:ns]), sum(1 << i for i in res)))
+        real(formed_set, atom_of, res, ns)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups_module, "_note_join", noting)
+        split = direct_factor_search(G)
+    want, atoms, joins, zmask, unskipped = unskipped_direct_factor_search(H)
+    assert as_sets(split) == as_sets(want)
+    assert len(set(formed)) == len(formed)
+    seen, got = set(atoms), []
+    for _, mask in formed:
+        if mask not in seen:
+            seen.add(mask)
+            got.append((mask, mask & zmask != zmask))
+    assert got == joins
+    return len(formed), unskipped
+
+
 def check_lazy_search(build):
     """The search on a lazily filled table returns the pair (or None) that
     it returns on an eagerly filled one and that the unpruned reference
@@ -863,6 +959,22 @@ def test_lazy_search_on_small_recipes():
     descs = random_recipes(DEFAULT_SEED, 12, _TABLE_BOUND)
     splits = [check_lazy_search(lambda d=d: build_from_description(d)) for d in descs]
     assert any(s is None for s in splits) and any(s is not None for s in splits)
+
+
+def test_join_skips_record_what_the_unskipped_search_records():
+    """On second_example (3,2,2) the unskipped search forms 6,996 joins, and
+    all but 172 rebuild a subgroup already recorded; forming each join of S
+    once leaves 1,084."""
+    formed, unskipped = check_join_skips(lambda: make_second_example(3, 2, 2))
+    assert unskipped == 6_996 and formed == 1_084
+    check_join_skips(lambda: make_partb_decomposable(2, [2], 3))
+    check_join_skips(lambda: make_partb_indecomposable(2, [2], 3))
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 2**32 - 1).map(lambda seed: random_recipes(seed, 1, _TABLE_BOUND)[0]))
+def test_recipes_join_skips_match_unskipped(desc):
+    check_join_skips(lambda: build_from_description(desc))
 
 
 @settings(max_examples=30)
