@@ -500,7 +500,7 @@ def _check_partb_params(p, cs, c):
     check_prime(p)
     cs = list(cs)
     if not cs or any(cs[i] >= cs[i + 1] for i in range(len(cs) - 1)):
-        raise BadParameters("cs must be strictly increasing")
+        raise BadParameters("cs must be a nonempty, strictly increasing list")
     if cs[0] < p or cs[-1] > c:
         raise BadParameters("need p <= c_1 < ... < c_n <= c")
     return cs

@@ -42,12 +42,16 @@ from that factor's table, computed by the factor's own ``multiply`` the
 first time it is needed.  A quotient multiplies its coset numbers with no
 table, through the parent's scan arithmetic.  So products and all
 quotients scan on indices, native groups and ``SubgroupGroup``s on tuples
-(``_arithmetic`` makes that choice).  The center, the order-p scan and the
+(``_arithmetic`` makes that choice).  The coset scan (g·N) and the center
+sieve's marks (g·Z0) read g's products on indices as one row (``rows``):
+per factor a row of g's digit, memoized by that digit, the factors' rows
+added by ``map``.  The tuple path has no rows: its multiply is a Python call
+per element however it is driven.  The center, the order-p scan and the
 quotient scan decode through the carrier, so the caches hold the carrier's
 own tuples.  Index order is tuple order, so coset minima and witnesses do
-not depend on the path.  ``direct_factor_search`` reads the same tables,
-and in a p-group it never queues a normal subgroup that contains the center;
-it forms each join of a queued subgroup with the atoms once.
+not depend on the path.  ``direct_factor_search`` reads the same tables, and
+in a p-group it never queues a normal subgroup that contains the center; it
+forms each join of a queued subgroup with the atoms once.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from __future__ import annotations
 import operator
 from array import array
 from collections import deque
-from functools import partial
+from functools import partial, reduce
 from itertools import chain, islice, product
 from math import gcd, prod
 
@@ -372,7 +376,7 @@ def commutator(G: FiniteGroup, x, y):
     return mult(mult(G.invert(x), G.invert(y)), mult(x, y))
 
 
-def _sieve_center(mult, elements, identity, gens, bound) -> list:
+def _sieve_center(mult, elements, identity, gens, bound, rows=None) -> list:
     """The members of ``elements``, a carrier in canonical order, that
     commute with every generator in ``gens``, by a coset sieve; returned in
     carrier order, as the carrier's own objects.
@@ -386,8 +390,14 @@ def _sieve_center(mult, elements, identity, gens, bound) -> list:
     multiplies for d generators, not 2d·|G|.  A central element behind the
     scan was already passed, so every new member of Z0 is collected when
     the scan reaches it.
+
+    With ``rows`` (see ``_arithmetic``) gZ0 is marked as one row, made
+    again after Z0 grows; the generator test stays ``mult`` on whole
+    elements.  Without (the tuple path, the tests' reference) it is marked
+    by ``mult``.
     """
     z0, kept = {identity}, []
+    row = None  # rows(Z0), made when a coset is next marked after Z0 grew
     marked = set()
     central = []
     for g in elements:
@@ -398,6 +408,10 @@ def _sieve_center(mult, elements, identity, gens, bound) -> list:
         elif all(mult(g, s) == mult(s, g) for s in gens):
             central.append(g)
             z0, kept = _close(mult, identity, kept + [g], bound)
+            row = None
+        elif rows:
+            row = row or rows(list(z0))
+            marked.update(filter(g.__lt__, row(g)))
         else:
             for z in z0:
                 y = mult(g, z)
@@ -411,8 +425,8 @@ def _same(g):
 
 
 def _arithmetic(G: FiniteGroup) -> tuple:
-    """How G's scans multiply, ``(mult, carrier, encode, decode)``: the one
-    place where indices or tuples are chosen.
+    """How G's scans multiply, ``(mult, carrier, encode, decode, rows)``:
+    the one place where indices or tuples are chosen.
 
     A direct product and every quotient multiply on indices: ``mult`` is
     G's ``_index_product``, the carrier range(|G|), ``encode`` maps an
@@ -422,11 +436,19 @@ def _arithmetic(G: FiniteGroup) -> tuple:
     or a ``SubgroupGroup``) multiplies its canonical carrier's tuples by
     ``G.multiply``, and both maps return what they are given (a set stays a
     set, which ``frozenset`` copies at its size).
+
+    ``rows(js)`` gives ``row``, and ``row(i)`` iterates ``mult(i, j)`` for
+    j in the index list ``js``, with no Python call per element: on a
+    product or a quotient of one (``DirectProductGroup._rows``,
+    ``_quotient_rows``).  Elsewhere, a quotient of a tuple-path group
+    included, ``rows`` is None: a tuple multiply is a Python call per element,
+    and the scan's own loop calls it faster than C ``map`` does.
     """
     E = enumerate_group(G)
     if isinstance(G, (DirectProductGroup, QuotientGroup)):
-        return G._index_product, range(len(E)), G._index, partial(map, E.elements.__getitem__)
-    return G.multiply, E.elements, _same, _same
+        decode = partial(map, E.elements.__getitem__)
+        return G._index_product, range(len(E)), G._index, decode, G._rows
+    return G.multiply, E.elements, _same, _same, None
 
 
 def center(G: FiniteGroup) -> EnumeratedSubgroup:
@@ -436,9 +458,9 @@ def center(G: FiniteGroup) -> EnumeratedSubgroup:
     sieved on whole product elements, never read off the factors.
     """
     if G._center is None:
-        mult, carrier, encode, decode = _arithmetic(G)
+        mult, carrier, encode, decode, rows = _arithmetic(G)
         gens = [encode(g) for _, g in G.generators]
-        found = _sieve_center(mult, carrier, encode(G.identity), gens, G.max_order)
+        found = _sieve_center(mult, carrier, encode(G.identity), gens, G.max_order, rows)
         G._center = _canonical(tuple(decode(found)))
     return G._center
 
@@ -478,7 +500,7 @@ def order_p_elements(G: FiniteGroup) -> tuple:
         G._pth_powers = frozenset(elements[i] for i in _product_indices(G, [f._pth_powers for f in G.factors]))
     elif G._order_p is None:
         p = G.prime
-        mult, carrier, encode, decode = _arithmetic(G)
+        mult, carrier, encode, decode, _ = _arithmetic(G)
         identity = encode(G.identity)
         small = set()
         powers = {identity}
@@ -504,6 +526,15 @@ def order_p_elements(G: FiniteGroup) -> tuple:
     return G._order_p
 
 
+def _quotient_rows(parent_rows, up, down, js):
+    """A quotient's ``rows``: its parent's rows of the coset minima, read
+    down to coset numbers, so nested quotients compose with no call per
+    element or level."""
+    row = parent_rows([up[j] for j in js])
+    at = down.__getitem__
+    return lambda i: map(at, row(up[i]))
+
+
 class QuotientGroup(FiniteGroup):
     """G/N with canonical coset representatives, for a subgroup N of G that
     is normal by construction (unchecked; ``quotient_group`` checks it): the
@@ -523,23 +554,29 @@ class QuotientGroup(FiniteGroup):
     ``_down[mult(_up[i], _up[j])]`` with G's scan multiply, and ``_index``
     reads the number of an element g of G as ``_down[encode(g)]``;
     ``multiply``, ``invert`` and ``project`` return the representative at
-    it.
+    it.  Where G has ``rows`` the scan reads gN as one row, and the
+    quotient has rows too; else it multiplies per n.
     """
 
     def __init__(self, parent: FiniteGroup, kernel: EnumeratedSubgroup):
         E = enumerate_group(parent)
-        mult, carrier, encode, decode = _arithmetic(parent)
+        mult, carrier, encode, decode, rows = _arithmetic(parent)
         if isinstance(carrier, range):  # arrays, so that no element or coset holds an int object
             down, up = array("i", [-1]) * len(E), array("i")
         else:
             down, up = dict.fromkeys(E.elements, -1), []
         encoded = [encode(n) for n in kernel.elements]
+        row = rows and rows(encoded)
         for g in carrier:
             if down[g] == -1:
                 coset = len(up)
                 up.append(g)
-                for n in encoded:
-                    down[mult(g, n)] = coset
+                if row:
+                    for y in row(g):
+                        down[y] = coset
+                else:
+                    for n in encoded:
+                        down[mult(g, n)] = coset
         if len(up) * len(kernel) != len(E):
             raise InternalInconsistency("coset partition does not cover the group")
         self.parent = parent
@@ -547,6 +584,7 @@ class QuotientGroup(FiniteGroup):
         self._down = down
         self._up = up
         self._mult = mult
+        self._rows = rows and partial(_quotient_rows, rows, up, down)
         self._index = lambda g: down[encode(g)]
         self._reps = tuple(decode(up))
         self._init_group(
@@ -652,6 +690,28 @@ class DirectProductGroup(FiniteGroup):
         self._table = _Table(E.elements)
         self._index = self._table.index.__getitem__
         return E
+
+    def _rows(self, js):
+        """The product's ``rows`` (see ``_arithmetic``): the js split into
+        digits once; per factor, the row stride·(a·b) over the js' digits b
+        for i's digit a, an ``array("l")`` memoized by a for this row maker
+        and filled by ``_Table.product`` (the entries ``_index_product``
+        fills; a factor above ``_TABLE_BOUND`` multiplies each pair of
+        digits once per row maker); the factors' rows added by ``map``."""
+        factors = [(f, n, stride, t, [j // stride % n for j in js], [None] * n) for f, n, stride, t, _ in self._radix]
+        add = partial(map, operator.add)
+
+        def row(i):
+            cols = []
+            for f, n, stride, t, digits, memo in factors:
+                a = i // stride % n
+                col = memo[a]
+                if col is None:
+                    col = memo[a] = array("l", [stride * t.product(f, a, b) for b in digits])
+                cols.append(col)
+            return reduce(add, cols)
+
+        return row
 
     def _index_product(self, i: int, j: int) -> int:
         """Index of the product of the elements at indices i and j, once

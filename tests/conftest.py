@@ -49,3 +49,17 @@ def tuple_multiplies(monkeypatch):
 
         monkeypatch.setattr(cls, "multiply", counting)
     return calls
+
+
+@pytest.fixture
+def index_products(monkeypatch):
+    """The list every ``DirectProductGroup._index_product`` call, a product's
+    multiply of two indices, appends to."""
+    calls = []
+
+    def counting(self, i, j, real=DirectProductGroup._index_product):
+        calls.append(1)
+        return real(self, i, j)
+
+    monkeypatch.setattr(DirectProductGroup, "_index_product", counting)
+    return calls

@@ -281,6 +281,14 @@ def test_partb_flags_must_be_json_booleans(write_desc, capsys):
     assert json.loads(capsys.readouterr().out)["description"] == "partb_indec(2,[2],3)"
 
 
+def test_partb_cs_must_be_a_nonempty_increasing_list(write_desc, capsys):
+    base = {"family": "partb", "p": 2, "c": 3}
+    for cs in ([], [3, 2], [2, 2]):
+        for indecomposable in (False, True):
+            assert main(["describe", write_desc(dict(base, cs=cs, indecomposable=indecomposable))]) == 2
+            assert "cs must be a nonempty, strictly increasing list" in capsys.readouterr().err
+
+
 def test_deeply_nested_descriptions_exit_2(tmp_path, write_desc, capsys):
     leaf = {"family": "cyclic", "p": 3, "e": 1}
 

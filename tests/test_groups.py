@@ -541,6 +541,39 @@ def test_center_sieves_cosets(native_multiplies):
     assert len(native_multiplies) <= 18_000
 
 
+PRODUCT_PINS = [
+    (lambda: direct_product([make_Mc(3, 3), make_B2(3, 2), make_cyclic(3, 1)]), 884),
+    (lambda: make_second_example(3, 2, 2), 501),
+]
+PRODUCT_IDS = ["Mc(3,3)xB2(3,2)xC3", "second_example(3,2,2)"]
+
+
+@pytest.mark.parametrize("build, count", PRODUCT_PINS, ids=PRODUCT_IDS)
+def test_product_center_multiplies_only_in_its_generator_tests(index_products, build, count):
+    # a product's sieve, and that of a quotient of one, marks each coset
+    # gZ0 by one row, so the product's own index multiplies left are the
+    # generator tests' and the closures' that grow Z0: 782 + 102 on the
+    # product and 480 + 21 on second_example, where marking by one
+    # _index_product per element made 8,138 and 1,461
+    G = build()
+    enumerate_group(G)
+    index_products.clear()
+    center(G)
+    assert len(index_products) == count
+
+
+@pytest.mark.parametrize("build", [build for build, _ in PRODUCT_PINS], ids=PRODUCT_IDS)
+def test_product_quotient_scan_makes_no_index_products(index_products, build):
+    # the coset scan reads each coset gZ as one row: numbering the cosets
+    # one _index_product per element made 6,561 and 729 calls
+    G = build()
+    Z = center(G)
+    index_products.clear()
+    Q = QuotientGroup(G, Z)
+    assert index_products == []
+    assert len(Q._up) * len(Z) == len(enumerate_group(G))
+
+
 def test_search_prunes_subgroups_containing_the_center(table_reads):
     # the unpruned search reads the tables of second_example 4,177,012 times
     # to prove it indecomposable, the pruned one 415,063, and the pruned one

@@ -349,6 +349,39 @@ def same_objects(xs, ys):
     return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
 
 
+def over_products(G):
+    """Whether G is a product, or a quotient of one at any depth: the
+    groups whose ``_arithmetic`` gives rows."""
+    while isinstance(G, QuotientGroup):
+        G = G.parent
+    return isinstance(G, DirectProductGroup)
+
+
+def check_rows(G, seed=0):
+    """G's rows, where ``_arithmetic`` gives them, equal G's
+    ``_index_product`` pair by pair at seeded i, over G's center, a drawn
+    subset and a list with repeated digits; G has rows iff it is a product
+    or a quotient of one."""
+    rows = _arithmetic(G)[4]
+    if not over_products(G):
+        assert rows is None
+        return
+    n = len(enumerate_group(G))
+    rng = random.Random(seed)
+    few = [rng.randrange(n) for _ in range(3)]
+    start = rng.randrange(n)
+    lists = [
+        [G._index(z) for z in center(G).elements],
+        rng.sample(range(n), min(n, 40)),
+        # repeated elements, and neighbours that share all but their last digits
+        [0, *(rng.choice(few) for _ in range(12)), *range(start, min(n, start + 6)), n - 1, 0],
+    ]
+    for js in lists:
+        row = rows(js)
+        for i in [0, n - 1, *(rng.randrange(n) for _ in range(30))]:
+            assert list(row(i)) == [G._index_product(i, j) for j in js]
+
+
 def check_index_paths(G, T=None):
     """G, a product or a quotient, scans on indices, and the tuple path on
     its twin T gives exactly what G's index path gives.
@@ -356,7 +389,8 @@ def check_index_paths(G, T=None):
     T is G itself for a product, else a ``ReferenceQuotient`` of G's parent
     by G's kernel, with G's representatives, coset numbers (in the parent's
     carrier order) and projections of the parent's elements the same.  G's
-    products of indices, on seeded pairs, decode to T's tuple products.
+    products of indices, on seeded pairs, decode to T's tuple products, and
+    its rows equal its products of indices (``check_rows``).
     G's center, order-p elements, p-th powers and ucs terms equal the tuple
     path's on T, as the carrier's own tuples; the ucs terms above the center
     are the preimages of G/Z(G)'s, checked the same way against
@@ -376,6 +410,7 @@ def check_index_paths(G, T=None):
     elems = E.elements
     for i, j in [(rng.randrange(len(E)), rng.randrange(len(E))) for _ in range(100)]:
         assert elems[G._index_product(i, j)] == reference_multiply(T, elems[i], elems[j])
+    check_rows(G, len(E))
     own = {id(g) for g in E.elements}
     Z = center(G)
     assert same_objects(Z.elements, reference_tuple_center(T))
@@ -918,6 +953,59 @@ def test_suite_products_and_quotients_index_paths():
     over_tuples = [QuotientGroup(H, center(H)) for H in (make_Mc(3, 4), make_homocyclic(3, 2, 2, 1))]
     for G in small + [make_second_example(3, 2, 2)] + over_tuples:
         check_index_paths(G)
+
+
+def test_rows_above_the_table_bound_and_on_a_quotient_of_a_quotient():
+    """A product with a factor above ``_TABLE_BOUND`` (no product array, so
+    each memo row is multiplied by the factor), and a quotient of a quotient
+    of a product checked against the tuple reference one level up."""
+    P = direct_product([make_Mc(3, 6), make_cyclic(3, 1)])
+    assert enumerate_group(P.factors[0]) and _index_table(P.factors[0]).products is None
+    check_index_paths(P)
+    G = direct_product([make_Mc(3, 4), make_cyclic(3, 1)])
+    Q = QuotientGroup(G, center(G))
+    QQ = QuotientGroup(Q, center(Q))
+    assert QQ.known_order > len(center(QQ)) > 1  # the check recurses a level further
+    check_index_paths(QQ)
+
+
+def per_element_arithmetic(G):
+    """``_arithmetic`` with no rows: every scan multiplies per element."""
+    return (*_arithmetic(G)[:4], None)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: direct_product([make_Mc(3, 3), make_B2(3, 2), make_cyclic(3, 1)]),
+        lambda: make_second_example(3, 2, 2),
+        lambda: direct_product([make_Mc(3, 6), make_cyclic(3, 1)]),
+    ],
+    ids=["Mc(3,3)xB2(3,2)xC3", "second_example(3,2,2)", "Mc(3,6)xC3"],
+)
+def test_rows_fill_what_per_element_scans_fill(monkeypatch, native_multiplies, index_products, build):
+    """The center, the ucs and the spectrum by rows equal those of scans
+    that multiply per element, with the same factor-table entries filled
+    and the same native multiplies, in fewer product index multiplies."""
+
+    def run():
+        G = build()
+        P = G
+        while isinstance(P, QuotientGroup):
+            P = P.parent
+        enumerate_group(G)
+        native_multiplies.clear()
+        index_products.clear()
+        result = (center(G).elements, upper_central_series(G).terms, spectrum(G))
+        fills = [(t.products, t.inverses) for t in map(_index_table, P.factors)]
+        return result, fills, len(native_multiplies), len(index_products)
+
+    *by_rows, fewer = run()
+    monkeypatch.setattr(groups_module, "_arithmetic", per_element_arithmetic)
+    *per_element, more = run()
+    # 403, 343 and 21,496 native multiplies: Mc(3,6), above the table bound,
+    # is the top factor, so each of its digits is met once per row maker
+    assert by_rows == per_element and fewer < more
 
 
 @settings(max_examples=30)
