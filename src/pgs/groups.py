@@ -16,42 +16,24 @@ product of its factors' carriers, and a quotient's the coset minima its
 scan found.  The identity is the zero tuple, so it is the least element of
 every carrier, at position 0.
 
-Everything here is exhaustive and exact: closures are incremental
-(Dimino's algorithm: about |H|·log_p|H| multiplies, however many seeds they
-get) and may also close under conjugation, the center is a coset sieve that
-tests one element per coset of the central subgroup found so far against the
-generators, the order-p scan walks each cyclic subgroup once, and
-quotients store the tuple-order minimum of each coset.  A direct product's
-order-p elements and p-th powers are read from its factors, with
-no multiply in the product, because they are the definition of the product; its center,
-upper central series and quotients are computed on the product itself,
-never from its factors, so the product law Z_i(G x H) = Z_i(G) x Z_i(H)
-stays something the toolkit checks.  Each group caches its carrier, center,
-ucs layer labelling and terms, order-p elements and p-th powers, so every
-analysis of one group object shares them.  Each group also carries the enumeration
-bound it was built with, ``max_order``: a quotient or subgroup takes its
-parent's, a product the smallest of its factors'.
+Everything here is exhaustive and exact.  A direct product's order-p
+elements and p-th powers are read from its factors, with no multiply in the
+product, because they are the definition of the product; its center, upper
+central series and quotients are computed on the product itself, never from
+its factors, so the product law Z_i(G x H) = Z_i(G) x Z_i(H) stays something
+the toolkit checks.  Each group caches its carrier, center, ucs layer
+labelling and terms, order-p elements and p-th powers, and Omega_1, so every
+analysis of one group object shares them.  Each group also carries the
+enumeration bound it was built with, ``max_order``: a quotient or subgroup
+takes its parent's, a product the smallest of its factors'.
 
-An enumerated group may also carry an index table (``_Table``): its
-carrier in canonical order, the index of each element, and lazily filled
-product and inverse indices, the n x n products only up to
-``_TABLE_BOUND`` elements.  Once a direct product is enumerated its
-``multiply`` and ``invert`` work on indices: an element's index splits in
-mixed radix into its factors' indices, and each factor's product is read
-from that factor's table, computed by the factor's own ``multiply`` the
-first time it is needed.  A quotient multiplies its coset numbers with no
-table, through the parent's scan arithmetic.  So products and all
-quotients scan on indices, native groups and ``SubgroupGroup``s on tuples
-(``_arithmetic`` makes that choice).  The coset scan (g·N) and the center
-sieve's marks (g·Z0) read g's products on indices as one row (``rows``):
-per factor a row of g's digit, memoized by that digit, the factors' rows
-added by ``map``.  The tuple path has no rows: its multiply is a Python call
-per element however it is driven.  The center, the order-p scan and the
-quotient scan decode through the carrier, so the caches hold the carrier's
-own tuples.  Index order is tuple order, so coset minima and witnesses do
-not depend on the path.  ``direct_factor_search`` reads the same tables, and
-in a p-group it never queues a normal subgroup that contains the center; it
-forms each join of a queued subgroup with the atoms once.
+Products and all quotients scan on indices, native groups and
+``SubgroupGroup``s on tuples (``_arithmetic`` makes that choice).  An
+enumerated product multiplies through its factors' index tables
+(``_Table``), a quotient through its parent's scan arithmetic.  The scans
+decode through the carrier, so the caches hold the carrier's own tuples.
+Index order is tuple order, so coset minima and witnesses do not depend on
+the path.
 """
 
 from __future__ import annotations
@@ -60,7 +42,7 @@ import operator
 from array import array
 from collections import deque
 from functools import partial, reduce
-from itertools import chain, islice, product
+from itertools import chain, compress, islice, product
 from math import gcd, prod
 
 from .errors import (
@@ -125,6 +107,7 @@ class FiniteGroup:
         self._ucs = None
         self._order_p = None
         self._pth_powers = None
+        self._omega1 = None
         self._table = None
 
     def multiply(self, a, b):
@@ -630,7 +613,10 @@ def quotient_group(G: FiniteGroup, N: EnumeratedSubgroup) -> QuotientGroup:
 
 
 class DirectProductGroup(FiniteGroup):
-    """Componentwise product with concatenated coordinates."""
+    """Componentwise product with concatenated coordinates.  Once enumerated
+    it multiplies on indices: an index splits in mixed radix into factor
+    indices, whose products each factor's table gives (filled by the
+    factor's ``multiply`` on first use)."""
 
     def __init__(self, factors, description=""):
         factors = list(factors)
@@ -796,16 +782,27 @@ def is_pth_power(G: FiniteGroup, z) -> bool:
 
 
 def omega1_subgroup(G: FiniteGroup) -> EnumeratedSubgroup:
-    """Subgroup generated by all elements of order dividing p.
+    """Subgroup generated by all elements of order dividing p (``_omega1``)."""
+    return _omega1(G)[0]
 
-    When every element has order dividing p (as in B2) this is G itself, read
-    off the cached scan; closing it would take 84,035 multiplies on B2(7,3).
-    """
-    E = enumerate_group(G)
-    small = order_p_elements(G)
-    if len(small) + 1 == len(E):
-        return E
-    return subgroup_closure(G, small)
+
+def _omega1(G: FiniteGroup) -> tuple:
+    """Omega_1 and the kept seeds that generate it, from one ``_close`` of
+    the order-p elements on G's scan arithmetic (cached), as the carrier's
+    own tuples.  When every element has order dividing p (as in B2) it is G,
+    generated by G's generators, with no closure (84,035 multiplies on
+    B2(7,3))."""
+    if G._omega1 is None:
+        E = enumerate_group(G)
+        small = order_p_elements(G)
+        if len(small) + 1 == len(E):
+            G._omega1 = E, [g for _, g in G.generators]
+        else:
+            mult, carrier, encode, decode, _ = _arithmetic(G)
+            elements, kept = _close(mult, encode(G.identity), map(encode, small), G.max_order)
+            members = compress(E.elements, map(elements.__contains__, carrier))
+            G._omega1 = _canonical(tuple(members)), list(decode(kept))
+    return G._omega1
 
 
 def generated_by_order_p(G: FiniteGroup) -> bool:

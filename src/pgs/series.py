@@ -174,33 +174,40 @@ def spectrum(G: FiniteGroup) -> SpectrumReport:
     )
 
 
-def is_central_series(G: FiniteGroup, chain: CentralSeriesChain) -> bool:
-    """True iff the chain ascends 1 -> G through subgroups with [G_i, G] <= G_(i-1).
+def _commutator_pass(G: FiniteGroup, chain: CentralSeriesChain) -> tuple:
+    """(central, linked): whether the chain is a central series, and if so
+    whether it links layers, from one commutator [x, g] per x in
+    G_m \\ G_(m-1) and generator g of G.
 
-    A term is a subgroup iff its closure is no larger, which costs about
-    |term|·log_p|term| multiplies, not |term|^2.  The commutator condition
-    is tested against generators of G only, which suffices when applied
-    bottom-up: once [G_(i-1), G] <= G_(i-2) is fully established,
-    [x, gh] = [x, h] [x, g] [[x, g], h] closes the induction.
+    The chain must ascend strictly from 1 to G through subgroups (a term is
+    one iff its closure is no larger).  It is central iff every [x, g] lies
+    in G_(m-1): an x in G_(m-1) was covered a level below, and bottom-up
+    [x, gh] = [x, h] [x, g]^h closes the induction over generators.  It
+    links layers iff for m >= 2 each x has some [x, g] outside G_(m-2):
+    y -> [x, y] G_(m-2) is then a homomorphism into G_(m-1)/G_(m-2), which
+    is nontrivial iff it moves a generator.
     """
-    E = enumerate_group(G)
-    terms = chain.terms
-    if len(terms) < 1 or terms[0].as_set != {G.identity} or terms[-1].as_set != E.as_set:
-        return False
-    for lo, hi in zip(terms, terms[1:]):
-        if not lo.as_set < hi.as_set:
-            return False
-    for term in terms[1:-1]:
-        if len(subgroup_closure(G, term.as_set)) != len(term):
-            return False
+    sets = [t.as_set for t in chain.terms]
+    ascends = sets and sets[0] == {G.identity} and sets[-1] == enumerate_group(G).as_set
+    if not ascends or not all(map(frozenset.__lt__, sets, sets[1:])):
+        return False, False
+    if any(len(subgroup_closure(G, t)) != len(t) for t in sets[1:-1]):
+        return False, False
     gens = [g for _, g in G.generators]
-    for i in range(1, len(terms)):
-        below = terms[i - 1].as_set
-        for x in terms[i].as_set:
-            for g in gens:
-                if commutator(G, x, g) not in below:
-                    return False
-    return True
+    linked = True
+    for m in range(1, len(sets)):
+        for x in sets[m] - sets[m - 1]:
+            comms = [commutator(G, x, g) for g in gens]
+            if not sets[m - 1].issuperset(comms):
+                return False, False
+            linked = linked and (m == 1 or not sets[m - 2].issuperset(comms))
+    return True, linked
+
+
+def is_central_series(G: FiniteGroup, chain: CentralSeriesChain) -> bool:
+    """True iff the chain ascends 1 -> G through subgroups with
+    [G_i, G] <= G_(i-1) (``_commutator_pass``)."""
+    return _commutator_pass(G, chain)[0]
 
 
 def satisfies_ucs_characterization(G: FiniteGroup, chain: CentralSeriesChain) -> bool:
@@ -208,27 +215,11 @@ def satisfies_ucs_characterization(G: FiniteGroup, chain: CentralSeriesChain) ->
 
     For every m >= 2 and every x in G_m \\ G_(m-1), some y in G must push x
     down exactly one layer: [x, y] in G_(m-1) \\ G_(m-2).  A central series
-    has this property iff it is the upper central series term by term.
-
-    Only the generators of G are tried as y.  In a central series
-    [x, G] <= G_(m-1) and [G_(m-1), G] <= G_(m-2), so from
-    [x, yz] = [x, z] [x, y] [[x, y], z] the map y -> [x, y] G_(m-2) is a
-    homomorphism from G to the central section G_(m-1)/G_(m-2).  Its image
-    is nontrivial iff it moves some generator, so some y pushes x down a
-    layer iff some generator does: |G_m|·d commutators, not |G_m|·|G|.
+    has this property iff it is the upper central series term by term.  The
+    same commutators as ``is_central_series`` decide it; a chain that is not
+    central at any level raises PreconditionFailed.
     """
-    if not is_central_series(G, chain):
+    central, linked = _commutator_pass(G, chain)
+    if not central:
         raise PreconditionFailed("chain is not a central series")
-    gens = [g for _, g in G.generators]
-    terms = chain.terms
-    for m in range(2, len(terms)):
-        mid = terms[m - 1].as_set
-        low = terms[m - 2].as_set
-        for x in terms[m].as_set:
-            if x in mid:
-                continue
-            if not any(
-                (c := commutator(G, x, y)) in mid and c not in low for y in gens
-            ):
-                return False
-    return True
+    return linked

@@ -1,13 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pgs.groups
 import pgs.series
 from pgs.cli import build_parser, main
-from pgs.constructions import SemidirectGroup, build_from_description
+from pgs.constructions import LieBCHGroup, SemidirectGroup, build_from_description
 from pgs.groups import DirectProductGroup, SubgroupGroup
 from test_properties import SUITE_FAMILIES
 
@@ -333,6 +339,29 @@ def test_verify_builds_the_ucs_once(write_desc, capsys, monkeypatch):
     assert quotients == [3]
 
 
+def test_verify_closes_omega1_once(write_desc, capsys, monkeypatch):
+    """lemma2 (Omega_1 is not G: not applicable) and the question (Omega_1
+    is nonabelian) read one Omega_1: one closure of the order-p elements,
+    which a quotient of a product closes as indices."""
+    desc = {"family": "second_example", "p": 3, "k": 2, "c": 2}
+    G = build_from_description(desc)
+    small = set(pgs.groups.order_p_elements(G))
+    order_p = [i for i, g in enumerate(pgs.groups.enumerate_group(G).elements) if g in small]
+    seed_lists = []
+    real = pgs.groups._close
+
+    def recording(mult, identity, seeds, *args):
+        seeds = list(seeds)
+        seed_lists.append(seeds)
+        return real(mult, identity, seeds, *args)
+
+    monkeypatch.setattr(pgs.groups, "_close", recording)
+    assert main(["verify", write_desc(desc), "--json"]) == 0
+    records = {r["check"]: r for r in json.loads(capsys.readouterr().out)["records"]}
+    assert not records["lemma2"]["details"]["applicable"] and records["question_witness"]["details"]["applicable"]
+    assert seed_lists.count(order_p) == 1
+
+
 @pytest.mark.parametrize(
     "desc, product_order",
     [
@@ -485,3 +514,102 @@ def test_flags_a_command_reads_are_accepted():
     assert parse(["decompose", "f.json", *common, "--decompose-bound", "5"])
     for command in ("describe", "spectrum"):
         assert parse([command, "f.json", *common])
+
+
+# descriptions drawn near the grammar: every family with in-range
+# parameters, now and then one of another JSON type or an extreme
+# integer, nested products and quotients, valid and invalid words
+_FAMILY_RANGES = {
+    "Mc": {"c": (2, 6)},
+    "Dc": {"c": (2, 4)},
+    "homocyclic": {"k": (1, 3), "e": (1, 3), "s": (0, 1)},
+    "B2": {"k": (2, 4)},
+    "second_example": {"k": (2, 3), "c": (2, 3)},
+    "cyclic": {"e": (1, 4)},
+    "partb": {"c": (2, 5)},
+}
+_BAD = st.one_of(
+    st.booleans(), st.floats(), st.text(max_size=3), st.lists(st.integers(0, 4), max_size=3), st.none(),
+    st.sampled_from([-1, 2**31, 2**63, 10**30, -(10**30)]),
+)
+_P = st.shared(st.sampled_from([2, 3, 5, 7]), key="p")  # one prime per description, so products can form
+_NAMES = ["x", "y", "s1", "s2", "s3", "d", "a", "t", "yp", "q"]
+_TERM = st.tuples(
+    st.sampled_from(["", "f0.", "f1.", "f2.", "f0.f1."]),
+    st.sampled_from(_NAMES),
+    st.sampled_from(["", "^2", "^3", "^4", "^9", "^-1", "^" + "9" * 40]),
+)
+
+
+def _or_bad(strategy, bad=_BAD):
+    """``strategy``, or one draw in about sixteen ``bad`` (the last choice,
+    as hypothesis favours the first)."""
+    return st.sampled_from(range(16)).flatmap(lambda k: bad if k == 15 else strategy)
+
+
+_WORD = _or_bad(
+    st.lists(_TERM, min_size=1, max_size=2).map(lambda ts: "*".join("".join(t) for t in ts)),
+    st.sampled_from(["", "a b", "**", "f0.", "x^"]) | _BAD,
+)
+
+
+@st.composite
+def _family(draw):
+    family = draw(st.sampled_from([*_FAMILY_RANGES, "Xc"]))
+    desc = {"family": family, "p": draw(_or_bad(_P))}
+    for key, (lo, hi) in _FAMILY_RANGES.get(family, {}).items():
+        desc[key] = draw(_or_bad(st.integers(lo, hi)))
+    if family == "partb":
+        desc["cs"] = draw(_or_bad(st.lists(st.integers(2, 5), min_size=1, max_size=2, unique=True).map(sorted)))
+        desc["indecomposable"] = draw(_or_bad(st.booleans()))
+    if draw(st.sampled_from(range(20))) == 19:  # a missing parameter
+        desc.pop(draw(st.sampled_from(list(desc)[1:])))  # any but "family"
+    return desc
+
+
+_DESCRIPTIONS = _or_bad(
+    st.recursive(
+        _family(),
+        lambda inner: st.one_of(
+            st.fixed_dictionaries({"op": st.just("product"), "factors": _or_bad(st.lists(inner, min_size=1, max_size=3))}),
+            st.fixed_dictionaries({"op": st.just("central_quotient"), "group": inner, "word": _WORD}),
+        ),
+        max_leaves=4,
+    ),
+    _BAD | st.just({"op": "nosuch"}),
+)
+
+_COMMANDS = st.sampled_from(
+    [["describe"], ["spectrum"], ["series", "--upper"], ["series", "--lower"], ["verify"], ["decompose"]]
+)
+_MAX_ORDER = st.sampled_from([2000, 729, 100]) | st.integers(1, 2000)
+_FUZZ_MULTIPLIES = 1_000_000  # the work one drawn run may do, in native and product index multiplies
+
+
+@settings(max_examples=200)
+@given(_DESCRIPTIONS, _COMMANDS, _MAX_ORDER, st.booleans())
+def test_drawn_descriptions_exit_0_to_3(desc, command, max_order, as_json):
+    """Every drawn input gets an answer or a clean exit 2 or 3, with no
+    uncaught exception, within a bounded number of multiplies."""
+    calls = []
+
+    def counting(real):
+        def multiply(self, *args):
+            calls.append(1)
+            if len(calls) > _FUZZ_MULTIPLIES:
+                pytest.fail(f"more than {_FUZZ_MULTIPLIES} multiplies")
+            return real(self, *args)
+
+        return multiply
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        for cls in (SemidirectGroup, LieBCHGroup):
+            mp.setattr(cls, "multiply", counting(cls.multiply))
+        mp.setattr(DirectProductGroup, "_index_product", counting(DirectProductGroup._index_product))
+        path = os.path.join(tmp, "desc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(desc, fh)
+        argv = [*command[:1], path, *command[1:], "--max-order", str(max_order)] + ["--json"] * as_json
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)

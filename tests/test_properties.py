@@ -44,7 +44,7 @@ from pgs.constructions import (
     make_second_example,
 )
 from pgs import groups as groups_module
-from pgs.errors import ResourceLimit
+from pgs.errors import PreconditionFailed, ResourceLimit
 from pgs.linalg import valuation
 from pgs.groups import (
     _TABLE_BOUND,
@@ -60,11 +60,13 @@ from pgs.groups import (
     _close,
     _conjugacy_classes_idx,
     _index_table,
+    _omega1,
     _sieve_center,
     center,
     commutator,
     direct_factor_search,
     direct_product,
+    element_order,
     enumerate_group,
     is_pth_power,
     order_p_elements,
@@ -89,6 +91,8 @@ from pgs.verify import (
     find_question_witness,
     random_recipes,
     verify_lemma2,
+    verify_lemma_fact,
+    verify_question,
 )
 
 ORDER_CAP = 3000
@@ -684,14 +688,82 @@ def central_chains(G):
     return chains
 
 
+def two_pass_is_central_series(G, chain):
+    """The central-series test as its own pass: every element of every
+    term against every generator."""
+    terms = chain.terms
+    if not terms or terms[0].as_set != {G.identity} or terms[-1].as_set != enumerate_group(G).as_set:
+        return False
+    if not all(lo.as_set < hi.as_set for lo, hi in zip(terms, terms[1:])):
+        return False
+    if any(len(subgroup_closure(G, t.as_set)) != len(t) for t in terms[1:-1]):
+        return False
+    gens = [g for _, g in G.generators]
+    for i in range(1, len(terms)):
+        below = terms[i - 1].as_set
+        if any(commutator(G, x, g) not in below for x in terms[i].as_set for g in gens):
+            return False
+    return True
+
+
+def two_pass_ucs_characterization(G, chain):
+    """Layer linking as a second pass after ``two_pass_is_central_series``,
+    with its own commutators."""
+    if not two_pass_is_central_series(G, chain):
+        raise PreconditionFailed("chain is not a central series")
+    gens = [g for _, g in G.generators]
+    terms = chain.terms
+    for m in range(2, len(terms)):
+        mid, low = terms[m - 1].as_set, terms[m - 2].as_set
+        for x in terms[m].as_set - mid:
+            if not any((c := commutator(G, x, y)) in mid and c not in low for y in gens):
+                return False
+    return True
+
+
+def non_central_chains(G):
+    """Chains that fail the central-series test: the ucs without Z_1 fails
+    at level 1 only, the ucs without Z_(c-1) at the top level only (one
+    chain when c = 2); the chain through <g>, g outside Z_(c-1), the
+    reversed ucs, and a two-element set that is no subgroup."""
+    terms = upper_central_series(G).terms
+    if len(terms) < 3:
+        return []
+    g = next(x for x in terms[-1].elements if x not in terms[-2])
+    chains = [terms[:1] + terms[2:], terms[:-2] + terms[-1:], terms[::-1]]
+    for sub in (subgroup_closure(G, [g]), EnumeratedSubgroup([G.identity, g])):
+        if len(sub) < len(terms[-1]):
+            chains.append((terms[0], sub, terms[-1]))
+    return [CentralSeriesChain(G, c) for c in chains]
+
+
+def outcome(check, G, chain):
+    """``check``'s verdict on the chain, or "not central" if it refuses it."""
+    try:
+        return check(G, chain)
+    except PreconditionFailed:
+        return "not central"
+
+
+def check_one_pass(G, chains):
+    """Both central-series checks give the two-pass verdicts."""
+    for chain in chains:
+        assert is_central_series(G, chain) == two_pass_is_central_series(G, chain)
+        assert outcome(satisfies_ucs_characterization, G, chain) == outcome(two_pass_ucs_characterization, G, chain)
+
+
 def check_ucs_characterization(desc):
-    """Both scans agree on every chain, and hold exactly on the ucs."""
+    """The one commutator pass gives the two-pass verdicts on every chain,
+    central or not, and on central chains the all-y scan's, holding
+    exactly on the ucs."""
     G = build_from_description(desc)
     ucs = upper_central_series(G)
-    for chain in central_chains(G):
+    chains = central_chains(G)
+    for chain in chains:
         assert is_central_series(G, chain)
         verdict = satisfies_ucs_characterization(G, chain)
         assert verdict == reference_ucs_characterization(G, chain) == (chain == ucs)
+    check_one_pass(G, chains + non_central_chains(G))
 
 
 def product_under(G):
@@ -1117,6 +1189,70 @@ def test_nested_product_paths(desc):
 @given(recipes)
 def test_recipes_ucs_characterization(desc):
     check_ucs_characterization(desc)
+
+
+def test_refined_chain_one_pass_matches_two_passes():
+    """The suite's refined Dc(3,2) chain 1 < <x^3> < Z < G is central and
+    does not link layers, as in two passes."""
+    D = make_Dc(3, 2)
+    x3 = subgroup_closure(D, [D.power(D.named_elements["x"], 3)])
+    refined = CentralSeriesChain(D, (EnumeratedSubgroup([D.identity]), x3, center(D), enumerate_group(D)))
+    assert is_central_series(D, refined) and not satisfies_ucs_characterization(D, refined)
+    check_one_pass(D, [refined, *non_central_chains(D)])
+
+
+def reference_question_applicable(G):
+    """The all-pairs applicability scan: p odd and two order-p elements
+    that do not commute."""
+    mult = G.multiply
+    elems = reference_order_p(G)
+    return G.prime != 2 and any(mult(x, y) != mult(y, x) for x in elems for y in elems)
+
+
+def check_omega1(G, pair_cap=None):
+    """Omega_1 is the closure of the order-p elements (``subgroup_closure``,
+    on tuples), as the carrier's own tuples; its kept seeds generate it and
+    commute pairwise iff all order-p elements do.  The question's verdict
+    is the pair scans' wherever there are at most ``pair_cap`` order-p
+    elements."""
+    om, kept = _omega1(G)
+    small = reference_order_p(G)
+    assert om.as_set == subgroup_closure(G, small).as_set
+    assert om is enumerate_group(G) or set(kept) <= set(small)
+    assert subgroup_closure(G, kept).as_set == om.as_set
+    own = {id(g) for g in enumerate_group(G).elements}
+    assert all(id(g) in own for g in om.elements)
+    commute = all(G.multiply(a, b) == G.multiply(b, a) for a in kept for b in kept)
+    if pair_cap is None or len(small) <= pair_cap:
+        applicable = reference_question_applicable(G)
+        assert applicable == (G.prime != 2 and not commute)
+        witness = reference_question_witness(G)
+        passed = witness is not None or not applicable
+        assert verify_question(G) == {"applicable": applicable, "passed": passed, "witness": witness}
+
+
+@pytest.mark.parametrize("desc", SUITE_FAMILIES, ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
+def test_suite_families_omega1_and_question(desc):
+    check_omega1(build_from_description(desc))
+
+
+@settings(max_examples=20)
+@given(recipes)
+def test_recipes_omega1_and_question(desc):
+    check_omega1(build_from_description(desc), pair_cap=300)
+
+
+def reference_lemma_fact(p, c):
+    """verify_lemma_fact by each outside element's order."""
+    M = make_Mc(p, c)
+    outside = [g for g in enumerate_group(M).elements if g[0] != 0]
+    bad = [g for g in outside if element_order(M, g) != p]
+    return {"passed": not bad, "outside": len(outside), "bad": bad}
+
+
+@pytest.mark.parametrize("p, c", [(2, 3), (2, 5), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3)])
+def test_lemma_fact_matches_element_orders(p, c):
+    assert verify_lemma_fact(p, c) == reference_lemma_fact(p, c)
 
 
 @settings(max_examples=30)

@@ -15,6 +15,8 @@ from pgs.constructions import (
 )
 from pgs.errors import NotCentral, PreconditionFailed
 from pgs.groups import (
+    DEFAULT_DECOMPOSE_BOUND,
+    DEFAULT_MAX_ORDER,
     center,
     commutator,
     direct_product,
@@ -24,6 +26,8 @@ from pgs.groups import (
     quotient_group,
 )
 from pgs.verify import (
+    DEFAULT_SEED,
+    _suite_checks,
     find_question_witness,
     random_recipes,
     run_check,
@@ -34,6 +38,7 @@ from pgs.verify import (
     verify_partb_structure,
     verify_prop_same,
     verify_product_spectrum,
+    verify_question,
     verify_regularity_power,
     verify_theorem_part1,
 )
@@ -67,9 +72,33 @@ def test_question_witness_found():
         assert G.power(G.multiply(x, y), p) == G.identity
 
 
-def test_question_witness_none_for_dihedral():
-    for c in (2, 3, 4):
-        assert find_question_witness(make_Mc(2, c)) is None
+def test_question_witness_none_for_dihedral(native_multiplies):
+    # p = 2 is decided with no pair scan, no Omega_1 and no enumeration,
+    # also on Mc(2,19), with 2^20 elements
+    for c in (2, 3, 4, 19):
+        G = make_Mc(2, c)
+        native_multiplies.clear()
+        assert find_question_witness(G) is None
+        assert verify_question(G) == {"applicable": False, "passed": True, "witness": None}
+        assert native_multiplies == [] and G._enumeration is None
+
+
+def test_lemma_fact_reads_the_order_p_scan(native_multiplies):
+    assert verify_lemma_fact(3, 3)["passed"]
+    assert len(native_multiplies) == 86  # 108 with an element_order walk per outside element
+
+
+def test_ucs_characterization_pass_multiplies(native_multiplies, index_products):
+    """The suite's ucs_characterization check on second_example (3,2,2),
+    the group's build included."""
+    (thunk,) = [
+        t
+        for name, params, t in _suite_checks(DEFAULT_MAX_ORDER, DEFAULT_DECOMPOSE_BOUND, DEFAULT_SEED, 0)
+        if name == "ucs_characterization" and params["family"] == "second_example"
+    ]
+    assert thunk() == (True, None, {"lcs_equals_ucs": False})
+    assert len(native_multiplies) == 661  # all in the factors' tables
+    assert len(index_products) == 18_536  # 22,211 in two passes, each with its own commutators
 
 
 def test_question_witness_second_example():
