@@ -146,14 +146,13 @@ def cmd_series(args) -> int:
 
 def _verify_records_for(desc_obj, args) -> list[CheckRecord]:
     desc = parse_description(desc_obj)
-    max_order = args.max_order
     records = []
 
     def run(name, params, thunk):
         if not args.check or any(f in name for f in args.check):
             records.append(run_check(name, params, thunk))
 
-    G = build_from_description(desc, max_order)
+    G = build_from_description(desc, args.max_order)
 
     run("theorem_part1", {}, lambda: _unpack(verify_theorem_part1(G)))
     run("lemma2", {}, lambda: _unpack(verify_lemma2(G)))
@@ -166,9 +165,9 @@ def _verify_records_for(desc_obj, args) -> list[CheckRecord]:
 
     if desc.kind == "Mc":
         p, c = desc.params["p"], desc.params["c"]
-        run("lemma_fact", {"p": p, "c": c}, lambda: _unpack(verify_lemma_fact(p, c, max_order)))
+        run("lemma_fact", {"p": p, "c": c}, lambda: _unpack(verify_lemma_fact(G)))
         if c >= p:
-            run("eq_powers", {"p": p, "c": c}, lambda: _unpack(verify_eq_powers(p, c, max_order)))
+            run("eq_powers", {"p": p, "c": c}, lambda: _unpack(verify_eq_powers(G)))
 
     if desc.kind == "product" and len(desc.factors) == 2:
         run("product_spectrum", {}, lambda: _unpack(verify_product_spectrum(G)))

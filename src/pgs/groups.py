@@ -56,8 +56,8 @@ from .linalg import echelonize, valuation
 DEFAULT_MAX_ORDER = 2_000_000
 DEFAULT_DECOMPOSE_BOUND = 20_000
 
-# index tables of groups up to this order hold the n^2 product indices,
-# filled lazily (2 bytes an entry); larger groups get no product table
+# factor tables up to this order hold the n^2 product indices, filled
+# lazily (2 bytes an entry)
 _TABLE_BOUND = 1500
 
 
@@ -847,11 +847,11 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOS
     The normal subgroups of G are exactly the joins of normal closures of
     single elements, so the search enumerates that join closure (joining
     with single-element closures only, which suffices by associativity of
-    join) and tests complementary pairs as subgroups are discovered.  All
-    arithmetic runs in index space over the enumerated carrier, through G's
-    shared index table (filled only where the search looks, up to
-    ``_TABLE_BOUND`` elements; a private cache above it); subgroups are
-    bitmask integers so intersection tests are single AND operations.
+    join) and tests complementary pairs as subgroups are discovered.  Indices
+    are carrier positions, multiplied on G's ``_arithmetic``: by
+    ``_index_product`` on a product or a quotient, else by ``multiply``
+    through a memo (dear on a ``SubgroupGroup``); subgroups are bitmask
+    integers so intersection tests are single AND operations.
 
     In a p-group the search reads the cached center.  If G = A x B with A
     and B nontrivial, then Z(G) = Z(A) x Z(B) with Z(B) != 1 outside A, so
@@ -885,28 +885,21 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOS
         Z = center(G)
         if sum(g in Z for g in order_p_elements(G)) == p - 1:
             return None
-    table = _index_table(G)
-    elems = table.elements
-    idx = table.index
-
-    if table.products is not None:
-
-        def mul(i, j):
-            return table.product(G, i, j)
-
-    else:
+    mul, carrier, idx, _, _ = _arithmetic(G)
+    elems = enumerate_group(G).elements
+    if not isinstance(carrier, range):  # the tuple path
+        idx = {g: i for i, g in enumerate(elems)}.__getitem__
         cache: dict[int, int] = {}
 
         def mul(i, j):
             key = i * n + j
             r = cache.get(key)
             if r is None:
-                r = idx[G.multiply(elems[i], elems[j])]
-                cache[key] = r
+                r = cache[key] = idx(G.multiply(elems[i], elems[j]))
             return r
 
-    inv_of = [table.inverse(G, i) for i in range(n)]
-    gen_idx = sorted({idx[g] for _, g in G.generators if g != G.identity})
+    gen_idx = sorted({idx(g) for _, g in G.generators if g != G.identity})
+    inv_of = {i: idx(G.invert(elems[i])) for i in gen_idx}
 
     atoms = {}  # mask -> members; classes come in order of their least index
     atom_of = {}  # x_k -> k, where atom k is the normal closure of x_k's class
@@ -921,7 +914,7 @@ def direct_factor_search(G: FiniteGroup, decompose_bound: int = DEFAULT_DECOMPOS
     subgroups: dict[int, list] = {}  # live mask -> members
     dead = set()
     # Z(G) in a p-group, else G itself: a mask that contains it is dead
-    zmask = sum(1 << idx[z] for z in Z.as_set) if p_group else (1 << n) - 1
+    zmask = sum(1 << idx(z) for z in Z.as_set) if p_group else (1 << n) - 1
     by_order: dict[int, list[int]] = {}
     queue = deque()
 

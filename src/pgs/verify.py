@@ -270,27 +270,27 @@ def _layer(G: FiniteGroup, g) -> int:
     return _layers(G)[bisect_left(enumerate_group(G).elements, g)]
 
 
-def verify_lemma_fact(p: int, c: int, max_order: int = DEFAULT_MAX_ORDER) -> dict:
+def verify_lemma_fact(M: FiniteGroup) -> dict:
     """Every element outside the abelian bottom of Mc has order exactly p."""
-    M = make_Mc(p, c, max_order)
-    E = enumerate_group(M)
-    outside = [g for g in E.elements if g[0] != 0]
+    if not hasattr(M, "ring"):
+        raise PreconditionFailed("need a group built by make_Mc")
+    outside = [g for g in enumerate_group(M).elements if g[0] != 0]
     small = frozenset(order_p_elements(M))
     bad = [g for g in outside if g not in small]
     return {"passed": not bad, "outside": len(outside), "bad": bad}
 
 
-def verify_eq_powers(p: int, c: int, max_order: int = DEFAULT_MAX_ORDER) -> dict:
+def verify_eq_powers(M: FiniteGroup) -> dict:
     """The (p-1)-fold commutator with the top generator multiplies by p*zeta.
 
-    Checks, for every k with k + p - 1 <= c, that the left-normed
-    commutator [s_k, a, ..., a] equals s_(k+p-1) and equals p * zeta * s_k
-    in bottom coordinates, exactly.
+    Checks on M = Mc(p, c), for every k with k + p - 1 <= c, that the
+    left-normed commutator [s_k, a, ..., a] equals s_(k+p-1) and equals
+    p * zeta * s_k in bottom coordinates, exactly.
     """
-    if c < p:
-        raise PreconditionFailed("need c >= p so that k + p - 1 <= c has solutions")
-    M = make_Mc(p, c, max_order)
-    R = M.ring
+    R = getattr(M, "ring", None)
+    if R is None or R.c < R.p:
+        raise PreconditionFailed("need Mc(p, c) built by make_Mc, with c >= p")
+    p, c = R.p, R.c
     inv = M.bottom_invariants
     zeta = eq_powers_witness(R)
     a = M.named_elements["a"]
@@ -595,14 +595,14 @@ def _suite_checks(max_order, decompose_bound, seed, random_count):
 
     for p, c in [(3, 4), (5, 5), (2, 3)]:
         def t(p=p, c=c):
-            r = verify_eq_powers(p, c, max_order)
+            r = verify_eq_powers(make_Mc(p, c, max_order))
             return r["passed"], None, r
 
         add("eq_powers", {"p": p, "c": c}, t)
 
     for p, c in [(2, 3), (3, 3), (3, 4), (5, 2)]:
         def t(p=p, c=c):
-            r = verify_lemma_fact(p, c, max_order)
+            r = verify_lemma_fact(make_Mc(p, c, max_order))
             return r["passed"], None, {"outside": r["outside"]}
 
         add("lemma_fact", {"p": p, "c": c}, t)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import settings
 
 from pgs.constructions import LieBCHGroup, SemidirectGroup
-from pgs.groups import DirectProductGroup, QuotientGroup, _Table
+from pgs.groups import DirectProductGroup, QuotientGroup
 
 # Deterministic property tests: the same examples on every run, no example
 # database, and no per-example deadline (group sizes vary widely).
@@ -21,19 +21,6 @@ def native_multiplies(monkeypatch):
             return real(self, a, b)
 
         monkeypatch.setattr(cls, "multiply", counting)
-    return calls
-
-
-@pytest.fixture
-def table_reads(monkeypatch):
-    """The list every ``_Table.product`` read appends to."""
-    calls = []
-
-    def counting(self, G, i, j, real=_Table.product):
-        calls.append(1)
-        return real(self, G, i, j)
-
-    monkeypatch.setattr(_Table, "product", counting)
     return calls
 
 
@@ -62,4 +49,18 @@ def index_products(monkeypatch):
         return real(self, i, j)
 
     monkeypatch.setattr(DirectProductGroup, "_index_product", counting)
+    return calls
+
+
+@pytest.fixture
+def quotient_index_products(monkeypatch):
+    """The list every ``QuotientGroup._index_product`` call, a quotient's
+    multiply of two indices, appends to."""
+    calls = []
+
+    def counting(self, i, j, real=QuotientGroup._index_product):
+        calls.append(1)
+        return real(self, i, j)
+
+    monkeypatch.setattr(QuotientGroup, "_index_product", counting)
     return calls

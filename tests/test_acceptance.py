@@ -135,13 +135,13 @@ def test_criterion_05_eq_powers():
         assert R.scalar(p, z) == R.power(R.omega_minus_one, p - 1)
         assert any(x % p for x in z.coeffs)
     for p, c in [(3, 4), (5, 5), (2, 3)]:
-        assert verify_eq_powers(p, c)["passed"]
+        assert verify_eq_powers(make_Mc(p, c))["passed"]
     report(5, True, "unit identity exact for p in {2,3,5,7}; commutator power law for (3,4),(5,5),(2,3)")
 
 
 def test_criterion_06_lemma_fact():
     for p, c in [(2, 3), (3, 3), (3, 4), (5, 2)]:
-        r = verify_lemma_fact(p, c)
+        r = verify_lemma_fact(make_Mc(p, c))
         assert r["passed"], (p, c, r)
     report(6, True, "all elements outside the bottom have order p for (2,3),(3,3),(3,4),(5,2)")
 
@@ -241,8 +241,9 @@ def test_criterion_11_partb(native_multiplies):
     G = make_partb_indecomposable(2, [2], 3)
     assert len(enumerate_group(G)) == 128
     assert direct_factor_search(G) is None
-    # 4,096 elements, above the table bound: the search multiplies natively,
-    # 3,825,930 times when it formed every join S.A, 1,183,344 forming each once
+    # 4,096 elements of a SubgroupGroup: the search multiplies natively
+    # through its memo of tuple products, kept at every size, 3,825,930
+    # times when it formed every join S.A, 1,183,344 forming each once
     G = make_partb_indecomposable(2, [2, 3], 4)
     enumerate_group(G)
     native_multiplies.clear()

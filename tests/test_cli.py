@@ -177,12 +177,15 @@ def test_decompose_command(write_desc, capsys):
     assert code == 0 and not out["decomposable"]
 
 
-def test_decompose_cyclic_center_builds_no_table(write_desc, capsys, table_reads):
-    # Z(Mc(3,8)) has order 3, so its 19,683 elements are indecomposable with
-    # no table read; the full search takes 7.6 s on Mc(3,7), a third the size
+def test_decompose_cyclic_center_builds_no_table(write_desc, capsys, monkeypatch):
+    # Z(Mc(3,8)) has order 3, so its 19,683 elements are indecomposable
+    # before the search forms a conjugacy class; the full search takes 7.6 s
+    # on Mc(3,7), a third the size
+    classes = []
+    monkeypatch.setattr(pgs.groups, "_conjugacy_classes_idx", lambda *args: classes.append(args) or [])
     code = main(["decompose", write_desc({"family": "Mc", "p": 3, "c": 8})])
     assert code == 0 and capsys.readouterr().out.strip() == "decomposable: no"
-    assert table_reads == []
+    assert classes == []
 
 
 @pytest.mark.parametrize(
@@ -360,6 +363,19 @@ def test_verify_closes_omega1_once(write_desc, capsys, monkeypatch):
     records = {r["check"]: r for r in json.loads(capsys.readouterr().out)["records"]}
     assert not records["lemma2"]["details"]["applicable"] and records["question_witness"]["details"]["applicable"]
     assert seed_lists.count(order_p) == 1
+
+
+def test_verify_on_mc_enumerates_one_group(write_desc, capsys, monkeypatch):
+    """lemma_fact and eq_powers check the group the other checks analysed;
+    lemma_fact's own copy of Mc(3,4) was a second enumeration."""
+    enumerated = []
+    real = SemidirectGroup._carrier
+    monkeypatch.setattr(SemidirectGroup, "_carrier", lambda self: enumerated.append(self) or real(self))
+    assert main(["verify", write_desc({"family": "Mc", "p": 3, "c": 4}), "--json"]) == 0
+    records = {r["check"]: r for r in json.loads(capsys.readouterr().out)["records"]}
+    assert records["lemma_fact"]["pass"] and records["eq_powers"]["pass"]
+    assert records["lemma_fact"]["params"] == records["eq_powers"]["params"] == {"p": 3, "c": 4}
+    assert len(enumerated) == 1
 
 
 @pytest.mark.parametrize(

@@ -513,22 +513,51 @@ def test_dropping_a_product_frees_it_and_its_factors():
         gc.enable()
 
 
-def test_direct_factor_search_fills_part_of_the_table(monkeypatch):
+def test_dropping_a_searched_group_frees_it():
+    """The search holds no reference cycle back to its group: not on the
+    index path (a quotient) nor through the tuple path's memo closure (a
+    ``SubgroupGroup``)."""
+    gc.disable()
+    try:
+        Q = make_second_example(3, 2, 2)
+        S = make_partb_indecomposable(2, [2], 3)
+        assert isinstance(S, SubgroupGroup)
+        assert direct_factor_search(Q) is None and direct_factor_search(S) is None
+        refs = [weakref.ref(G) for G in (Q, S)]
+        del Q, S
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_direct_factor_search_fills_part_of_the_table(native_multiplies, quotient_index_products, tuple_multiplies):
+    """The search multiplies a quotient's indices by its ``_index_product``
+    and builds no table for it.  When it multiplied through an index table
+    of Q, it read that table 55,861 times and filled 21,332 of its 531,441
+    entries by ``QuotientGroup.multiply``."""
     Q = make_second_example(3, 2, 2)
-    n = len(enumerate_group(Q))
-    calls = []
-    real = QuotientGroup.multiply
-
-    def counting(self, a, b):
-        if self is Q:
-            calls.append(1)
-        return real(self, a, b)
-
-    center(Q), order_p_elements(Q)  # cached analyses the search reads; they fill no table entry
-    monkeypatch.setattr(QuotientGroup, "multiply", counting)
+    center(Q), order_p_elements(Q)  # cached analyses the search reads
+    native_multiplies.clear()
+    quotient_index_products.clear()
+    tuple_multiplies.clear()
     assert direct_factor_search(Q) is None
-    filled = sum(x >= 0 for x in Q._table.products)
-    assert len(calls) == filled < n * n // 16  # 21,332 of 531,441 entries
+    assert Q._table is None
+    assert len(native_multiplies) == 373  # the parent product's factor-table fills
+    assert len(quotient_index_products) <= 56_000  # 55,488
+    assert tuple_multiplies == []
+
+
+def test_direct_factor_search_on_a_product_fills_no_entry_of_its_table(monkeypatch, tuple_multiplies):
+    """On a product the search multiplies by ``_index_product``, which reads
+    the factors' tables only, and inverts the generators alone."""
+    P = direct_product([make_Mc(3, 3), make_cyclic(3, 1)])
+    enumerate_group(P)
+    inverted = []
+    real = DirectProductGroup.invert
+    monkeypatch.setattr(DirectProductGroup, "invert", lambda self, a: inverted.append(a) or real(self, a))
+    assert direct_factor_search(P) is not None
+    assert len(P._table.products) == 243 * 243 and set(P._table.products) == {-1}
+    assert tuple_multiplies == [] and len(inverted) <= len(P.generators)
 
 
 def test_center_sieves_cosets(native_multiplies):
@@ -574,15 +603,16 @@ def test_product_quotient_scan_makes_no_index_products(index_products, build):
     assert len(Q._up) * len(Z) == len(enumerate_group(G))
 
 
-def test_search_prunes_subgroups_containing_the_center(table_reads):
-    # the unpruned search reads the tables of second_example 4,177,012 times
-    # to prove it indecomposable, the pruned one 415,063, and the pruned one
-    # that forms each join of S once 56,181
+def test_search_prunes_subgroups_containing_the_center(quotient_index_products):
+    # through index tables, the unpruned search read the tables of
+    # second_example 4,177,012 times to prove it indecomposable, the pruned
+    # one 415,063, and the pruned one that forms each join of S once 56,181;
+    # it now makes 55,488 of the quotient's index multiplies
     Q = make_second_example(3, 2, 2)
     enumerate_group(Q)
-    table_reads.clear()
+    quotient_index_products.clear()
     assert direct_factor_search(Q) is None
-    assert len(table_reads) <= 60_000
+    assert len(quotient_index_products) <= 60_000
 
 
 def test_direct_factor_search_outside_p_groups():

@@ -1252,7 +1252,7 @@ def reference_lemma_fact(p, c):
 
 @pytest.mark.parametrize("p, c", [(2, 3), (2, 5), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3)])
 def test_lemma_fact_matches_element_orders(p, c):
-    assert verify_lemma_fact(p, c) == reference_lemma_fact(p, c)
+    assert verify_lemma_fact(make_Mc(p, c)) == reference_lemma_fact(p, c)
 
 
 @settings(max_examples=30)

@@ -84,7 +84,7 @@ def test_question_witness_none_for_dihedral(native_multiplies):
 
 
 def test_lemma_fact_reads_the_order_p_scan(native_multiplies):
-    assert verify_lemma_fact(3, 3)["passed"]
+    assert verify_lemma_fact(make_Mc(3, 3))["passed"]
     assert len(native_multiplies) == 86  # 108 with an element_order walk per outside element
 
 
@@ -204,20 +204,28 @@ def test_prop_same_example_k_precondition():
 
 
 def test_lemma_fact():
-    r = verify_lemma_fact(3, 3)
+    r = verify_lemma_fact(make_Mc(3, 3))
     assert r["passed"] and r["outside"] == 54
-    assert verify_lemma_fact(2, 3)["passed"]
-    r5 = verify_lemma_fact(5, 2)
+    assert verify_lemma_fact(make_Mc(2, 3))["passed"]
+    r5 = verify_lemma_fact(make_Mc(5, 2))
     assert r5["passed"] and r5["outside"] == 4 * 25
+
+
+def test_mc_verifiers_refuse_a_group_make_Mc_did_not_build():
+    for G in (make_Dc(3, 3), direct_product([make_Mc(3, 4), make_cyclic(3, 1)])):
+        with pytest.raises(PreconditionFailed):
+            verify_lemma_fact(G)
+        with pytest.raises(PreconditionFailed):
+            verify_eq_powers(G)
 
 
 def test_eq_powers():
     for p, c in [(3, 4), (2, 3), (5, 5)]:
-        r = verify_eq_powers(p, c)
+        r = verify_eq_powers(make_Mc(p, c))
         assert r["passed"]
         assert len(r["checked"]) == c - p + 1
     with pytest.raises(PreconditionFailed):
-        verify_eq_powers(3, 2)
+        verify_eq_powers(make_Mc(3, 2))
 
 
 def test_partb_structure_small():
