@@ -33,7 +33,10 @@ enumerated product multiplies through its factors' index tables
 (``_Table``), a quotient through its parent's scan arithmetic.  The scans
 decode through the carrier, so the caches hold the carrier's own tuples.
 Index order is tuple order, so coset minima and witnesses do not depend on
-the path.
+the path.  The order-p walk, and the center sieve on indices, mark carrier
+positions one byte each: the index, or on tuples ``_position``.  A carrier
+keeps its sorted tuple and builds its frozenset only when membership is
+first asked, and only a product's factors hold full product arrays.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ DEFAULT_MAX_ORDER = 2_000_000
 DEFAULT_DECOMPOSE_BOUND = 20_000
 
 # factor tables up to this order hold the n^2 product indices, filled
-# lazily (2 bytes an entry)
+# lazily (2 bytes an entry); no other table holds them
 _TABLE_BOUND = 1500
 
 
@@ -130,10 +133,7 @@ class FiniteGroup:
         one product.  That the generators generate it is not checked here;
         the tests compare it with their closure."""
         p, moduli = self.prime, self.coordinate_moduli
-        last = len(moduli) - 1
-        basis = echelonize(p, 1, [row[::-1] for row in self.congruences])
-        # a row's own coordinate -> its coefficients before it
-        cuts = {last - col: row[:col:-1] for (col, _), row in zip(basis.pivots, basis.rows)}
+        cuts = _cuts(self)
         free = max(cuts, default=-1) + 1
         prefixes = [()]
         for k in range(free):
@@ -168,10 +168,40 @@ class FiniteGroup:
         return self.description or type(self).__name__
 
 
+def _cuts(G: FiniteGroup) -> dict:
+    """G's ``congruences`` echeloned from the last coordinate: each row's own
+    coordinate -> its coefficients on the coordinates before it."""
+    last = len(G.coordinate_moduli) - 1
+    basis = echelonize(G.prime, 1, [row[::-1] for row in G.congruences])
+    return {last - col: row[:col:-1] for (col, _), row in zip(basis.pivots, basis.rows)}
+
+
+def _position(G: FiniteGroup):
+    """The map from an element of a tuple-path group to its position in G's
+    canonical carrier.  For the default ``_carrier`` it is the mixed-radix
+    code of the coordinate box, with no dict: a coordinate cut by a
+    congruence runs over one residue class mod p, so it is read as x // p,
+    over m // p values.  Each coordinate's terms are one short list, so the
+    code is a sum of lookups.  A group that builds its carrier otherwise
+    numbers it with one dict.  The map closes over plain data, not over G."""
+    if type(G)._carrier is not FiniteGroup._carrier:
+        return {g: i for i, g in enumerate(enumerate_group(G).elements)}.__getitem__
+    p, cuts, moduli = G.prime, _cuts(G), G.coordinate_moduli
+    weight, terms = 1, []
+    for k in reversed(range(len(moduli))):
+        terms.append([(x // p if k in cuts else x) * weight for x in range(moduli[k])])
+        weight *= moduli[k] // p if k in cuts else moduli[k]
+    terms.reverse()
+    return lambda g: sum(map(operator.getitem, terms, g))
+
+
 class EnumeratedSubgroup:
     """Explicit carrier of a subgroup, with O(1) membership.
 
-    Iteration is in canonical (tuple-lexicographic) order.
+    Iteration is in canonical (tuple-lexicographic) order.  One given in
+    that order (``_canonical``) keeps only its tuple until the first
+    ``as_set``, ``in``, ``==`` or ``hash`` builds its frozenset; one given
+    as a collection keeps its frozenset and sorts it on first ``elements``.
     """
 
     __slots__ = ("_set", "_sorted")
@@ -188,25 +218,28 @@ class EnumeratedSubgroup:
 
     @property
     def as_set(self) -> frozenset:
+        if self._set is None:
+            self._set = frozenset(self._sorted)
         return self._set
 
     def __contains__(self, g) -> bool:
-        return g in self._set
+        s = self._set
+        return g in (self.as_set if s is None else s)
 
     def __len__(self) -> int:
-        return len(self._set)
+        return len(self._set if self._sorted is None else self._sorted)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, EnumeratedSubgroup) and self._set == other._set
+        return isinstance(other, EnumeratedSubgroup) and self.as_set == other.as_set
 
     def __hash__(self) -> int:
-        return hash(self._set)
+        return hash(self.as_set)
 
     def __repr__(self) -> str:
-        return f"EnumeratedSubgroup(order={len(self._set)})"
+        return f"EnumeratedSubgroup(order={len(self)})"
 
 
 def _close(mult, identity, seeds, bound, conjugators=()) -> tuple:
@@ -252,7 +285,8 @@ class _Table:
     ``elements`` is the canonical carrier and ``index`` maps each element to
     its position.  ``products[i * n + j]`` is the index of
     elements[i] * elements[j] and ``inverses[i]`` that of elements[i]^-1,
-    or -1 until first asked for; ``products`` is None above
+    or -1 until first asked for; ``products`` is None until ``_index_table``
+    gives the table to an enclosing product, and stays None above
     ``_TABLE_BOUND`` elements.  The table holds no reference to its group,
     so caching it on the group makes no reference cycle.
     """
@@ -263,7 +297,7 @@ class _Table:
         n = len(elements)
         self.elements = elements
         self.index = {g: i for i, g in enumerate(elements)}
-        self.products = array("h", [-1]) * (n * n) if n <= _TABLE_BOUND else None
+        self.products = None
         self.inverses = array("l", [-1]) * n
 
     def product(self, G, i: int, j: int) -> int:
@@ -286,11 +320,18 @@ class _Table:
 
 
 def _index_table(G: FiniteGroup) -> _Table:
-    """G's index table, cached on G; enumerates G first."""
+    """G's index table as a factor of an enclosing product, cached on G;
+    enumerates G first.  Up to ``_TABLE_BOUND`` elements it holds the n^2
+    ``products`` array, allocated here and filled on use: only an enclosing
+    product's ``_index_product`` reads it."""
     elements = enumerate_group(G).elements  # a product gets its table here
     if G._table is None:
         G._table = _Table(elements)
-    return G._table
+    t = G._table
+    n = len(elements)
+    if t.products is None and n <= _TABLE_BOUND:
+        t.products = array("h", [-1]) * (n * n)
+    return t
 
 
 def subgroup_closure(G: FiniteGroup, elements) -> EnumeratedSubgroup:
@@ -337,8 +378,8 @@ def enumerate_group(G: FiniteGroup) -> EnumeratedSubgroup:
 
 def _canonical(elements: tuple) -> EnumeratedSubgroup:
     """The EnumeratedSubgroup of ``elements``, given in canonical order."""
-    E = EnumeratedSubgroup(elements)
-    E._sorted = elements
+    E = EnumeratedSubgroup.__new__(EnumeratedSubgroup)
+    E._set, E._sorted = None, elements  # the frozenset is built on first use
     return E
 
 
@@ -368,19 +409,36 @@ def _sieve_center(mult, elements, identity, gens, bound, rows=None) -> list:
     is central.  Any other element not yet marked is tested against the
     generators: a central g extends Z0 by ``_close``, and a non-central g
     marks its coset gZ0, none of which is central (if gz were, so would be
-    g = (gz)z^-1).  Only marks ahead of the scan are kept, and each is
-    dropped when the scan reaches it.  That is about |G| + 2d·|G|/|Z|
-    multiplies for d generators, not 2d·|G|.  A central element behind the
-    scan was already passed, so every new member of Z0 is collected when
-    the scan reaches it.
+    g = (gz)z^-1).  That is about |G| + 2d·|G|/|Z| multiplies for d
+    generators, not 2d·|G|.  A central element behind the scan was already
+    passed, so every new member of Z0 is met when the scan reaches it.
 
-    With ``rows`` (see ``_arithmetic``) gZ0 is marked as one row, made
-    again after Z0 grows; the generator test stays ``mult`` on whole
-    elements.  Without (the tuple path, the tests' reference) it is marked
-    by ``mult``.
+    With ``rows`` (see ``_arithmetic``; ``elements`` is then range(|G|)),
+    gZ0 is marked as one row, made again after Z0 grows, in a bytearray
+    over the indices that marks Z0 too; the scan jumps to the next unmarked
+    index, and the center is the last Z0, in index order.  The generator
+    test stays ``mult`` on whole elements.  Without (the tuple path, the
+    tests' reference) gZ0 is marked by ``mult`` in a set that keeps only
+    marks ahead of the scan, each dropped when the scan reaches it.
     """
     z0, kept = {identity}, []
-    row = None  # rows(Z0), made when a coset is next marked after Z0 grew
+    if rows:
+        row = None  # rows(Z0), made when a coset is next marked after Z0 grew
+        marked = bytearray(len(elements))
+        marked[identity] = 1
+        g = marked.find(0)
+        while g >= 0:
+            if all(mult(g, s) == mult(s, g) for s in gens):
+                z0, kept = _close(mult, identity, kept + [g], bound)
+                row = None
+                for z in z0:
+                    marked[z] = 1
+            else:
+                row = row or rows(list(z0))
+                for y in row(g):
+                    marked[y] = 1
+            g = marked.find(0, g + 1)
+        return sorted(z0)
     marked = set()
     central = []
     for g in elements:
@@ -391,10 +449,6 @@ def _sieve_center(mult, elements, identity, gens, bound, rows=None) -> list:
         elif all(mult(g, s) == mult(s, g) for s in gens):
             central.append(g)
             z0, kept = _close(mult, identity, kept + [g], bound)
-            row = None
-        elif rows:
-            row = row or rows(list(z0))
-            marked.update(filter(g.__lt__, row(g)))
         else:
             for z in z0:
                 y = mult(g, z)
@@ -474,7 +528,9 @@ def order_p_elements(G: FiniteGroup) -> tuple:
     n = ord(g).  Every g^j with j prime to n generates the same <g>, so it
     has order n and p-th power g^(pj mod n); all of them are classified by
     that one walk.  In a p-group that is about p/(p-1) multiplies per
-    element, not the p-1 of computing each g^p.
+    element, not the p-1 of computing each g^p.  The classified elements,
+    the p-th powers and the order-p elements are marked one byte per
+    carrier position: the index, or ``_position`` of a tuple.
     """
     if G._order_p is None and isinstance(G, DirectProductGroup):
         elements = enumerate_group(G).elements  # the product's own bound and size check
@@ -483,29 +539,32 @@ def order_p_elements(G: FiniteGroup) -> tuple:
         G._pth_powers = frozenset(elements[i] for i in _product_indices(G, [f._pth_powers for f in G.factors]))
     elif G._order_p is None:
         p = G.prime
-        mult, carrier, encode, decode, _ = _arithmetic(G)
+        mult, carrier, encode, _, _ = _arithmetic(G)
+        at = None if isinstance(carrier, range) else _position(G)
         identity = encode(G.identity)
-        small = set()
-        powers = {identity}
-        done = {identity}
-        for g in carrier:
-            if g in done:
-                continue
+        done, powers, small = (bytearray(len(carrier)) for _ in range(3))
+        done[0] = powers[0] = 1  # the identity, at position 0
+        i = done.find(0)
+        while i >= 0:
+            g = carrier[i]
             walk = [identity, g]  # walk[j] = g^j
             x = mult(g, g)
             while x != identity:
                 walk.append(x)
                 x = mult(x, g)
             n = len(walk)
+            pos = walk if at is None else [0, *map(at, walk[1:])]  # pos[j]: g^j's position
             for j in range(1, n):
                 if gcd(j, n) == 1:
-                    done.add(walk[j])
-                    powers.add(walk[p * j % n])
+                    done[pos[j]] = 1
+                    powers[pos[p * j % n]] = 1
             if n == p:
-                small.update(walk[1:])
-        # the carrier's own tuples, in canonical order: a tuple walk's are equal copies
-        G._order_p = tuple(x for g, x in zip(carrier, enumerate_group(G).elements) if g in small)
-        G._pth_powers = frozenset(decode(powers))
+                for k in pos[1:]:
+                    small[k] = 1
+            i = done.find(0, i + 1)
+        elements = enumerate_group(G).elements  # the carrier's own tuples: a tuple walk's are equal copies
+        G._order_p = tuple(compress(elements, small))
+        G._pth_powers = frozenset(compress(elements, powers))
     return G._order_p
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pgs.cli
 import pgs.groups
 import pgs.series
 from pgs.cli import build_parser, main
@@ -363,6 +364,17 @@ def test_verify_closes_omega1_once(write_desc, capsys, monkeypatch):
     records = {r["check"]: r for r in json.loads(capsys.readouterr().out)["records"]}
     assert not records["lemma2"]["details"]["applicable"] and records["question_witness"]["details"]["applicable"]
     assert seed_lists.count(order_p) == 1
+
+
+@pytest.mark.parametrize("argv", [["spectrum"], ["series", "--lower"]], ids=["spectrum", "series--lower"])
+def test_spectrum_and_lower_series_build_no_carrier_set(write_desc, capsys, monkeypatch, argv):
+    """Neither command reads the carrier's frozenset, so none is built."""
+    built = []
+    real = pgs.cli.build_from_description
+    monkeypatch.setattr(pgs.cli, "build_from_description", lambda *a: built.append(real(*a)) or built[-1])
+    assert main([*argv, write_desc({"family": "Dc", "p": 3, "c": 5}), "--json"]) == 0
+    capsys.readouterr()
+    assert len(built) == 1 and pgs.groups.enumerate_group(built[0])._set is None
 
 
 def test_verify_on_mc_enumerates_one_group(write_desc, capsys, monkeypatch):

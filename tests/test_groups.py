@@ -493,6 +493,21 @@ def test_order_p_scan_walks_each_cyclic_subgroup_once(native_multiplies):
     assert G._pth_powers == {G.identity}
 
 
+@pytest.mark.parametrize(
+    "build, count",
+    [(lambda: make_Dc(3, 5), 88_088), (lambda: make_Mc(3, 7), 7_574), (lambda: make_homocyclic(3, 2, 2, 1), 1_016)],
+    ids=["Dc(3,5)", "Mc(3,7)", "homocyclic(3,2,2,1)"],
+)
+def test_order_p_walk_multiplies_as_the_set_walk(native_multiplies, build, count):
+    # marking positions, not keeping sets of tuples, changes what the walk
+    # holds and nothing it multiplies: these are the set walk's counts
+    G = build()
+    enumerate_group(G)
+    native_multiplies.clear()
+    order_p_elements(G)
+    assert len(native_multiplies) == count
+
+
 def test_dropping_a_product_frees_it_and_its_factors():
     """Index tables hold plain data: no reference cycle keeps a group alive."""
     gc.disable()
@@ -549,15 +564,36 @@ def test_direct_factor_search_fills_part_of_the_table(native_multiplies, quotien
 
 def test_direct_factor_search_on_a_product_fills_no_entry_of_its_table(monkeypatch, tuple_multiplies):
     """On a product the search multiplies by ``_index_product``, which reads
-    the factors' tables only, and inverts the generators alone."""
+    the factors' tables only, and inverts the generators alone.  The
+    product's own table has no ``products`` array: only an enclosing
+    product would read one."""
     P = direct_product([make_Mc(3, 3), make_cyclic(3, 1)])
     enumerate_group(P)
     inverted = []
     real = DirectProductGroup.invert
     monkeypatch.setattr(DirectProductGroup, "invert", lambda self, a: inverted.append(a) or real(self, a))
     assert direct_factor_search(P) is not None
-    assert len(P._table.products) == 243 * 243 and set(P._table.products) == {-1}
+    assert P._table.products is None
     assert tuple_multiplies == [] and len(inverted) <= len(P.generators)
+
+
+def test_a_product_gets_its_products_array_as_a_factor():
+    """A product's table gets its n^2 array from ``_index_table`` when an
+    enclosing product takes it as a factor, and the array fills on use."""
+    inner = direct_product([make_Mc(3, 3), make_cyclic(3, 1)])
+    enumerate_group(inner)
+    assert inner._table.products is None
+    C = make_cyclic(3, 1)
+    outer = direct_product([inner, C])
+    elems = enumerate_group(outer).elements
+    prods = inner._table.products
+    assert len(prods) == 243 * 243 and set(prods) == {-1}
+    assert outer._table.products is None
+    a, b = elems[500], elems[700]
+    ab = outer.multiply(a, b)
+    assert sum(x >= 0 for x in prods) == 1
+    parts = [F.multiply(outer.project(i, a), outer.project(i, b)) for i, F in enumerate((inner, C))]
+    assert ab == parts[0] + parts[1]
 
 
 def test_center_sieves_cosets(native_multiplies):

@@ -7,8 +7,9 @@ lower central series by normal closure, the incremental subgroup closure, a
 native family's carrier enumerated as its coordinate box, a
 direct product's carrier and order-p scan read from its factors, its
 arithmetic on index tables, the center, order-p scan and ucs quotients of a
-product and of every quotient on indices, the lazily tabled direct-factor
-search with its center prunes and the generators-only ucs characterization
+product and of every quotient on indices, the order-p walk's position marks
+(against the walk on sets), the direct-factor search with its center
+prunes and the generators-only ucs characterization
 are compared with a plain reference scan, on seeded random recipes with a
 small order cap and on every family and product the suite builds.  B2's
 straight-line product kernels are compared with the BCH series evaluated
@@ -61,6 +62,7 @@ from pgs.groups import (
     _conjugacy_classes_idx,
     _index_table,
     _omega1,
+    _position,
     _sieve_center,
     center,
     commutator,
@@ -348,6 +350,50 @@ def reference_walk(G):
     return tuple(g for g in elements if g in small), frozenset(powers)
 
 
+def reference_order_p_elements(G):
+    """The cyclic walk on sets, as before position marks: ``done``, the
+    p-th powers and the order-p elements are sets of what G's scan
+    arithmetic gives (indices, or fresh tuples from ``multiply``), and the
+    order-p elements are read back in carrier order.  Returns the order-p
+    elements and the p-th powers."""
+    p = G.prime
+    mult, carrier, encode, decode, _ = _arithmetic(G)
+    identity = encode(G.identity)
+    small, powers, done = set(), {identity}, {identity}
+    for g in carrier:
+        if g in done:
+            continue
+        walk = [identity, g]
+        x = mult(g, g)
+        while x != identity:
+            walk.append(x)
+            x = mult(x, g)
+        n = len(walk)
+        for j in range(1, n):
+            if gcd(j, n) == 1:
+                done.add(walk[j])
+                powers.add(walk[p * j % n])
+        if n == p:
+            small.update(walk[1:])
+    order_p = tuple(x for g, x in zip(carrier, enumerate_group(G).elements) if g in small)
+    return order_p, frozenset(decode(powers))
+
+
+def check_walk(G):
+    """G's order-p elements and p-th powers, from the walk's position marks,
+    are the set walk's, as the carrier's own tuples."""
+    small, powers = reference_order_p_elements(G)
+    assert same_objects(order_p_elements(G), small)
+    own = {id(g) for g in enumerate_group(G).elements}
+    assert G._pth_powers == powers and all(id(g) in own for g in G._pth_powers)
+
+
+def check_positions(G):
+    """``_position`` numbers G's carrier 0, 1, ..., |G| - 1 in carrier order."""
+    E = enumerate_group(G)
+    assert list(map(_position(G), E.elements)) == list(range(len(E)))
+
+
 def same_objects(xs, ys):
     xs, ys = list(xs), list(ys)
     return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
@@ -454,15 +500,6 @@ def check_tabled_arithmetic(G, seed=0, pairs=200):
         assert G.multiply(a, b) == reference_multiply(G, a, b)
     for a in special + [a for a, _ in drawn]:
         assert G.invert(a) == reference_invert(G, a)
-
-
-def eager_table(G):
-    """Fill G's index table up front by G.multiply, as direct_factor_search
-    once did with a private n x n table; returns the table."""
-    t = _index_table(G)
-    idx = t.index
-    t.products[:] = array("h", [idx[G.multiply(a, b)] for a in t.elements for b in t.elements])
-    return t
 
 
 def reference_direct_factor_search(G, decompose_bound=DEFAULT_DECOMPOSE_BOUND):
@@ -634,19 +671,21 @@ def check_join_skips(build):
     return len(formed), unskipped
 
 
-def check_lazy_search(build):
-    """The search on a lazily filled table returns the pair (or None) that
-    it returns on an eagerly filled one and that the unpruned reference
-    returns, and every entry it filled agrees.  A search the center settles
-    before any table is built fills none."""
-    lazy_G, eager_G, reference_G = build(), build(), build()
-    lazy = direct_factor_search(lazy_G)
-    eager_products = eager_table(eager_G).products
-    eager = direct_factor_search(eager_G)
-    assert as_sets(lazy) == as_sets(eager) == as_sets(reference_direct_factor_search(reference_G))
-    filled = () if lazy_G._table is None else lazy_G._table.products
-    assert all(x < 0 or x == y for x, y in zip(filled, eager_products))
-    return lazy
+def check_lazy_search(build, tuple_multiplies):
+    """The search returns the pair (or None) that the unpruned reference
+    returns.  It multiplies on G's scan arithmetic: on a product or a
+    quotient by index, with no tuple multiply of a product or a quotient
+    (``tuple_multiplies`` counts them), and a product's own table gets no
+    ``products`` array (only an enclosing product reads one)."""
+    G, reference_G = build(), build()
+    tuple_multiplies.clear()
+    split = direct_factor_search(G)
+    if isinstance(G, (DirectProductGroup, QuotientGroup)):
+        assert tuple_multiplies == []
+    if isinstance(G, DirectProductGroup):
+        assert G._table.products is None
+    assert as_sets(split) == as_sets(reference_direct_factor_search(reference_G))
+    return split
 
 
 def check_search_premise(G, split):
@@ -1007,6 +1046,62 @@ def test_drawn_native_carrier_is_the_generators_closure(desc):
     check_native_carrier(G)
 
 
+@pytest.mark.parametrize(
+    "desc", SUITE_FAMILIES + SUITE_SUBGROUPS, ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items())
+)
+def test_suite_families_positions(desc):
+    check_positions(build_from_description(desc))
+
+
+@settings(max_examples=40)
+@given(small_native_descs())
+def test_drawn_native_positions(desc):
+    try:
+        G = build_from_description(desc, max_order=NATIVE_CAP)
+        enumerate_group(G)
+    except ResourceLimit:
+        assume(False)
+    check_positions(G)
+
+
+@settings(max_examples=40)
+@given(small_subgroup_descs())
+def test_drawn_subgroup_positions(desc):
+    try:
+        G = build_from_description(desc, max_order=NATIVE_CAP)
+        enumerate_group(G)
+    except ResourceLimit:
+        assume(False)
+    check_positions(G)
+
+
+# partb (3,[3],4), the last, has 177,147 elements
+@pytest.mark.parametrize(
+    "desc",
+    SUITE_FAMILIES + SUITE_SUBGROUPS[:3] + [NATIVE_QUOTIENT],
+    ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()),
+)
+def test_suite_families_walk_matches_the_set_walk(desc):
+    """On each family and on its quotient by its center."""
+    G = build_from_description(desc)
+    check_walk(G)
+    check_walk(QuotientGroup(G, center(G)))
+
+
+@settings(max_examples=30)
+@given(recipes)
+def test_recipes_walk_and_positions(desc):
+    """A recipe's walk, and its factors' positions and walks; for a
+    quotient also those of its twin on tuples, ``ReferenceQuotient``, whose
+    carrier ``_position`` numbers with a dict."""
+    G = build_from_description(desc)
+    check_walk(G)
+    twins = [ReferenceQuotient(G.parent, G.kernel)] if isinstance(G, QuotientGroup) else []
+    for H in [*product_under(G).factors, *twins]:
+        check_positions(H)
+        check_walk(H)
+
+
 def test_suite_products_read_their_factors():
     descs = suite_product_descs()
     assert len(descs) >= 40
@@ -1108,16 +1203,16 @@ def test_suite_families_center_matches_reference(desc):
     check_center(desc)
 
 
-def test_lazy_search_on_suite_decompositions():
+def test_lazy_search_on_suite_decompositions(tuple_multiplies):
     """Every group the suite decomposes: second_example and partb_decompose."""
-    assert check_lazy_search(lambda: make_second_example(3, 2, 2)) is None
-    assert check_lazy_search(lambda: make_partb_decomposable(2, [2], 3)) is not None
-    assert check_lazy_search(lambda: make_partb_indecomposable(2, [2], 3)) is None
+    assert check_lazy_search(lambda: make_second_example(3, 2, 2), tuple_multiplies) is None
+    assert check_lazy_search(lambda: make_partb_decomposable(2, [2], 3), tuple_multiplies) is not None
+    assert check_lazy_search(lambda: make_partb_indecomposable(2, [2], 3), tuple_multiplies) is None
 
 
-def test_lazy_search_on_small_recipes():
+def test_lazy_search_on_small_recipes(tuple_multiplies):
     descs = random_recipes(DEFAULT_SEED, 12, _TABLE_BOUND)
-    splits = [check_lazy_search(lambda d=d: build_from_description(d)) for d in descs]
+    splits = [check_lazy_search(lambda d=d: build_from_description(d), tuple_multiplies) for d in descs]
     assert any(s is None for s in splits) and any(s is not None for s in splits)
 
 

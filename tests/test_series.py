@@ -1,3 +1,4 @@
+import tracemalloc
 from array import array
 
 import pytest
@@ -358,3 +359,19 @@ def test_cached_analyses_hold_the_carriers_own_tuples():
     own = {id(g) for g in enumerate_group(P).elements}
     assert all(id(g) in own for term in upper_central_series(P).terms[1:] for g in term.as_set)
     assert all(id(g) in own for g in order_p_elements(P))
+
+
+def test_spectrum_of_dc_3_5_peaks_below_8_mb():
+    """The spectrum of Dc(3,5) (59,049 elements), built and analysed under
+    tracemalloc, peaks below 8 MB: the scans mark carrier positions one
+    byte each, and no carrier or ucs term builds a frozenset the spectrum
+    does not read.  With sets of fresh tuples the peak was 12.5-13 MB."""
+    tracemalloc.start()
+    try:
+        G = make_Dc(3, 5)
+        spectrum(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert enumerate_group(G)._set is None
+    assert peak < 8_000_000
