@@ -33,8 +33,10 @@ enumerated product multiplies through its factors' index tables
 (``_Table``), a quotient through its parent's scan arithmetic.  The scans
 decode through the carrier, so the caches hold the carrier's own tuples.
 Index order is tuple order, so coset minima and witnesses do not depend on
-the path.  The order-p walk, and the center sieve on indices, mark carrier
-positions one byte each: the index, or on tuples ``_position``.  A carrier
+the path.  The order-p walk and the center sieve mark carrier positions one
+byte each, and a quotient numbers its parent's cosets in an array over
+them: the position is the index, or on tuples ``_position``, the
+coordinate box's mixed-radix code, a few list reads per element.  A carrier
 keeps its sorted tuple and builds its frozenset only when membership is
 first asked, and only a product's factors hold full product arrays.
 """
@@ -51,6 +53,7 @@ from math import gcd, prod
 from .errors import (
     BadParameters,
     InternalInconsistency,
+    NotInGroup,
     NotNormal,
     ResourceLimit,
 )
@@ -112,6 +115,7 @@ class FiniteGroup:
         self._pth_powers = None
         self._omega1 = None
         self._table = None
+        self._coder = None
 
     def multiply(self, a, b):
         raise NotImplementedError
@@ -178,21 +182,83 @@ def _cuts(G: FiniteGroup) -> dict:
 
 def _position(G: FiniteGroup):
     """The map from an element of a tuple-path group to its position in G's
-    canonical carrier.  For the default ``_carrier`` it is the mixed-radix
-    code of the coordinate box, with no dict: a coordinate cut by a
-    congruence runs over one residue class mod p, so it is read as x // p,
-    over m // p values.  Each coordinate's terms are one short list, so the
-    code is a sum of lookups.  A group that builds its carrier otherwise
-    numbers it with one dict.  The map closes over plain data, not over G."""
-    if type(G)._carrier is not FiniteGroup._carrier:
-        return {g: i for i, g in enumerate(enumerate_group(G).elements)}.__getitem__
-    p, cuts, moduli = G.prime, _cuts(G), G.coordinate_moduli
-    weight, terms = 1, []
-    for k in reversed(range(len(moduli))):
-        terms.append([(x // p if k in cuts else x) * weight for x in range(moduli[k])])
-        weight *= moduli[k] // p if k in cuts else moduli[k]
-    terms.reverse()
-    return lambda g: sum(map(operator.getitem, terms, g))
+    canonical carrier (cached on G).  For the default ``_carrier`` it is the
+    mixed-radix code of the coordinate box, with no dict: a coordinate cut
+    by a congruence runs over one residue class mod p, so it is read as
+    x // p, over m // p values.  Each coordinate's terms are one short
+    list, so the code is a sum of lookups, written out by ``_coder``.  A
+    group that builds its carrier otherwise numbers it with one dict.  The
+    map closes over plain data, not over G.
+
+    It trusts its input: a tuple outside the carrier gets some other
+    element's position, or raises.  An entry that codes a caller's tuple
+    checks that the carrier holds it at that position (``_coset_number``).
+    """
+    if G._coder is None:
+        if type(G)._carrier is not FiniteGroup._carrier:
+            G._coder = {g: i for i, g in enumerate(enumerate_group(G).elements)}.__getitem__
+        else:
+            p, cuts, moduli = G.prime, _cuts(G), G.coordinate_moduli
+            weight, terms = 1, []
+            for k in reversed(range(len(moduli))):
+                terms.append([(x // p if k in cuts else x) * weight for x in range(moduli[k])])
+                weight *= moduli[k] // p if k in cuts else moduli[k]
+            G._coder = _coder(terms[::-1])
+    return G._coder
+
+
+def _coder(terms):
+    """g -> the sum of terms[k][g[k]] over g's coordinates k, unpacked and
+    added in one frame for the coordinate counts the families use (2 to 8),
+    else ``sum`` over ``map``, at about four times the cost.  Plain code:
+    nothing is compiled at run time."""
+    n = len(terms)
+    if n == 2:
+        t0, t1 = terms
+
+        def at(g):
+            a, b = g
+            return t0[a] + t1[b]
+    elif n == 3:
+        t0, t1, t2 = terms
+
+        def at(g):
+            a, b, c = g
+            return t0[a] + t1[b] + t2[c]
+    elif n == 4:
+        t0, t1, t2, t3 = terms
+
+        def at(g):
+            a, b, c, d = g
+            return t0[a] + t1[b] + t2[c] + t3[d]
+    elif n == 5:
+        t0, t1, t2, t3, t4 = terms
+
+        def at(g):
+            a, b, c, d, e = g
+            return t0[a] + t1[b] + t2[c] + t3[d] + t4[e]
+    elif n == 6:
+        t0, t1, t2, t3, t4, t5 = terms
+
+        def at(g):
+            a, b, c, d, e, f = g
+            return t0[a] + t1[b] + t2[c] + t3[d] + t4[e] + t5[f]
+    elif n == 7:
+        t0, t1, t2, t3, t4, t5, t6 = terms
+
+        def at(g):
+            a, b, c, d, e, f, h = g
+            return t0[a] + t1[b] + t2[c] + t3[d] + t4[e] + t5[f] + t6[h]
+    elif n == 8:
+        t0, t1, t2, t3, t4, t5, t6, t7 = terms
+
+        def at(g):
+            a, b, c, d, e, f, h, k = g
+            return t0[a] + t1[b] + t2[c] + t3[d] + t4[e] + t5[f] + t6[h] + t7[k]
+    else:
+        def at(g):
+            return sum(map(operator.getitem, terms, g))
+    return at
 
 
 class EnumeratedSubgroup:
@@ -400,7 +466,7 @@ def commutator(G: FiniteGroup, x, y):
     return mult(mult(G.invert(x), G.invert(y)), mult(x, y))
 
 
-def _sieve_center(mult, elements, identity, gens, bound, rows=None) -> list:
+def _sieve_center(mult, elements, identity, gens, bound, rows=None, at=None) -> list:
     """The members of ``elements``, a carrier in canonical order, that
     commute with every generator in ``gens``, by a coset sieve; returned in
     carrier order, as the carrier's own objects.
@@ -413,48 +479,39 @@ def _sieve_center(mult, elements, identity, gens, bound, rows=None) -> list:
     generators, not 2d·|G|.  A central element behind the scan was already
     passed, so every new member of Z0 is met when the scan reaches it.
 
-    With ``rows`` (see ``_arithmetic``; ``elements`` is then range(|G|)),
-    gZ0 is marked as one row, made again after Z0 grows, in a bytearray
-    over the indices that marks Z0 too; the scan jumps to the next unmarked
-    index, and the center is the last Z0, in index order.  The generator
-    test stays ``mult`` on whole elements.  Without (the tuple path, the
-    tests' reference) gZ0 is marked by ``mult`` in a set that keeps only
-    marks ahead of the scan, each dropped when the scan reaches it.
+    One byte per carrier position marks Z0 and the cosets marked so far,
+    and the scan jumps to the next unmarked position.  The center is the
+    last Z0, read back at its positions in carrier order.  The generator
+    test is ``mult`` on whole elements.  gZ0 is marked as one row where
+    ``rows`` is given (see ``_arithmetic``; made again after Z0 grows),
+    else one ``mult`` per z: on indices the product is the position, and on
+    tuples (``elements`` the tuple carrier) ``at``, the ``_position`` coder,
+    gives it.
     """
     z0, kept = {identity}, []
-    if rows:
-        row = None  # rows(Z0), made when a coset is next marked after Z0 grew
-        marked = bytearray(len(elements))
-        marked[identity] = 1
-        g = marked.find(0)
-        while g >= 0:
-            if all(mult(g, s) == mult(s, g) for s in gens):
-                z0, kept = _close(mult, identity, kept + [g], bound)
-                row = None
-                for z in z0:
-                    marked[z] = 1
-            else:
-                row = row or rows(list(z0))
-                for y in row(g):
-                    marked[y] = 1
-            g = marked.find(0, g + 1)
-        return sorted(z0)
-    marked = set()
-    central = []
-    for g in elements:
-        if g in z0:
-            central.append(g)
-        elif g in marked:
-            marked.discard(g)
-        elif all(mult(g, s) == mult(s, g) for s in gens):
-            central.append(g)
+    row = None  # rows(Z0), made when a coset is next marked after Z0 grew
+    marked = bytearray(len(elements))
+    marked[0] = 1  # the identity, at position 0
+    i = marked.find(0)
+    while i >= 0:
+        g = elements[i]
+        if all(mult(g, s) == mult(s, g) for s in gens):
             z0, kept = _close(mult, identity, kept + [g], bound)
+            row = None
+            for k in z0 if at is None else map(at, z0):
+                marked[k] = 1
+        elif rows:
+            row = row or rows(list(z0))
+            for k in row(g):
+                marked[k] = 1
+        elif at:
+            for z in z0:
+                marked[at(mult(g, z))] = 1
         else:
             for z in z0:
-                y = mult(g, z)
-                if y > g:
-                    marked.add(y)
-    return central
+                marked[mult(g, z)] = 1
+        i = marked.find(0, i + 1)
+    return [elements[k] for k in sorted(z0 if at is None else map(at, z0))]
 
 
 def _same(g):
@@ -496,8 +553,9 @@ def center(G: FiniteGroup) -> EnumeratedSubgroup:
     """
     if G._center is None:
         mult, carrier, encode, decode, rows = _arithmetic(G)
+        at = None if isinstance(carrier, range) else _position(G)
         gens = [encode(g) for _, g in G.generators]
-        found = _sieve_center(mult, carrier, encode(G.identity), gens, G.max_order, rows)
+        found = _sieve_center(mult, carrier, encode(G.identity), gens, G.max_order, rows, at)
         G._center = _canonical(tuple(decode(found)))
     return G._center
 
@@ -585,37 +643,40 @@ class QuotientGroup(FiniteGroup):
 
     One ascending scan of G's carrier, on G's ``_arithmetic``, numbers the
     cosets: the first element not yet numbered is its coset's minimum, and
-    its products with N get the next number.  ``_down`` maps each element
-    of G, as G's scan sees it, to its coset's number, and ``_up`` lists the
-    minima the same way.  When G is a product or a quotient both are arrays
-    over G's indices; when G is a native group or a ``SubgroupGroup``,
-    ``_down`` is a dict keyed by G's own carrier tuples, in carrier order,
-    and ``_up`` lists the minima themselves.  The elements, ``_reps``, are
-    the minima as G's tuples, in carrier order, so a coset's number is its
-    index here.  The product of cosets i and j is
-    ``_down[mult(_up[i], _up[j])]`` with G's scan multiply, and ``_index``
-    reads the number of an element g of G as ``_down[encode(g)]``;
+    its products with N get the next number.  ``_down`` is an
+    ``array("i")`` over G's carrier positions, in carrier order, of each
+    element's coset number, and ``_up`` lists the minima as G's scan sees
+    them: G's indices when G is a product or a quotient, the carrier's own
+    tuples when G is a native group or a ``SubgroupGroup``, whose products
+    ``_at`` (G's ``_position``) codes.  The elements, ``_reps``, are the
+    minima as G's tuples, in carrier order, so a coset's number is its index
+    here.  The product of cosets i and j is ``_down`` at the position of
+    ``mult(_up[i], _up[j])``, with G's scan multiply; ``_index`` reads the
+    number of an element g of G, checked (``_coset_number``), and
     ``multiply``, ``invert`` and ``project`` return the representative at
-    it.  Where G has ``rows`` the scan reads gN as one row, and the
-    quotient has rows too; else it multiplies per n.
+    it.  Where G has ``rows`` the scan reads gN as one row, and the quotient
+    has rows too; else it multiplies per n.
     """
 
     def __init__(self, parent: FiniteGroup, kernel: EnumeratedSubgroup):
         E = enumerate_group(parent)
         mult, carrier, encode, decode, rows = _arithmetic(parent)
-        if isinstance(carrier, range):  # arrays, so that no element or coset holds an int object
-            down, up = array("i", [-1]) * len(E), array("i")
-        else:
-            down, up = dict.fromkeys(E.elements, -1), []
+        at = None if isinstance(carrier, range) else _position(parent)
+        # arrays, so that no parent element (nor, over indices, coset) holds an int object
+        down, up = array("i", [-1]) * len(E), array("i") if at is None else []
         encoded = [encode(n) for n in kernel.elements]
         row = rows and rows(encoded)
-        for g in carrier:
-            if down[g] == -1:
+        for i in range(len(E)):
+            if down[i] < 0:
+                g = carrier[i]
                 coset = len(up)
                 up.append(g)
                 if row:
                     for y in row(g):
                         down[y] = coset
+                elif at:
+                    for n in encoded:
+                        down[at(mult(g, n))] = coset
                 else:
                     for n in encoded:
                         down[mult(g, n)] = coset
@@ -626,8 +687,9 @@ class QuotientGroup(FiniteGroup):
         self._down = down
         self._up = up
         self._mult = mult
+        self._at = at
         self._rows = rows and partial(_quotient_rows, rows, up, down)
-        self._index = lambda g: down[encode(g)]
+        self._index = partial(_coset_number, at or encode, E.elements, down)
         self._reps = tuple(decode(up))
         self._init_group(
             parent.prime,
@@ -646,7 +708,8 @@ class QuotientGroup(FiniteGroup):
         return self._reps[self._index(self.parent.invert(a))]
 
     def project(self, g):
-        """Canonical representative of the coset of a parent element."""
+        """Canonical representative of the coset of a parent element;
+        NotInGroup for anything else."""
         return self._reps[self._index(g)]
 
     def _carrier(self) -> EnumeratedSubgroup:
@@ -654,7 +717,24 @@ class QuotientGroup(FiniteGroup):
 
     def _index_product(self, i: int, j: int) -> int:
         up = self._up
-        return self._down[self._mult(up[i], up[j])]
+        if self._at is None:
+            return self._down[self._mult(up[i], up[j])]
+        return self._down[self._at(self._mult(up[i], up[j]))]
+
+
+def _coset_number(at, elements, down, g) -> int:
+    """``down`` at g's position in the parent carrier ``elements``, with
+    ``at`` the parent's ``_position`` or index map; NotInGroup unless the
+    carrier holds g there.  A position coder maps some tuples outside the
+    carrier to another element's position (a coordinate off a congruence, a
+    negative coordinate), so the check is what rejects them."""
+    try:
+        i = at(g)
+        if elements[i] == g:
+            return down[i]
+    except (LookupError, TypeError, ValueError):
+        pass
+    raise NotInGroup(f"{g!r} is not an element of the parent group")
 
 
 def quotient_group(G: FiniteGroup, N: EnumeratedSubgroup) -> QuotientGroup:

@@ -67,8 +67,7 @@ def _layers(G: FiniteGroup) -> bytearray:
         else:
             Q = QuotientGroup(G, Z)
             above = bytes(1 + layer for layer in _layers(Q))
-            down = Q._down  # coset numbers in carrier order: a dict's values, or an array
-            labels = bytearray(map(above.__getitem__, down.values() if isinstance(down, dict) else down))
+            labels = bytearray(map(above.__getitem__, Q._down))  # coset numbers in carrier order
         labels[0] = 0  # the identity
         G._layers = labels
     return G._layers

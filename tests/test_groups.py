@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from array import array
 
 import pytest
 
@@ -15,12 +16,13 @@ from pgs.constructions import (
     make_partb_indecomposable,
     make_second_example,
 )
-from pgs.errors import InternalInconsistency, NotNormal, ResourceLimit
+from pgs.errors import InternalInconsistency, NotInGroup, NotNormal, ResourceLimit
 from pgs.groups import (
     DirectProductGroup,
     EnumeratedSubgroup,
     QuotientGroup,
     SubgroupGroup,
+    _position,
     center,
     commutator,
     direct_factor_search,
@@ -35,7 +37,7 @@ from pgs.groups import (
     subgroup_closure,
 )
 from pgs.series import nilpotence_class, spectrum, upper_central_series
-from test_properties import ReferenceQuotient
+from test_properties import ReferenceQuotient, same_objects
 from test_series import make_s3
 
 
@@ -274,24 +276,74 @@ def test_quotient_map_is_keyed_by_the_carriers_own_tuples(build):
     # carrier's own tuple, and each representative to itself
     assert all(id(Q.project(g)) in own for g in elements)
     assert all(Q.project(r) is r for r in reps)
-    # one coset number per parent element, in carrier order: over a parent
-    # that scans on tuples, a dict keyed by the carrier's own tuples; over
-    # a product, an array and no dict over the parent's carrier
-    assert len(Q._down) == len(elements)
+    # one coset number per parent carrier position, in an array, with no
+    # dict over the parent's carrier; the coset minima are the parent's
+    # indices over a product, and over a parent that scans on tuples the
+    # carrier's own tuples
+    assert isinstance(Q._down, array) and len(Q._down) == len(elements)
+    assert not any(isinstance(v, dict) and len(v) >= len(elements) for v in vars(Q).values())
     if isinstance(G, DirectProductGroup):
-        assert not any(isinstance(v, dict) and len(v) >= len(elements) for v in vars(Q).values())
-        numbers = list(Q._down)
+        assert isinstance(Q._up, array)
     else:
-        assert all(k is g for k, g in zip(Q._down, elements))
-        numbers = list(Q._down.values())
+        assert same_objects(Q._up, reps)
+    assert same_objects(Q._reps, reps)
     # the quotient's arithmetic, on tuples and on coset numbers, is the
     # tuple-only reference quotient's on all pairs
     R = ReferenceQuotient(G, center(G))
-    assert numbers == list(R._down.values())
+    assert list(Q._down) == list(R._down.values())
     assert all(Q.project(g) is R.project(g) for g in elements)
     assert all(Q.multiply(a, b) is R.multiply(a, b) for a in reps for b in reps)
     assert all(reps[Q._index_product(i, j)] is R.multiply(a, b) for i, a in enumerate(reps) for j, b in enumerate(reps))
     assert all(Q.invert(a) is R.invert(a) for a in reps)
+
+
+@pytest.mark.parametrize(
+    "build, outside",
+    [
+        # off the congruence v_1 = 0 mod 3, coded as the identity's position
+        (lambda: make_homocyclic(3, 2, 2, 1), (0, 1, 0)),
+        # a negative coordinate reads its coordinate's last term
+        (lambda: make_Mc(3, 4), (0, 0, -1)),
+        (lambda: make_Mc(3, 4), (0, 0, 81)),
+        (lambda: make_Mc(3, 4), (0, 0)),
+        (lambda: make_Mc(3, 4), [0, 0, 0]),
+        (lambda: direct_product([make_Mc(3, 2), make_Dc(3, 2)]), (0, 0, 0, 0, 9)),
+    ],
+    ids=["off-congruence", "negative", "too-large", "short", "list", "product"],
+)
+def test_quotient_rejects_tuples_outside_its_parent(build, outside):
+    G = build()
+    Q = QuotientGroup(G, center(G))
+    with pytest.raises(NotInGroup):
+        Q.project(outside)
+    assert Q.project(G.identity) is enumerate_group(Q).elements[0]
+
+
+def test_position_coder_is_no_element_test():
+    # the coder trusts its input: these tuples lie outside the carriers
+    H, M = make_homocyclic(3, 2, 2, 1), make_Mc(3, 4)
+    assert _position(H)((0, 1, 0)) == _position(H)(H.identity) == 0
+    last = M.coordinate_moduli[-1] - 1
+    assert _position(M)((0, 0, -1)) == _position(M)((0, 0, last))
+
+
+def test_position_coders_hold_no_reference_to_their_group():
+    """A box's coder and a dict numbering (a group with its own carrier)
+    close over plain data: dropping the group frees it with the cyclic GC
+    disabled, and the coder still works."""
+    gc.disable()
+    try:
+        D = make_Dc(3, 2)
+        H = make_homocyclic(3, 2, 2, 1)
+        Q = QuotientGroup(D, center(D))
+        coders = [_position(G) for G in (D, H, Q)]
+        assert [_position(G) for G in (D, H, Q)] == coders
+        refs = [weakref.ref(G) for G in (D, H, Q)]
+        del D, H, Q
+        assert [r() for r in refs] == [None, None, None]
+        assert [at((0, 1)) for at in (coders[0], coders[2])] == [1, 1]
+    finally:
+        gc.enable()
 
 
 def test_quotient_projection_is_homomorphism():
@@ -506,6 +558,32 @@ def test_order_p_walk_multiplies_as_the_set_walk(native_multiplies, build, count
     native_multiplies.clear()
     order_p_elements(G)
     assert len(native_multiplies) == count
+
+
+TUPLE_SCAN_PINS = [
+    (lambda: make_Dc(3, 5), (105_709, 88_088, 59_049)),
+    (lambda: make_B2(7, 3), (17_567, 16_806, 16_807)),
+    (lambda: make_Mc(3, 7), (13_125, 7_574, 6_561)),
+    (lambda: make_homocyclic(3, 2, 2, 1), (1_031, 1_016, 729)),
+]
+
+
+@pytest.mark.parametrize(
+    "build, counts", TUPLE_SCAN_PINS, ids=["Dc(3,5)", "B2(7,3)", "Mc(3,7)", "homocyclic(3,2,2,1)"]
+)
+def test_tuple_scans_multiply_as_the_set_scans(native_multiplies, build, counts):
+    # the center sieve, the order-p walk and the numbering of G/Z(G)'s
+    # cosets mark carrier positions where they kept sets and dicts of
+    # tuples; what they multiply is unchanged: these are the set scans'
+    # counts
+    G = build()
+    enumerate_group(G)
+    made = []
+    for scan in (lambda: center(G), lambda: order_p_elements(G), lambda: QuotientGroup(G, center(G))):
+        native_multiplies.clear()
+        scan()
+        made.append(len(native_multiplies))
+    assert tuple(made) == counts
 
 
 def test_dropping_a_product_frees_it_and_its_factors():

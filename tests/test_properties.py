@@ -7,9 +7,10 @@ lower central series by normal closure, the incremental subgroup closure, a
 native family's carrier enumerated as its coordinate box, a
 direct product's carrier and order-p scan read from its factors, its
 arithmetic on index tables, the center, order-p scan and ucs quotients of a
-product and of every quotient on indices, the order-p walk's position marks
-(against the walk on sets), the direct-factor search with its center
-prunes and the generators-only ucs characterization
+product and of every quotient on indices, the position marks of the
+order-p walk and the center sieve (against the same scans on sets), the
+position coders (against the sum of their terms), the direct-factor
+search with its center prunes and the generators-only ucs characterization
 are compared with a plain reference scan, on seeded random recipes with a
 small order cap and on every family and product the suite builds.  B2's
 straight-line product kernels are compared with the BCH series evaluated
@@ -24,6 +25,7 @@ from array import array
 from collections import deque
 from functools import partial
 from math import gcd
+from operator import getitem
 
 import pytest
 from hypothesis import assume, given, settings
@@ -319,11 +321,58 @@ class ReferenceQuotient(FiniteGroup):
         return _canonical(self._reps)
 
 
+def reference_sieve_center(mult, elements, identity, gens, bound):
+    """The coset sieve on tuples as before position marks: the members of
+    ``elements``, a carrier in canonical order, that commute with every
+    generator in ``gens``, in carrier order.  Each coset gZ0 is marked by
+    ``mult`` in a set that keeps only marks ahead of the scan, each dropped
+    when the scan reaches it."""
+    z0, kept = {identity}, []
+    marked = set()
+    central = []
+    for g in elements:
+        if g in z0:
+            central.append(g)
+        elif g in marked:
+            marked.discard(g)
+        elif all(mult(g, s) == mult(s, g) for s in gens):
+            central.append(g)
+            z0, kept = _close(mult, identity, kept + [g], bound)
+        else:
+            for z in z0:
+                y = mult(g, z)
+                if y > g:
+                    marked.add(y)
+    return central
+
+
 def reference_tuple_center(G):
-    """The coset sieve on tuples, multiplying by ``reference_multiply``."""
+    """The set sieve on tuples, multiplying by ``reference_multiply``."""
     gens = [g for _, g in G.generators]
     mult = partial(reference_multiply, G)
-    return tuple(_sieve_center(mult, enumerate_group(G).elements, G.identity, gens, G.max_order))
+    return tuple(reference_sieve_center(mult, enumerate_group(G).elements, G.identity, gens, G.max_order))
+
+
+def check_center_sieve(G):
+    """G's center, from the sieve's position marks on G's carrier tuples
+    (``_position``), is the set sieve's, as the carrier's own tuples, in
+    the same number of multiplies; on the tuple path it is ``center(G)``."""
+    E = enumerate_group(G)
+    gens = [g for _, g in G.generators]
+    calls = []
+
+    def mult(a, b):
+        calls.append(1)
+        return G.multiply(a, b)
+
+    expected = reference_sieve_center(mult, E.elements, G.identity, gens, G.max_order)
+    made = len(calls)
+    calls.clear()
+    found = _sieve_center(mult, E.elements, G.identity, gens, G.max_order, None, _position(G))
+    assert same_objects(found, expected) and len(calls) == made
+    assert center(G).elements == tuple(expected)
+    if not isinstance(_arithmetic(G)[1], range):
+        assert same_objects(center(G).elements, expected)
 
 
 def reference_walk(G):
@@ -388,10 +437,28 @@ def check_walk(G):
     assert G._pth_powers == powers and all(id(g) in own for g in G._pth_powers)
 
 
+def reference_terms(G):
+    """Each coordinate's mixed-radix terms of G's cut box, as ``_position``
+    reads them: a coordinate cut by a congruence counts as x // p."""
+    p, cuts, moduli = G.prime, groups_module._cuts(G), G.coordinate_moduli
+    weight, terms = 1, []
+    for k in reversed(range(len(moduli))):
+        terms.append([(x // p if k in cuts else x) * weight for x in range(moduli[k])])
+        weight *= moduli[k] // p if k in cuts else moduli[k]
+    return terms[::-1]
+
+
 def check_positions(G):
-    """``_position`` numbers G's carrier 0, 1, ..., |G| - 1 in carrier order."""
+    """``_position`` numbers G's carrier 0, 1, ..., |G| - 1 in carrier order,
+    built once per group; a box or cut box's coder is the sum of its
+    coordinates' terms, ``sum(map(getitem, terms, g))``."""
     E = enumerate_group(G)
-    assert list(map(_position(G), E.elements)) == list(range(len(E)))
+    at = _position(G)
+    assert _position(G) is at
+    assert list(map(at, E.elements)) == list(range(len(E)))
+    if type(G)._carrier is FiniteGroup._carrier:
+        terms = reference_terms(G)
+        assert [sum(map(getitem, terms, g)) for g in E.elements] == list(range(len(E)))
 
 
 def same_objects(xs, ys):
@@ -900,8 +967,9 @@ def test_deep_ucs_matches_reference():
     check_layers(G)
 
 
-# a quotient of a native group: its coset map is a dict keyed by the native
-# parent's tuples, and its own ucs quotients number their cosets in arrays
+# a quotient of a native group: its coset map is an array over the native
+# parent's positions, with the parent carrier's own tuples as coset minima,
+# and its own ucs quotients number their cosets over its indices
 NATIVE_QUOTIENT = {"op": "central_quotient", "group": {"family": "Mc", "p": 3, "c": 4}, "word": "s4"}
 
 
@@ -911,7 +979,11 @@ NATIVE_QUOTIENT = {"op": "central_quotient", "group": {"family": "Mc", "p": 3, "
 def test_suite_families_layers(desc):
     G = build_from_description(desc)
     if desc is NATIVE_QUOTIENT:
-        assert isinstance(G._down, dict) and isinstance(QuotientGroup(G, center(G))._down, array)
+        parent = enumerate_group(G.parent).elements
+        assert isinstance(G._down, array) and len(G._down) == len(parent)
+        assert same_objects(G._up, G._reps) and all(g is parent[G._at(g)] for g in G._up)
+        H = QuotientGroup(G, center(G))
+        assert isinstance(H._down, array) and isinstance(H._up, array) and H._at is None
     check_layers(G)
 
 
@@ -1073,6 +1145,76 @@ def test_drawn_subgroup_positions(desc):
     except ResourceLimit:
         assume(False)
     check_positions(G)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_coder_is_the_sum_of_its_terms(n):
+    """``_coder`` for each coordinate count, written out (2 to 8) or the
+    ``sum`` fallback (1, 9, 10), equals sum(map(getitem, terms, g))."""
+    rng = random.Random(n)
+    terms = [[rng.randrange(10**6) for _ in range(rng.randint(1, 9))] for _ in range(n)]
+    at = groups_module._coder(terms)
+    for _ in range(300):
+        g = tuple(rng.randrange(len(t)) for t in terms)
+        assert at(g) == sum(map(getitem, terms, g))
+
+
+# a box or cut box of each coordinate count the families use, 2 to 8
+CODER_DESCS = [
+    {"family": "Dc", "p": 3, "c": 5},
+    {"family": "Mc", "p": 3, "c": 7},
+    {"family": "homocyclic", "p": 3, "k": 2, "e": 2, "s": 1},
+    {"family": "homocyclic", "p": 5, "k": 3, "e": 1, "s": 1},
+    {"family": "B2", "p": 7, "k": 3},
+    {"family": "partb", "p": 3, "cs": [3], "c": 4, "indecomposable": True},
+    {"family": "partb", "p": 2, "cs": [2, 3], "c": 4, "indecomposable": True},
+    {"family": "homocyclic", "p": 7, "k": 6, "e": 1, "s": 2},
+    {"family": "B2", "p": 5, "k": 4},
+    {"family": "partb", "p": 2, "cs": [2, 3, 4], "c": 5, "indecomposable": True},
+]
+
+
+@pytest.mark.parametrize("desc", CODER_DESCS, ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
+def test_family_coders_are_the_sum_of_their_terms(desc):
+    """On drawn tuples of the box, in the carrier or not, with no
+    enumeration; the carrier's own positions are ``check_positions``'."""
+    G = build_from_description(desc)
+    terms = reference_terms(G)
+    at = _position(G)
+    rng = random.Random(len(terms))
+    for _ in range(300):
+        g = tuple(rng.randrange(m) for m in G.coordinate_moduli)
+        assert at(g) == sum(map(getitem, terms, g))
+    assert G._enumeration is None and _position(G) is at
+
+
+@pytest.mark.parametrize(
+    "desc", SUITE_FAMILIES + SUITE_SUBGROUPS[:3], ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items())
+)
+def test_suite_families_center_sieve_matches_the_set_sieve(desc):
+    check_center_sieve(build_from_description(desc))
+
+
+@settings(max_examples=40)
+@given(small_native_descs())
+def test_drawn_native_center_sieve_matches_the_set_sieve(desc):
+    try:
+        G = build_from_description(desc, max_order=NATIVE_CAP)
+        enumerate_group(G)
+    except ResourceLimit:
+        assume(False)
+    check_center_sieve(G)
+
+
+@settings(max_examples=40)
+@given(small_subgroup_descs())
+def test_drawn_subgroup_center_sieve_matches_the_set_sieve(desc):
+    try:
+        G = build_from_description(desc, max_order=NATIVE_CAP)
+        enumerate_group(G)
+    except ResourceLimit:
+        assume(False)
+    check_center_sieve(G)
 
 
 # partb (3,[3],4), the last, has 177,147 elements
