@@ -43,6 +43,7 @@ from .groups import (
     QuotientGroup,
     SubgroupGroup,
     _check_order,
+    _element_position,
     commutator,
     direct_product,
     element_order,
@@ -58,12 +59,22 @@ class SemidirectGroup(FiniteGroup):
     Elements are (t, v_1, ..., v_r): the element top^t * bottom_v.  The
     action is a row-convention matrix applied with per-coordinate moduli,
     so mixed invariant factors (e.g. Z/9 x Z/3) are supported.  The action's
-    distinct powers are computed once and indexed by t mod their count.
-    With a rank-1 bottom (cyclic groups, Dc, Mc for p = 2, homocyclic with
-    k = 1) each power is a scalar, read from ``_scalars``:
-    (t1, v)(t2, w) = (t1 + t2, v * _scalars[t2] + w), with no matrix loop.
-    ``tests/test_properties.py::test_rank1_semidirect_matches_the_matrix_rows``
-    checks it against the matrix rows.
+    distinct powers are computed once and repeated up to the top order, so
+    ``_pows[t]`` is A^t:
+    (t1, v)(t2, w) = (t1 + t2, v A^t2 + w).  For a bottom of rank 1 to 3
+    ``_acts[t]`` holds A^t flat, built the same way: the scalar at rank 1
+    (cyclic groups, Dc, Mc for p = 2, homocyclic with k = 1), the row-major
+    matrix at ranks 2 and 3 (Mc for p = 3 and p = 5 up to c = 3, homocyclic
+    with k = 2 or 3).  ``multiply`` and ``invert`` have one written-out
+    branch per such rank, which unpacks the tuple, the action and the
+    moduli and returns the result in one expression, with no loop (about
+    0.3 us a call, where the matrix loop took 0.8-1.2 us); a larger bottom
+    runs the loop over ``_pows``.  The branches stay in the methods, so a
+    count of ``SemidirectGroup.multiply`` on the class sees every product.
+    ``tests/test_properties.py::test_rank1_semidirect_matches_the_matrix_rows``,
+    ``::test_rank2_and_rank3_semidirect_match_the_matrix_rows`` and
+    ``::test_semidirect_kernels_match_the_matrix_rows_on_drawn_pairs`` check
+    them against the matrix rows.
 
     The carrier is every (t, v) with t below ``top_order`` and v below the
     bottom moduli, enumerated as that coordinate box with no multiply, so
@@ -106,8 +117,12 @@ class SemidirectGroup(FiniteGroup):
         pows = _action_powers(rows, mods, top_order)
         if top_order % len(pows):
             raise BadParameters("action order does not divide the top order")
-        self._pows = pows * (top_order // len(pows))
-        self._scalars = tuple(M[0][0] for M in self._pows) if rank == 1 else ()
+        repeat = top_order // len(pows)
+        self._pows = pows * repeat
+        # A^t flat for the written-out kernels: the scalar at rank 1, the
+        # row-major matrix at ranks 2 and 3
+        flat = (M[0][0] if rank == 1 else sum(M, ()) for M in pows)
+        self._acts = tuple(flat) * repeat if rank <= 3 else ()
 
         order = top_order
         for m in mods:
@@ -123,12 +138,33 @@ class SemidirectGroup(FiniteGroup):
         )
 
     def multiply(self, a, b):
+        """The product of two elements.  It trusts its input, as
+        ``groups._position`` does: a coordinate out of range is reduced or
+        raises, so a caller that takes tuples from outside checks them
+        against the carrier first (``central_quotient``)."""
         t2 = b[0]
         rank = self._rank
         if rank == 1:
             return (
                 (a[0] + t2) % self.top_order,
-                (b[1] + a[1] * self._scalars[t2]) % self._mods[0],
+                (b[1] + a[1] * self._acts[t2]) % self._mods[0],
+            )
+        if rank == 2:
+            t1, x, y = a
+            _, u, v = b
+            m00, m01, m10, m11 = self._acts[t2]
+            n0, n1 = self._mods
+            return ((t1 + t2) % self.top_order, (u + x * m00 + y * m10) % n0, (v + x * m01 + y * m11) % n1)
+        if rank == 3:
+            t1, x, y, z = a
+            _, u, v, w = b
+            m00, m01, m02, m10, m11, m12, m20, m21, m22 = self._acts[t2]
+            n0, n1, n2 = self._mods
+            return (
+                (t1 + t2) % self.top_order,
+                (u + x * m00 + y * m10 + z * m20) % n0,
+                (v + x * m01 + y * m11 + z * m21) % n1,
+                (w + x * m02 + y * m12 + z * m22) % n2,
             )
         M = self._pows[t2]
         mods = self._mods
@@ -144,7 +180,22 @@ class SemidirectGroup(FiniteGroup):
         ti = (self.top_order - a[0]) % self.top_order
         rank = self._rank
         if rank == 1:
-            return (ti, (-a[1] * self._scalars[ti]) % self._mods[0])
+            return (ti, (-a[1] * self._acts[ti]) % self._mods[0])
+        if rank == 2:
+            _, x, y = a
+            m00, m01, m10, m11 = self._acts[ti]
+            n0, n1 = self._mods
+            return (ti, -(x * m00 + y * m10) % n0, -(x * m01 + y * m11) % n1)
+        if rank == 3:
+            _, x, y, z = a
+            m00, m01, m02, m10, m11, m12, m20, m21, m22 = self._acts[ti]
+            n0, n1, n2 = self._mods
+            return (
+                ti,
+                -(x * m00 + y * m10 + z * m20) % n0,
+                -(x * m01 + y * m11 + z * m21) % n1,
+                -(x * m02 + y * m12 + z * m22) % n2,
+            )
         M = self._pows[ti]
         mods = self._mods
         out = [ti]
@@ -454,8 +505,12 @@ def make_B2(p: int, k: int, max_order: int = DEFAULT_MAX_ORDER) -> LieBCHGroup:
 
 
 def central_quotient(G: FiniteGroup, z) -> QuotientGroup:
-    """Quotient of G by <z>, where z must be central of order exactly p."""
+    """Quotient of G by <z>, where z must be an element of G, central, of
+    order exactly p.  Membership is checked first, on G's carrier: native
+    ``multiply`` trusts its input, and would reduce or reject an
+    out-of-range coordinate before any other check saw it."""
     z = tuple(z)
+    _element_position(G, z)
     for _, g in G.generators:
         if G.multiply(z, g) != G.multiply(g, z):
             raise NotCentral(f"{z} is not central in {G!r}")

@@ -583,12 +583,17 @@ def order_p_elements(G: FiniteGroup) -> tuple:
     Any other group is scanned one cyclic subgroup at a time, on indices
     wherever ``_arithmetic`` gives them: from the smallest element g not yet
     classified, the walk g, g^2, ... ends at the identity and gives
-    n = ord(g).  Every g^j with j prime to n generates the same <g>, so it
-    has order n and p-th power g^(pj mod n); all of them are classified by
-    that one walk.  In a p-group that is about p/(p-1) multiplies per
-    element, not the p-1 of computing each g^p.  The classified elements,
-    the p-th powers and the order-p elements are marked one byte per
-    carrier position: the index, or ``_position`` of a tuple.
+    n = ord(g).  That one walk classifies all of <g>: every g^j has p-th
+    power g^(pj mod n), and {pj mod n} is the multiples of d = gcd(p, n),
+    so the p-th powers are the walk at the multiples of d; when p divides n
+    the order-p elements are the walk at the multiples of n/p.  A smaller
+    cyclic subgroup inside <g> is never walked again, so in a p-group the
+    walk makes at most about p/(p-1) multiplies per element, fewer where
+    cyclic subgroups nest (Dc(3,5): 78,408 for 59,049 elements, where
+    walking every cyclic subgroup made 88,088), not the p-1 of computing
+    each g^p.  The classified elements, the p-th powers and the order-p
+    elements are marked one byte per carrier position: the index, or
+    ``_position`` of a tuple.
     """
     if G._order_p is None and isinstance(G, DirectProductGroup):
         elements = enumerate_group(G).elements  # the product's own bound and size check
@@ -612,12 +617,13 @@ def order_p_elements(G: FiniteGroup) -> tuple:
                 x = mult(x, g)
             n = len(walk)
             pos = walk if at is None else [0, *map(at, walk[1:])]  # pos[j]: g^j's position
-            for j in range(1, n):
-                if gcd(j, n) == 1:
-                    done[pos[j]] = 1
-                    powers[pos[p * j % n]] = 1
-            if n == p:
-                for k in pos[1:]:
+            d = gcd(p, n)
+            for k in pos:
+                done[k] = 1
+            for k in pos[::d]:  # the p-th powers g^(pj mod n): the multiples of d
+                powers[k] = 1
+            if d == p:  # the g^j of order p: the multiples of n/p
+                for k in pos[n // p :: n // p]:
                     small[k] = 1
             i = done.find(0, i + 1)
         elements = enumerate_group(G).elements  # the carrier's own tuples: a tuple walk's are equal copies
@@ -724,17 +730,31 @@ class QuotientGroup(FiniteGroup):
 
 def _coset_number(at, elements, down, g) -> int:
     """``down`` at g's position in the parent carrier ``elements``, with
-    ``at`` the parent's ``_position`` or index map; NotInGroup unless the
-    carrier holds g there.  A position coder maps some tuples outside the
-    carrier to another element's position (a coordinate off a congruence, a
-    negative coordinate), so the check is what rejects them."""
+    ``at`` the parent's ``_position`` or index map (``_carrier_position``)."""
+    return down[_carrier_position(at, elements, g)]
+
+
+def _carrier_position(at, elements, g) -> int:
+    """g's position ``at(g)`` in the carrier ``elements``; NotInGroup unless
+    the carrier holds g there.  A position coder maps some tuples outside
+    the carrier to another element's position (a coordinate off a
+    congruence, a negative or too large coordinate), so the check is what
+    rejects them."""
     try:
         i = at(g)
         if elements[i] == g:
-            return down[i]
+            return i
     except (LookupError, TypeError, ValueError):
         pass
-    raise NotInGroup(f"{g!r} is not an element of the parent group")
+    raise NotInGroup(f"{g!r} is not an element of the group")
+
+
+def _element_position(G: FiniteGroup, g) -> int:
+    """g's position in G's carrier, on G's scan arithmetic (the index, or
+    ``_position`` of a tuple); NotInGroup unless G holds g.  It enumerates G."""
+    _, carrier, encode, _, _ = _arithmetic(G)
+    at = encode if isinstance(carrier, range) else _position(G)
+    return _carrier_position(at, enumerate_group(G).elements, g)
 
 
 def quotient_group(G: FiniteGroup, N: EnumeratedSubgroup) -> QuotientGroup:

@@ -17,7 +17,7 @@ from pgs.constructions import (
     make_second_example,
     parse_description,
 )
-from pgs.errors import BadParameters, NotCentral, ParseError, WrongOrder
+from pgs.errors import BadParameters, NotCentral, NotInGroup, ParseError, WrongOrder
 from pgs.groups import (
     center,
     commutator,
@@ -302,6 +302,24 @@ def test_central_quotient_rejects_non_central():
     C = make_cyclic(3, 1)
     with pytest.raises(NotCentral):
         central_quotient(direct_product([M, C]), M.named_elements["s1"] + C.named_elements["d"])
+
+
+@pytest.mark.parametrize("z", [(0, 12, 6), (3, 3, 6)], ids=["bottom out of range", "top out of range"])
+def test_central_quotient_rejects_tuples_outside_the_group(z):
+    # Mc(3,4) has moduli (3, 9, 9): multiply would read (0, 12, 6) as the
+    # central (0, 3, 6), and (3, 3, 6) would index past the action's powers
+    G = make_Mc(3, 4)
+    assert str(central_quotient(G, (0, 3, 6))) == "Mc(3,4)/N3"
+    with pytest.raises(NotInGroup):
+        central_quotient(G, z)
+
+
+def test_central_quotient_of_a_product_rejects_tuples_outside_it():
+    P = direct_product([make_Mc(3, 2), make_cyclic(3, 1)])
+    z = make_Mc(3, 2).named_elements["s2"] + (0, 1)
+    assert len(enumerate_group(central_quotient(P, z))) == 27
+    with pytest.raises(NotInGroup):
+        central_quotient(P, z[:-1] + (4,))
 
 
 def test_partb_decomposable():

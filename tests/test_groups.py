@@ -37,7 +37,7 @@ from pgs.groups import (
     subgroup_closure,
 )
 from pgs.series import nilpotence_class, spectrum, upper_central_series
-from test_properties import ReferenceQuotient, same_objects
+from test_properties import ReferenceQuotient, reference_order_p_elements, same_objects
 from test_series import make_s3
 
 
@@ -546,25 +546,35 @@ def test_order_p_scan_walks_each_cyclic_subgroup_once(native_multiplies):
 
 
 @pytest.mark.parametrize(
-    "build, count",
-    [(lambda: make_Dc(3, 5), 88_088), (lambda: make_Mc(3, 7), 7_574), (lambda: make_homocyclic(3, 2, 2, 1), 1_016)],
-    ids=["Dc(3,5)", "Mc(3,7)", "homocyclic(3,2,2,1)"],
+    "build, count, set_count",
+    [
+        (lambda: make_Dc(3, 5), 78_408, 88_088),
+        (lambda: make_Mc(3, 7), 7_236, 7_574),
+        (lambda: make_homocyclic(3, 2, 2, 1), 984, 1_016),
+        (lambda: make_B2(7, 3), 16_806, 16_806),
+    ],
+    ids=["Dc(3,5)", "Mc(3,7)", "homocyclic(3,2,2,1)", "B2(7,3)"],
 )
-def test_order_p_walk_multiplies_as_the_set_walk(native_multiplies, build, count):
-    # marking positions, not keeping sets of tuples, changes what the walk
-    # holds and nothing it multiplies: these are the set walk's counts
+def test_order_p_walk_multiply_count(native_multiplies, build, count, set_count):
+    # the walk classifies every element of each <g> it walks, so no smaller
+    # cyclic subgroup is walked again; the set walk classified only the
+    # generators of <g>, and its counts stay pinned on the reference (B2 has
+    # exponent 7, so every nonidentity <g> is walked either way)
     G = build()
     enumerate_group(G)
     native_multiplies.clear()
     order_p_elements(G)
     assert len(native_multiplies) == count
+    native_multiplies.clear()
+    reference_order_p_elements(G)
+    assert len(native_multiplies) == set_count
 
 
 TUPLE_SCAN_PINS = [
-    (lambda: make_Dc(3, 5), (105_709, 88_088, 59_049)),
-    (lambda: make_B2(7, 3), (17_567, 16_806, 16_807)),
-    (lambda: make_Mc(3, 7), (13_125, 7_574, 6_561)),
-    (lambda: make_homocyclic(3, 2, 2, 1), (1_031, 1_016, 729)),
+    (lambda: make_Dc(3, 5), (105_709, 59_049)),
+    (lambda: make_B2(7, 3), (17_567, 16_807)),
+    (lambda: make_Mc(3, 7), (13_125, 6_561)),
+    (lambda: make_homocyclic(3, 2, 2, 1), (1_031, 729)),
 ]
 
 
@@ -572,18 +582,45 @@ TUPLE_SCAN_PINS = [
     "build, counts", TUPLE_SCAN_PINS, ids=["Dc(3,5)", "B2(7,3)", "Mc(3,7)", "homocyclic(3,2,2,1)"]
 )
 def test_tuple_scans_multiply_as_the_set_scans(native_multiplies, build, counts):
-    # the center sieve, the order-p walk and the numbering of G/Z(G)'s
-    # cosets mark carrier positions where they kept sets and dicts of
-    # tuples; what they multiply is unchanged: these are the set scans'
-    # counts
+    # the center sieve and the numbering of G/Z(G)'s cosets mark carrier
+    # positions where they kept sets and dicts of tuples; what they multiply
+    # is unchanged: these are the set scans' counts (the order-p walk's are
+    # in test_order_p_walk_multiply_count)
     G = build()
     enumerate_group(G)
     made = []
-    for scan in (lambda: center(G), lambda: order_p_elements(G), lambda: QuotientGroup(G, center(G))):
+    for scan in (lambda: center(G), lambda: QuotientGroup(G, center(G))):
         native_multiplies.clear()
         scan()
         made.append(len(native_multiplies))
     assert tuple(made) == counts
+
+
+def make_s3_x_c3():
+    """S3 x C3 as one native group: C3 acted on by inversion through a top
+    of order 6, so the top's C3 part acts trivially."""
+    return SemidirectGroup(3, 6, (3,), ((2,),), [("r", (0, 1)), ("f", (1, 0))], description="S3xC3")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        make_s3,
+        make_s3_x_c3,
+        lambda: direct_product([make_s3(), make_cyclic(3, 1)]),
+        lambda: SubgroupGroup(direct_product([make_s3(), make_cyclic(3, 1)]), [], [("r", (0, 1, 0, 0)), ("f", (1, 0, 0, 0)), ("d", (0, 0, 0, 1))]),
+    ],
+    ids=["S3", "S3xC3", "S3xC3 product", "S3xC3 product walked"],
+)
+def test_order_p_walk_outside_p_groups(build):
+    # cyclic subgroups of order 2 (gcd(3, 2) = 1: every element is a cube)
+    # and of order 6 (its cubes are the multiples of 3, its order-3
+    # elements the multiples of 2), which no p-group reaches
+    G = build()
+    small, powers = reference_order_p_elements(G)
+    assert same_objects(order_p_elements(G), small)
+    assert G._pth_powers == powers
+    assert len(small) == (2 if len(enumerate_group(G)) == 6 else 8)
 
 
 def test_dropping_a_product_frees_it_and_its_factors():

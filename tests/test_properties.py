@@ -1757,14 +1757,25 @@ def reference_semidirect_invert(G, a):
     return (ti,) + bottom
 
 
-def is_small_rank1(desc):
+def small_semidirect_rank(desc):
+    """The bottom rank of a suite-sized native family with at most 1,000
+    elements, else None."""
     if desc["family"] not in ("Dc", "Mc", "cyclic", "homocyclic"):
-        return False
+        return None
     G = build_from_description(desc)
-    return isinstance(G, SemidirectGroup) and G._rank == 1 and G.known_order <= 1000
+    return G._rank if isinstance(G, SemidirectGroup) and G.known_order <= 1000 else None
 
 
-RANK1_DESCS = [d for d in SUITE_FAMILIES if is_small_rank1(d)] + [
+def check_semidirect_rows(G):
+    """Every product and inverse of G's carrier, against the matrix rows."""
+    elems = enumerate_group(G).elements
+    for a in elems:
+        assert G.invert(a) == reference_semidirect_invert(G, a)
+        for b in elems:
+            assert G.multiply(a, b) == reference_semidirect_multiply(G, a, b)
+
+
+RANK1_DESCS = [d for d in SUITE_FAMILIES if small_semidirect_rank(d) == 1] + [
     d
     for d in [
         {"family": "Dc", "p": 2, "c": 3},
@@ -1776,13 +1787,48 @@ RANK1_DESCS = [d for d in SUITE_FAMILIES if is_small_rank1(d)] + [
     if d not in SUITE_FAMILIES
 ]
 
+# the written-out rank-2 and rank-3 kernels: Mc for p = 3 and p = 5 (rank
+# min(c, p - 1)) and homocyclic with k = 2
+RANK23_DESCS = [d for d in SUITE_FAMILIES if small_semidirect_rank(d) in (2, 3)] + [
+    {"family": "Mc", "p": 3, "c": 5},
+    {"family": "Mc", "p": 5, "c": 3},
+]
+
 
 @pytest.mark.parametrize("desc", RANK1_DESCS, ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
 def test_rank1_semidirect_matches_the_matrix_rows(desc):
     G = build_from_description(desc)
     assert G._rank == 1
-    elems = enumerate_group(G).elements
-    for a in elems:
+    check_semidirect_rows(G)
+
+
+@pytest.mark.parametrize("desc", RANK23_DESCS, ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
+def test_rank2_and_rank3_semidirect_match_the_matrix_rows(desc):
+    G = build_from_description(desc)
+    assert G._rank in (2, 3)
+    check_semidirect_rows(G)
+
+
+@pytest.mark.parametrize(
+    "build, rank",
+    [(lambda: make_Mc(3, 12), 2), (lambda: make_homocyclic(5, 3, 2, 0), 3), (lambda: make_Mc(5, 4), 4)],
+    ids=["Mc(3,12)", "homocyclic(5,3,2,0)", "Mc(5,4)"],
+)
+def test_semidirect_kernels_match_the_matrix_rows_on_drawn_pairs(build, rank):
+    # groups too large to enumerate in a test (Mc(3,12) has 3^13 elements,
+    # homocyclic (5,3,2,0) 5^9), and Mc(5,4) for the generic loop of rank 4
+    G = build()
+    assert G._rank == rank
+    rng = random.Random(f"{G!r}")
+    moduli = G.coordinate_moduli
+
+    def draw():
+        return tuple(rng.randrange(m) for m in moduli)
+
+    for _ in range(2_000):
+        a, b, c = draw(), draw(), draw()
+        assert G.multiply(a, b) == reference_semidirect_multiply(G, a, b)
         assert G.invert(a) == reference_semidirect_invert(G, a)
-        for b in elems:
-            assert G.multiply(a, b) == reference_semidirect_multiply(G, a, b)
+        assert G.multiply(G.multiply(a, b), c) == G.multiply(a, G.multiply(b, c))
+        assert G.multiply(a, G.invert(a)) == G.identity
+    assert G._enumeration is None

@@ -85,7 +85,7 @@ def test_question_witness_none_for_dihedral(native_multiplies):
 
 def test_lemma_fact_reads_the_order_p_scan(native_multiplies):
     assert verify_lemma_fact(make_Mc(3, 3))["passed"]
-    assert len(native_multiplies) == 86  # 108 with an element_order walk per outside element
+    assert len(native_multiplies) == 84  # 108 with an element_order walk per outside element
 
 
 def test_ucs_characterization_pass_multiplies(native_multiplies, index_products):
@@ -97,7 +97,7 @@ def test_ucs_characterization_pass_multiplies(native_multiplies, index_products)
         if name == "ucs_characterization" and params["family"] == "second_example"
     ]
     assert thunk() == (True, None, {"lcs_equals_ucs": False})
-    assert len(native_multiplies) == 661  # all in the factors' tables
+    assert len(native_multiplies) == 653  # all in the factors' tables
     assert len(index_products) == 18_536  # 22,211 in two passes, each with its own commutators
 
 
