@@ -608,7 +608,11 @@ def make_s3_x_c3():
         make_s3,
         make_s3_x_c3,
         lambda: direct_product([make_s3(), make_cyclic(3, 1)]),
-        lambda: SubgroupGroup(direct_product([make_s3(), make_cyclic(3, 1)]), [], [("r", (0, 1, 0, 0)), ("f", (1, 0, 0, 0)), ("d", (0, 0, 0, 1))]),
+        lambda: SubgroupGroup(
+            direct_product([make_s3(), make_cyclic(3, 1)]),
+            [],
+            [("r", (0, 1, 0, 0)), ("f", (1, 0, 0, 0)), ("d", (0, 0, 0, 1))],
+        ),
     ],
     ids=["S3", "S3xC3", "S3xC3 product", "S3xC3 product walked"],
 )
