@@ -33,12 +33,12 @@ enumerated product multiplies through its factors' index tables
 (``_Table``), a quotient through its parent's scan arithmetic.  The scans
 decode through the carrier, so the caches hold the carrier's own tuples.
 Index order is tuple order, so coset minima and witnesses do not depend on
-the path.  The order-p walk and the center sieve mark carrier positions one
-byte each, and a quotient numbers its parent's cosets in an array over
-them: the position is the index, or on tuples ``_position``, the
-coordinate box's mixed-radix code, a few list reads per element.  A carrier
-keeps its sorted tuple and builds its frozenset only when membership is
-first asked, and only a product's factors hold full product arrays.
+the path.  The order-p walk marks carrier positions one byte each, and
+``_coset_scan`` numbers the center's cosets, which G/Z(G) takes over, in an
+array over them: the position is the index, or on tuples ``_position``, a
+few list reads.  A carrier keeps its sorted tuple and builds its frozenset
+only when membership is first asked, and only a product's factors hold
+full product arrays.
 """
 
 from __future__ import annotations
@@ -109,6 +109,7 @@ class FiniteGroup:
         self.description = description
         self._enumeration = None
         self._center = None
+        self._cosets = None  # the center's coset numbering, until G/Z(G) takes it
         self._layers = None
         self._ucs = None
         self._order_p = None
@@ -466,52 +467,91 @@ def commutator(G: FiniteGroup, x, y):
     return mult(mult(G.invert(x), G.invert(y)), mult(x, y))
 
 
-def _sieve_center(mult, elements, identity, gens, bound, rows=None, at=None) -> list:
-    """The members of ``elements``, a carrier in canonical order, that
-    commute with every generator in ``gens``, by a coset sieve; returned in
-    carrier order, as the carrier's own objects.
+def _coset_scan(mult, carrier, kernel, rows=None, at=None, gens=None) -> tuple:
+    """Number the cosets gK of a subgroup K in ``down``, an ``array("i")``
+    over the canonical ``carrier``'s positions, in order of their
+    ``minima``, in one ascending scan; returns ``(K, down, minima)``.
 
-    The scan keeps Z0, the central subgroup found so far.  An element in Z0
-    is central.  Any other element not yet marked is tested against the
-    generators: a central g extends Z0 by ``_close``, and a non-central g
-    marks its coset gZ0, none of which is central (if gz were, so would be
-    g = (gz)z^-1).  That is about |G| + 2d·|G|/|Z| multiplies for d
-    generators, not 2d·|G|.  A central element behind the scan was already
-    passed, so every new member of Z0 is met when the scan reaches it.
-
-    One byte per carrier position marks Z0 and the cosets marked so far,
-    and the scan jumps to the next unmarked position.  The center is the
-    last Z0, read back at its positions in carrier order.  The generator
-    test is ``mult`` on whole elements.  gZ0 is marked as one row where
-    ``rows`` is given (see ``_arithmetic``; made again after Z0 grows),
-    else one ``mult`` per z: on indices the product is the position, and on
-    tuples (``elements`` the tuple carrier) ``at``, the ``_position`` coder,
-    gives it.
+    The next unnumbered g is a new minimum, and gK is ``row(g)``, else g
+    and ``mult(g, k)`` for k != 1 (coded by ``at`` on tuples).  K starts as
+    ``kernel``, identity first.  With ``gens``, a g that commutes with them
+    joins K, and each coset so far is completed to a coset of K<g>: for its
+    minimum h and each power t of g outside K, h·t lies in a numbered coset,
+    which merges into this one, or its K-coset is numbered here.  So K ends
+    as the center.  After a merge the numbers are ranked once.
     """
-    z0, kept = {identity}, []
-    row = None  # rows(Z0), made when a coset is next marked after Z0 grew
-    marked = bytearray(len(elements))
-    marked[0] = 1  # the identity, at position 0
-    i = marked.find(0)
-    while i >= 0:
-        g = elements[i]
-        if all(mult(g, s) == mult(s, g) for s in gens):
-            z0, kept = _close(mult, identity, kept + [g], bound)
-            row = None
-            for k in z0 if at is None else map(at, z0):
-                marked[k] = 1
-        elif rows:
-            row = row or rows(list(z0))
-            for k in row(g):
-                marked[k] = 1
+    K = list(kernel)
+    down = array("i", [-1]) * len(carrier)
+    minima, link = array("i", [0]), array("i", [0])
+    row = rows and rows(K[1:])
+    merged = False
+
+    def number(g, c):  # gK -> coset c
+        down[g if at is None else at(g)] = c
+        if row:
+            for y in row(g):
+                down[y] = c
         elif at:
-            for z in z0:
-                marked[at(mult(g, z))] = 1
+            for k in islice(K, 1, None):
+                down[at(mult(g, k))] = c
         else:
-            for z in z0:
-                marked[mult(g, z)] = 1
-        i = marked.find(0, i + 1)
-    return [elements[k] for k in sorted(z0 if at is None else map(at, z0))]
+            for k in islice(K, 1, None):
+                down[mult(g, k)] = c
+
+    number(carrier[0], 0)  # the identity's coset, K itself
+    i = 0
+    while True:
+        try:
+            i = down.index(-1, i + 1)
+        except ValueError:
+            break
+        g = carrier[i]
+        if gens is None or not all(mult(g, s) == mult(s, g) for s in gens):
+            c = len(minima)
+            link.append(c)
+            minima.append(i)
+            number(g, c)
+            continue
+        T = [g]
+        x = mult(g, g)
+        while down[x if at is None else at(x)]:  # not yet back in K, coset 0
+            T.append(x)
+            x = mult(x, g)
+        hts = rows and rows(T)
+        for c in range(1, len(minima)):
+            if link[c] != c:
+                continue
+            h = carrier[minima[c]]
+            for y in hts(h) if hts else [mult(h, t) for t in T]:
+                d = down[y if at is None else at(y)]
+                if d < 0:
+                    number(y, c)
+                    continue
+                while link[d] != d:
+                    d = link[d]
+                if d != c:  # d > c: its coset would have taken this one
+                    link[d] = c
+                    merged = True
+        new = []
+        for t in T:
+            new.append(t)
+            new += row(t) if row else [mult(t, k) for k in islice(K, 1, None)]
+        for y in new if at is None else map(at, new):
+            down[y] = 0
+        K += new
+        row = rows and rows(K[1:])
+    if merged:  # link[c] < c for a merged c, so its root is ranked first
+        rank, roots = array("i", [0]) * len(link), array("i")
+        for c, r in enumerate(link):
+            if r == c:
+                rank[c] = len(roots)
+                roots.append(minima[c])
+            else:
+                rank[c] = rank[r]
+        for a in range(0, len(down), 1024):  # in place, a slice at a time: no second full array
+            down[a : a + 1024] = array("i", map(rank.__getitem__, down[a : a + 1024]))
+        minima = roots
+    return K, down, minima
 
 
 def _same(g):
@@ -546,17 +586,20 @@ def _arithmetic(G: FiniteGroup) -> tuple:
 
 
 def center(G: FiniteGroup) -> EnumeratedSubgroup:
-    """Center, as the centralizer of the generators, by ``_sieve_center``
-    (cached), on indices wherever ``_arithmetic`` gives them and decoded at
-    the end, in the carrier order the sieve returns.  A product's center is
-    sieved on whole product elements, never read off the factors.
+    """Center, the centralizer of the generators, by ``_coset_scan`` on G's
+    ``_arithmetic`` (cached), in carrier order; a product's on whole
+    elements.  Unless Z = G, the scan's coset numbering stays on G
+    (``_cosets``) until G/Z(G) takes it over.
     """
     if G._center is None:
         mult, carrier, encode, decode, rows = _arithmetic(G)
         at = None if isinstance(carrier, range) else _position(G)
         gens = [encode(g) for _, g in G.generators]
-        found = _sieve_center(mult, carrier, encode(G.identity), gens, G.max_order, rows, at)
+        Z, down, minima = _coset_scan(mult, carrier, [encode(G.identity)], rows, at, gens)
+        found = map(carrier.__getitem__, sorted(Z if at is None else map(at, Z)))
         G._center = _canonical(tuple(decode(found)))
+        if len(minima) > 1:
+            G._cosets = (down, minima)
     return G._center
 
 
@@ -647,47 +690,29 @@ class QuotientGroup(FiniteGroup):
     center of G, as in the upper central series, or the span of a central
     element.
 
-    One ascending scan of G's carrier, on G's ``_arithmetic``, numbers the
-    cosets: the first element not yet numbered is its coset's minimum, and
-    its products with N get the next number.  ``_down`` is an
-    ``array("i")`` over G's carrier positions, in carrier order, of each
-    element's coset number, and ``_up`` lists the minima as G's scan sees
-    them: G's indices when G is a product or a quotient, the carrier's own
-    tuples when G is a native group or a ``SubgroupGroup``, whose products
-    ``_at`` (G's ``_position``) codes.  The elements, ``_reps``, are the
-    minima as G's tuples, in carrier order, so a coset's number is its index
-    here.  The product of cosets i and j is ``_down`` at the position of
-    ``mult(_up[i], _up[j])``, with G's scan multiply; ``_index`` reads the
-    number of an element g of G, checked (``_coset_number``), and
-    ``multiply``, ``invert`` and ``project`` return the representative at
-    it.  Where G has ``rows`` the scan reads gN as one row, and the quotient
-    has rows too; else it multiplies per n.
+    ``_coset_scan`` numbers the cosets on G's ``_arithmetic``; by G's
+    center, the quotient takes that scan's arrays over (``_cosets``).
+    ``_down`` holds the numbers over G's carrier, ``_up`` the minima as G's
+    scan sees them (indices, or tuples coded by ``_at``), ``_reps`` as G's
+    tuples.  Cosets i, j multiply to ``_down`` at ``mult(_up[i], _up[j])``.
+    ``_index`` reads the number of an element of G, checked, so
+    ``multiply``, ``invert`` and ``project`` raise NotInGroup outside G.
     """
 
     def __init__(self, parent: FiniteGroup, kernel: EnumeratedSubgroup):
         E = enumerate_group(parent)
         mult, carrier, encode, decode, rows = _arithmetic(parent)
         at = None if isinstance(carrier, range) else _position(parent)
-        # arrays, so that no parent element (nor, over indices, coset) holds an int object
-        down, up = array("i", [-1]) * len(E), array("i") if at is None else []
-        encoded = [encode(n) for n in kernel.elements]
-        row = rows and rows(encoded)
-        for i in range(len(E)):
-            if down[i] < 0:
-                g = carrier[i]
-                coset = len(up)
-                up.append(g)
-                if row:
-                    for y in row(g):
-                        down[y] = coset
-                elif at:
-                    for n in encoded:
-                        down[at(mult(g, n))] = coset
-                else:
-                    for n in encoded:
-                        down[mult(g, n)] = coset
-        if len(up) * len(kernel) != len(E):
+        if kernel.elements[0] != parent.identity:
+            raise InternalInconsistency("kernel does not hold the identity")
+        if kernel is parent._center and parent._cosets is not None:
+            (down, minima), parent._cosets = parent._cosets, None
+        else:
+            _, down, minima = _coset_scan(mult, carrier, [encode(n) for n in kernel.elements], rows, at)
+        if len(minima) * len(kernel) != len(E):
             raise InternalInconsistency("coset partition does not cover the group")
+        # arrays over indices, so that no parent element nor coset holds an int object
+        up = minima if at is None else tuple(map(carrier.__getitem__, minima))
         self.parent = parent
         self.kernel = kernel
         self._down = down
@@ -702,15 +727,16 @@ class QuotientGroup(FiniteGroup):
             parent.coordinate_moduli,
             [(name, self.project(g)) for name, g in parent.generators],
             named={name: self.project(g) for name, g in parent.named_elements.items()},
-            known_order=len(up),
+            known_order=len(minima),
             description=f"{parent!r}/N{len(kernel)}",
             max_order=parent.max_order,
         )
 
     def multiply(self, a, b):
-        return self._reps[self._index(self.parent.multiply(a, b))]
+        return self._reps[self._index_product(self._index(a), self._index(b))]
 
     def invert(self, a):
+        self._index(a)  # NotInGroup outside the parent, whose invert would reduce it
         return self._reps[self._index(self.parent.invert(a))]
 
     def project(self, g):

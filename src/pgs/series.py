@@ -50,9 +50,9 @@ def _layers(G: FiniteGroup) -> bytearray:
     """Each element's ucs layer, the least i with it in Z_i, in carrier
     order (cached): the one place the ucs is computed.  The identity is in
     layer 0 and any other g in 1 + layer(gZ) of Q = G/Z(G), read at the
-    coset number ``QuotientGroup`` gives g.  The level forming G/Z_(i+1) from
-    G/Z_i costs |G/Z_i| multiplies and no normality scan (each kernel is a
-    center).  A trivial center of a nontrivial group raises
+    coset number ``QuotientGroup`` gives g.  Q takes over the coset
+    numbering of the center scan, so a level costs that scan of G/Z_i and
+    no normality scan.  A trivial center of a nontrivial group raises
     InternalInconsistency: the input is not nilpotent.
     """
     if G._layers is None:

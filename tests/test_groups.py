@@ -8,6 +8,7 @@ import pytest
 from pgs.constructions import (
     LieBCHGroup,
     SemidirectGroup,
+    central_quotient,
     make_B2,
     make_Dc,
     make_Mc,
@@ -37,7 +38,7 @@ from pgs.groups import (
     subgroup_closure,
 )
 from pgs.series import nilpotence_class, spectrum, upper_central_series
-from test_properties import ReferenceQuotient, reference_order_p_elements, same_objects
+from test_properties import ReferenceQuotient, reference_order_p_elements, reference_sieve_center, same_objects
 from test_series import make_s3
 
 
@@ -319,6 +320,34 @@ def test_quotient_rejects_tuples_outside_its_parent(build, outside):
     assert Q.project(G.identity) is enumerate_group(Q).elements[0]
 
 
+def center_quotient(G):
+    return QuotientGroup(G, center(G))
+
+
+@pytest.mark.parametrize(
+    "build, outside",
+    [
+        (lambda: center_quotient(make_homocyclic(3, 2, 2, 1)), (0, 1, 0)),
+        (lambda: center_quotient(make_Mc(3, 4)), (0, 0, -1)),
+        (lambda: center_quotient(make_Mc(3, 4)), (0, 0)),
+        (lambda: center_quotient(direct_product([make_Mc(3, 2), make_Dc(3, 2)])), (0, 0, 0, 0, 9)),
+        # a too-large coordinate, which the parent's native multiply and
+        # invert reduce, on G/Z(G) and on the span of a central element
+        (lambda: center_quotient(make_Mc(3, 4)), (0, 0, 81)),
+        (lambda: central_quotient(make_Mc(3, 4), (0, 3, 6)), (0, 0, 81)),
+    ],
+    ids=["off-congruence", "negative", "short", "product", "too-large", "central-element"],
+)
+def test_quotient_arithmetic_rejects_tuples_outside_its_parent(build, outside):
+    Q = build()
+    identity = Q.identity
+    for call in (lambda: Q.multiply(outside, identity), lambda: Q.multiply(identity, outside), lambda: Q.invert(outside)):
+        with pytest.raises(NotInGroup):
+            call()
+    g = Q.generators[0][1]
+    assert Q.multiply(g, Q.invert(g)) is enumerate_group(Q).elements[0]
+
+
 def test_position_coder_is_no_element_test():
     # the coder trusts its input: these tuples lie outside the carriers
     H, M = make_homocyclic(3, 2, 2, 1), make_Mc(3, 4)
@@ -571,29 +600,41 @@ def test_order_p_walk_multiply_count(native_multiplies, build, count, set_count)
 
 
 TUPLE_SCAN_PINS = [
-    (lambda: make_Dc(3, 5), (105_709, 59_049)),
-    (lambda: make_B2(7, 3), (17_567, 16_807)),
-    (lambda: make_Mc(3, 7), (13_125, 6_561)),
-    (lambda: make_homocyclic(3, 2, 2, 1), (1_031, 729)),
+    (lambda: make_Dc(3, 5), 65_776, (105_709, 59_049)),
+    (lambda: make_B2(7, 3), 17_168, (17_567, 16_807)),
+    (lambda: make_Mc(3, 7), 8_754, (13_125, 6_561)),
+    (lambda: make_homocyclic(3, 2, 2, 1), 798, (1_031, 729)),
 ]
 
 
 @pytest.mark.parametrize(
-    "build, counts", TUPLE_SCAN_PINS, ids=["Dc(3,5)", "B2(7,3)", "Mc(3,7)", "homocyclic(3,2,2,1)"]
+    "build, count, set_counts", TUPLE_SCAN_PINS, ids=["Dc(3,5)", "B2(7,3)", "Mc(3,7)", "homocyclic(3,2,2,1)"]
 )
-def test_tuple_scans_multiply_as_the_set_scans(native_multiplies, build, counts):
-    # the center sieve and the numbering of G/Z(G)'s cosets mark carrier
-    # positions where they kept sets and dicts of tuples; what they multiply
-    # is unchanged: these are the set scans' counts (the order-p walk's are
-    # in test_order_p_walk_multiply_count)
+def test_tuple_scans_multiply_as_the_set_scans(native_multiplies, build, count, set_counts):
+    # the center's coset scan numbers the cosets of Z(G) that G/Z(G) takes
+    # over, with no multiply of its own; the set scans, kept as references,
+    # sieve the center and then number the cosets again, one multiply per
+    # element.  The scan makes fewer than the set sieve alone: it tests the
+    # same generators, numbers each element once, skips g·1, and completes
+    # the cosets numbered before the center grew by one lookup per coset
+    # and power of the new central g (Dc(3,5): 13,288 generator tests,
+    # 12,960 + 26,240 numbering, 13,280 lookups, 8 for the powers and the
+    # kernel; the order-p walk's are in test_order_p_walk_multiply_count)
     G = build()
     enumerate_group(G)
-    made = []
-    for scan in (lambda: center(G), lambda: QuotientGroup(G, center(G))):
-        native_multiplies.clear()
-        scan()
-        made.append(len(native_multiplies))
-    assert tuple(made) == counts
+    native_multiplies.clear()
+    Z = center(G)
+    made = len(native_multiplies)
+    Q = QuotientGroup(G, Z)
+    assert (made, len(native_multiplies)) == (count, count)
+    assert Q._down is not None and G._cosets is None
+    gens = [g for _, g in G.generators]
+    native_multiplies.clear()
+    assert reference_sieve_center(G.multiply, enumerate_group(G).elements, G.identity, gens, G.max_order) == list(Z)
+    made = len(native_multiplies)
+    native_multiplies.clear()
+    ReferenceQuotient(G, Z)
+    assert (made, len(native_multiplies)) == set_counts
 
 
 def make_s3_x_c3():
@@ -676,7 +717,7 @@ def test_direct_factor_search_fills_part_of_the_table(native_multiplies, quotien
     tuple_multiplies.clear()
     assert direct_factor_search(Q) is None
     assert Q._table is None
-    assert len(native_multiplies) == 373  # the parent product's factor-table fills
+    assert len(native_multiplies) == 396  # the parent product's factor-table fills
     assert len(quotient_index_products) <= 56_000  # 55,488
     assert tuple_multiplies == []
 
@@ -717,7 +758,8 @@ def test_a_product_gets_its_products_array_as_a_factor():
 
 def test_center_sieves_cosets(native_multiplies):
     # B2(7,3) has 16,807 elements and a center of 49: testing every element
-    # against both generators makes 34,300 multiplies, the sieve 17,567
+    # against both generators makes 34,300 multiplies, the sieve made
+    # 17,567 and the coset scan, which also numbers G/Z(G), 17,168
     G = make_B2(7, 3)
     enumerate_group(G)
     native_multiplies.clear()
@@ -726,18 +768,20 @@ def test_center_sieves_cosets(native_multiplies):
 
 
 PRODUCT_PINS = [
-    (lambda: direct_product([make_Mc(3, 3), make_B2(3, 2), make_cyclic(3, 1)]), 884),
-    (lambda: make_second_example(3, 2, 2), 501),
+    (lambda: direct_product([make_Mc(3, 3), make_B2(3, 2), make_cyclic(3, 1)]), 592),
+    (lambda: make_second_example(3, 2, 2), 252),
 ]
 PRODUCT_IDS = ["Mc(3,3)xB2(3,2)xC3", "second_example(3,2,2)"]
 
 
 @pytest.mark.parametrize("build, count", PRODUCT_PINS, ids=PRODUCT_IDS)
-def test_product_center_multiplies_only_in_its_generator_tests(index_products, build, count):
-    # a product's sieve, and that of a quotient of one, marks each coset
-    # gZ0 by one row, so the product's own index multiplies left are the
-    # generator tests' and the closures' that grow Z0: 782 + 102 on the
-    # product and 480 + 21 on second_example, where marking by one
+def test_product_center_index_products_are_generator_tests_and_powers(index_products, build, count):
+    # a product's center scan, and that of a quotient of one, numbers each
+    # coset by one row and completes the cosets numbered before the center
+    # grew by one row of the new central g's powers, so the product's own
+    # index multiplies left are the generator tests' and those powers':
+    # 586 + 6 on the product and 248 + 4 on second_example, where the sieve
+    # made 782 + 102 and 480 + 21 (its closures) and marking by one
     # _index_product per element made 8,138 and 1,461
     G = build()
     enumerate_group(G)
@@ -748,10 +792,11 @@ def test_product_center_multiplies_only_in_its_generator_tests(index_products, b
 
 @pytest.mark.parametrize("build", [build for build, _ in PRODUCT_PINS], ids=PRODUCT_IDS)
 def test_product_quotient_scan_makes_no_index_products(index_products, build):
-    # the coset scan reads each coset gZ as one row: numbering the cosets
-    # one _index_product per element made 6,561 and 729 calls
+    # a fixed-kernel coset scan reads each coset gZ as one row: numbering
+    # the cosets one _index_product per element made 6,561 and 729 calls
+    # (G/Z(G) itself takes the center scan's numbering, with no scan)
     G = build()
-    Z = center(G)
+    Z = EnumeratedSubgroup(center(G).elements)
     index_products.clear()
     Q = QuotientGroup(G, Z)
     assert index_products == []

@@ -2,13 +2,14 @@
 
 Each cached analysis (order-p elements and p-th powers from the cyclic
 walk, the upper central series by recursion on G/Z(G), the spectrum's
-layer-2 witness, the question witness), the center by a coset sieve, the
+layer-2 witness, the question witness), the center by a coset scan, the
 lower central series by normal closure, the incremental subgroup closure, a
 native family's carrier enumerated as its coordinate box, a
 direct product's carrier and order-p scan read from its factors, its
 arithmetic on index tables, the center, order-p scan and ucs quotients of a
 product and of every quotient on indices, the position marks of the
-order-p walk and the center sieve (against the same scans on sets), the
+order-p walk and the coset scan's numbering (against the same scans on
+sets and the tuple reference quotient), the
 position coders (against the sum of their terms), the direct-factor
 search with its center prunes and the generators-only ucs characterization
 are compared with a plain reference scan, on seeded random recipes with a
@@ -62,10 +63,10 @@ from pgs.groups import (
     _canonical,
     _close,
     _conjugacy_classes_idx,
+    _coset_scan,
     _index_table,
     _omega1,
     _position,
-    _sieve_center,
     center,
     commutator,
     direct_factor_search,
@@ -353,26 +354,60 @@ def reference_tuple_center(G):
     return tuple(reference_sieve_center(mult, enumerate_group(G).elements, G.identity, gens, G.max_order))
 
 
-def check_center_sieve(G):
-    """G's center, from the sieve's position marks on G's carrier tuples
-    (``_position``), is the set sieve's, as the carrier's own tuples, in
-    the same number of multiplies; on the tuple path it is ``center(G)``."""
+def growth_after_a_coset(G):
+    """Whether the center scan meets a central element outside the kernel
+    K found so far after the first non-central element, which the scan
+    always numbers: whether K grows once cosets are numbered, so that the
+    scan completes them to cosets of the larger K."""
+    Z = center(G).as_set
+    K, seen = {G.identity}, False
+    for g in enumerate_group(G).elements:
+        if g not in Z:
+            seen = True
+        elif g not in K:
+            if seen:
+                return True
+            K = subgroup_closure(G, [*K, g]).as_set
+    return False
+
+
+def check_coset_scan(G, levels=2):
+    """G's center, from the one coset scan on G's scan arithmetic, is the
+    set sieve's (``reference_sieve_center`` through ``reference_multiply``),
+    as the carrier's own tuples, and so is the scan's on G's carrier tuples
+    (``_position``).  Unless Z = G, the scan keeps its numbering of the
+    cosets of Z on G, and that numbering is the fixed-kernel scan's (K = Z
+    throughout) and ``ReferenceQuotient(G, Z)``'s: the same ``down``, and
+    G/Z(G), which takes the arrays over, has the reference's ``_reps``, with
+    ``_up`` their positions in G's carrier.  The same holds for G/Z(G), and
+    so on up the ucs tower, for ``levels`` levels in all."""
     E = enumerate_group(G)
+    expected = reference_tuple_center(G)
+    Z = center(G)
+    assert same_objects(Z.elements, expected)
     gens = [g for _, g in G.generators]
-    calls = []
-
-    def mult(a, b):
-        calls.append(1)
-        return G.multiply(a, b)
-
-    expected = reference_sieve_center(mult, E.elements, G.identity, gens, G.max_order)
-    made = len(calls)
-    calls.clear()
-    found = _sieve_center(mult, E.elements, G.identity, gens, G.max_order, None, _position(G))
-    assert same_objects(found, expected) and len(calls) == made
-    assert center(G).elements == tuple(expected)
-    if not isinstance(_arithmetic(G)[1], range):
-        assert same_objects(center(G).elements, expected)
+    found, _, _ = _coset_scan(G.multiply, E.elements, [G.identity], None, _position(G), gens)
+    assert [E.elements[k] for k in sorted(map(_position(G), found))] == list(expected)
+    if len(Z) == len(E):
+        assert G._cosets is None
+        return
+    down, minima = G._cosets
+    mult, carrier, encode, _, rows = _arithmetic(G)
+    at = None if isinstance(carrier, range) else _position(G)
+    _, fixed_down, fixed_minima = _coset_scan(mult, carrier, [encode(z) for z in Z.elements], rows, at)
+    assert down == fixed_down and minima == fixed_minima
+    R = ReferenceQuotient(G, Z)
+    assert list(down) == list(R._down.values())
+    Q = QuotientGroup(G, Z)
+    assert G._cosets is None and Q._down is down
+    assert same_objects(Q._reps, R._reps)
+    assert [E.elements[k] for k in minima] == list(R._reps)
+    if at is None:
+        assert Q._up is minima
+    else:
+        assert same_objects(Q._up, R._reps)
+    if levels > 1:
+        check_coset_scan(Q, levels - 1)
 
 
 def reference_walk(G):
@@ -1192,7 +1227,7 @@ def test_family_coders_are_the_sum_of_their_terms(desc):
     "desc", SUITE_FAMILIES + SUITE_SUBGROUPS[:3], ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items())
 )
 def test_suite_families_center_sieve_matches_the_set_sieve(desc):
-    check_center_sieve(build_from_description(desc))
+    check_coset_scan(build_from_description(desc))
 
 
 @settings(max_examples=40)
@@ -1203,7 +1238,7 @@ def test_drawn_native_center_sieve_matches_the_set_sieve(desc):
         enumerate_group(G)
     except ResourceLimit:
         assume(False)
-    check_center_sieve(G)
+    check_coset_scan(G)
 
 
 @settings(max_examples=40)
@@ -1214,7 +1249,37 @@ def test_drawn_subgroup_center_sieve_matches_the_set_sieve(desc):
         enumerate_group(G)
     except ResourceLimit:
         assume(False)
-    check_center_sieve(G)
+    check_coset_scan(G)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_Dc(3, 5),
+        lambda: make_Dc(3, 3),
+        lambda: make_second_example(3, 2, 2),
+        lambda: make_Mc(3, 4),
+        lambda: direct_product([make_Mc(3, 2), make_cyclic(3, 1)]),
+        lambda: (lambda H: QuotientGroup(H, center(H)))(make_partb_indecomposable(2, [2], 3)),
+    ],
+    ids=["Dc(3,5)", "Dc(3,3)", "second_example(3,2,2)", "Mc(3,4)", "Mc(3,2)xC3", "partb(2,[2],3)/Z"],
+)
+def test_center_scan_completes_the_cosets_numbered_before_the_center_grew(build):
+    """The center grows after the scan has numbered cosets, so the scan
+    completes them to cosets of the larger kernel; in Mc(3,4), Mc(3,2)xC3
+    (rows) and the quotient of partb (index path, no rows) some of them
+    merge.  The scan's numbering still equals the fixed-kernel scan's and
+    the references'."""
+    G = build()
+    assert growth_after_a_coset(G)
+    check_coset_scan(G)
+
+
+@settings(max_examples=30)
+@given(recipes)
+def test_recipes_center_sieve_matches_the_set_sieve(desc):
+    """On products (rows) and quotients of products (index path)."""
+    check_coset_scan(build_from_description(desc))
 
 
 # partb (3,[3],4), the last, has 177,147 elements

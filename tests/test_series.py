@@ -15,6 +15,7 @@ from pgs.constructions import (
 from pgs.errors import InternalInconsistency, NotInGroup, PreconditionFailed
 from pgs.groups import (
     EnumeratedSubgroup,
+    QuotientGroup,
     SubgroupGroup,
     _close,
     center,
@@ -281,8 +282,10 @@ def test_lcs_cost_grows_with_its_generators(native_multiplies, build, bound):
 
 
 def test_ucs_quotients_are_formed_from_the_last(native_multiplies):
-    # each G/Z_(i+1) costs |G/Z_i| multiplies: 29,628 on Mc(3,7), where
-    # forming every quotient from G made 59,166
+    # each G/Z_(i+1) costs the center scan of G/Z_i and takes its coset
+    # numbering over: 13,156 on Mc(3,7); numbering each quotient's cosets
+    # again, |G/Z_i| multiplies a level, made 29,628, and forming every
+    # quotient from G 59,166
     G = make_Mc(3, 7)
     enumerate_group(G)
     native_multiplies.clear()
@@ -292,7 +295,7 @@ def test_ucs_quotients_are_formed_from_the_last(native_multiplies):
 
 @pytest.mark.parametrize(
     "build, count",
-    [(lambda: make_B2(7, 3), 52_091), (lambda: make_Dc(3, 5), 264_033), (lambda: make_Mc(3, 7), 35_987)],
+    [(lambda: make_B2(7, 3), 34_436), (lambda: make_Dc(3, 5), 152_480), (lambda: make_Mc(3, 7), 20_392)],
     ids=["B2(7,3)", "Dc(3,5)", "Mc(3,7)"],
 )
 def test_spectrum_multiply_count(native_multiplies, build, count):
@@ -309,8 +312,8 @@ def test_spectrum_multiply_count(native_multiplies, build, count):
 @pytest.mark.parametrize(
     "build, count",
     [
-        (lambda: direct_product([make_Mc(3, 3), make_B2(3, 2), make_cyclic(3, 1)]), 401),
-        (lambda: make_second_example(3, 2, 2), 343),
+        (lambda: direct_product([make_Mc(3, 3), make_B2(3, 2), make_cyclic(3, 1)]), 367),
+        (lambda: make_second_example(3, 2, 2), 337),
     ],
     ids=["Mc(3,3)xB2(3,2)xC3", "second_example(3,2,2)"],
 )
@@ -353,7 +356,7 @@ def test_cached_analyses_hold_the_carriers_own_tuples():
     own = {id(g) for g in enumerate_group(quotient).elements}
     assert all(id(g) in own for g in center(quotient).as_set)
     assert all(id(g) in own for g in quotient._pth_powers)
-    # a product's center is sieved on indices and decoded through its carrier,
+    # a product's center is scanned on indices and decoded through its carrier,
     # and its order-p elements are read back through its index table
     P = direct_product([make_Mc(3, 3), make_Dc(3, 2)])
     own = {id(g) for g in enumerate_group(P).elements}
@@ -361,14 +364,16 @@ def test_cached_analyses_hold_the_carriers_own_tuples():
     assert all(id(g) in own for g in order_p_elements(P))
 
 
-def test_spectrum_of_dc_3_5_peaks_below_5_5_mb():
+def test_spectrum_of_dc_3_5_peaks_below_4_8_mb():
     """The spectrum of Dc(3,5) (59,049 elements), built and analysed under
-    tracemalloc, peaks below 5.5 MB, near its 4.45 MB of live data: the
-    center sieve and the order-p walk mark carrier positions one byte
-    each, G/Z(G) numbers its cosets in an array over them, and no carrier
-    or ucs term builds a frozenset the spectrum does not read.  With sets
-    of fresh tuples the peak was 12.5-13 MB, and with the sieve's set and
-    the coset dict 7.7 MB."""
+    tracemalloc, peaks below 4.8 MB, near its 4.45 MB of live data: the
+    order-p walk marks carrier positions one byte each, the center's coset
+    scan numbers the cosets of Z(G), which G/Z(G) takes over, in one array
+    over them and keeps its coset minima and merge links in arrays too, and
+    no carrier or ucs term builds a frozenset the spectrum does not read.
+    The peak, 4.74 MB, is the order-p walk's; with sets of fresh tuples
+    the peak was 12.5-13 MB, and with the sieve's set and the coset dict
+    7.7 MB."""
     tracemalloc.start()
     try:
         G = make_Dc(3, 5)
@@ -377,4 +382,22 @@ def test_spectrum_of_dc_3_5_peaks_below_5_5_mb():
     finally:
         tracemalloc.stop()
     assert enumerate_group(G)._set is None
-    assert peak < 5_500_000
+    assert peak < 4_800_000
+
+
+def test_center_scan_of_dc_3_5_holds_arrays_only():
+    """Traced from after the enumeration of Dc(3,5), its center and G/Z(G)
+    peak at 0.34 MB: the scan's ``down`` array is 236 KB, 4 bytes an
+    element, and its coset minima and merge links are arrays too, 4 bytes a
+    coset (the sieve and the quotient's own numbering peaked at 0.36 MB).
+    A scan that kept its 6,561 coset minima in a list of ints peaked at
+    0.71 MB, which the spectrum's peak, the order-p walk's, does not show."""
+    G = make_Dc(3, 5)
+    enumerate_group(G)
+    tracemalloc.start()
+    try:
+        QuotientGroup(G, center(G))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400_000
