@@ -2,7 +2,8 @@
 
 Commands take a JSON description file (see ``constructions.parse_description``
 for the schema) and print text or machine-readable JSON.  Exit codes:
-0 success, 1 a verification check failed, 2 invalid input, 3 resource limit.
+0 success, 1 a verification check failed, 2 invalid input, 3 resource limit,
+141 stdout closed before the output was written (128 + SIGPIPE).
 
 JSON output is byte-stable for a fixed input and seed; per-check timings are
 zeroed in JSON unless --timings is passed (text output always shows them).
@@ -179,9 +180,8 @@ def _verify_records_for(desc_obj, args) -> list[CheckRecord]:
         and len(desc.inner.factors) == 2
         and desc.word.count("*") == 1
     ):
-        t1, t2 = desc.word.split("*")
-        if not t1.startswith("f0.") or not t2.startswith("f1."):
-            raise ParseError("prop_same needs a word of the form f0.<w>*f1.<w>")
+        if sorted(t[:3] for t in desc.word.split("*")) != ["f0.", "f1."]:
+            raise ParseError("prop_same needs a word of the form f0.<w>*f1.<w>, in either order")
         run("prop_same", {"word": desc.word}, lambda: _unpack(verify_prop_same(G, seed=args.seed)))
 
     return records
@@ -322,7 +322,13 @@ def main(argv=None) -> int:
         args.max_order = _max_order(args.max_order)
         if "decompose_bound" in args and args.decompose_bound < 1:
             raise ParseError(f"the decomposition bound must be positive, got {args.decompose_bound}")
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's final flush
+        return status
+    except BrokenPipeError:
+        # the reader left: send what is still buffered to devnull, so exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

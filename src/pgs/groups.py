@@ -351,21 +351,20 @@ class _Table:
 
     ``elements`` is the canonical carrier and ``index`` maps each element to
     its position.  ``products[i * n + j]`` is the index of
-    elements[i] * elements[j] and ``inverses[i]`` that of elements[i]^-1,
-    or -1 until first asked for; ``products`` is None until ``_index_table``
-    gives the table to an enclosing product, and stays None above
-    ``_TABLE_BOUND`` elements.  The table holds no reference to its group,
-    so caching it on the group makes no reference cycle.
+    elements[i] * elements[j], or -1 until first asked for; ``products`` is
+    None until ``_index_table`` gives the table to an enclosing product, and
+    stays None above ``_TABLE_BOUND`` elements.  Inverses are not tabled:
+    the loops that need them invert each element once.  The table holds no
+    reference to its group, so caching it on the group makes no reference
+    cycle.
     """
 
-    __slots__ = ("elements", "index", "products", "inverses")
+    __slots__ = ("elements", "index", "products")
 
     def __init__(self, elements) -> None:
-        n = len(elements)
         self.elements = elements
         self.index = {g: i for i, g in enumerate(elements)}
         self.products = None
-        self.inverses = array("l", [-1]) * n
 
     def product(self, G, i: int, j: int) -> int:
         """Index of elements[i] * elements[j]; G.multiply on a miss."""
@@ -376,13 +375,6 @@ class _Table:
         r = prods[k]
         if r < 0:
             r = prods[k] = self.index[G.multiply(self.elements[i], self.elements[j])]
-        return r
-
-    def inverse(self, G, i: int) -> int:
-        """Index of elements[i]^-1; G.invert on a miss."""
-        r = self.inverses[i]
-        if r < 0:
-            r = self.inverses[i] = self.index[G.invert(self.elements[i])]
         return r
 
 
@@ -462,9 +454,10 @@ def element_order(G: FiniteGroup, g) -> int:
 
 
 def commutator(G: FiniteGroup, x, y):
-    """x^-1 y^-1 x y."""
+    """x^-1 y^-1 x y, formed as (yx)^-1 (xy): one invert.  A loop over many
+    pairs inverts each element once instead and multiplies the inverses."""
     mult = G.multiply
-    return mult(mult(G.invert(x), G.invert(y)), mult(x, y))
+    return mult(G.invert(mult(y, x)), mult(x, y))
 
 
 def _coset_scan(mult, carrier, kernel, rows=None, at=None, gens=None) -> tuple:
@@ -790,9 +783,11 @@ def quotient_group(G: FiniteGroup, N: EnumeratedSubgroup) -> QuotientGroup:
         raise NotNormal("subgroup is not contained in the group")
     if G.identity not in N or len(subgroup_closure(G, N)) != len(N):
         raise NotNormal("kernel is not a subgroup")
+    mult = G.multiply
     for _, g in G.generators:
+        ginv = G.invert(g)
         for n in N.as_set:
-            if G.conjugate(n, g) not in N:
+            if mult(mult(ginv, n), g) not in N:
                 raise NotNormal("subgroup is not normal")
     return QuotientGroup(G, N)
 
@@ -801,7 +796,8 @@ class DirectProductGroup(FiniteGroup):
     """Componentwise product with concatenated coordinates.  Once enumerated
     it multiplies on indices: an index splits in mixed radix into factor
     indices, whose products each factor's table gives (filled by the
-    factor's ``multiply`` on first use)."""
+    factor's ``multiply`` on first use).  It always inverts componentwise
+    in the factors."""
 
     def __init__(self, factors, description=""):
         factors = list(factors)
@@ -901,19 +897,10 @@ class DirectProductGroup(FiniteGroup):
         return r
 
     def invert(self, a):
-        t = self._table
-        if t is None:
-            out = []
-            for s, e, f in self._parts:
-                out.extend(f.invert(a[s:e]))
-            return tuple(out)
-        i = t.index[a]
-        r = t.inverses[i]
-        if r < 0:
-            r = t.inverses[i] = sum(
-                stride * ft.inverse(f, i // stride % n) for f, n, stride, ft, _ in self._radix
-            )
-        return t.elements[r]
+        out = []
+        for s, e, f in self._parts:
+            out.extend(f.invert(a[s:e]))
+        return tuple(out)
 
     def embed(self, i: int, g):
         out = []

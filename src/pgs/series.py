@@ -20,7 +20,6 @@ from .groups import (
     _canonical,
     _close,
     center,
-    commutator,
     enumerate_group,
     order_p_elements,
     subgroup_closure,
@@ -98,22 +97,24 @@ def lower_central_series(G: FiniteGroup) -> CentralSeriesChain:
     [gamma_k, G] <= N.  ``_close`` forms N from the commutators, queueing each
     kept seed's conjugates by G's generators, and returns the kept seeds,
     which generate gamma_(k+1) for the next step (gamma_1 takes G's
-    generators).  That is a few commutators per term, not |gamma_k|·d.  A
-    term equal to the one before it raises InternalInconsistency (the input
-    is not nilpotent).
+    generators).  That is a few commutators per term, not |gamma_k|·d.
+    Each generator of G and each kept seed is inverted once.  A term equal
+    to the one before it raises InternalInconsistency (the input is not
+    nilpotent).
     """
     E = enumerate_group(G)
     mult = G.multiply
     invert = G.invert
-    kept = [g for _, g in G.generators]
-    conj = [(invert(g), g) for g in kept]
+    conj = [(invert(g), g) for _, g in G.generators]
+    kept = conj  # (a^-1, a) for the generators a of the last term
     descending = [E]
     while len(descending[-1]) > 1:
-        comms = [mult(mult(invert(a), ginv), mult(a, g)) for a in kept for ginv, g in conj]
-        elements, kept = _close(mult, G.identity, comms, G.max_order, conj)
+        comms = [mult(mult(ainv, ginv), mult(a, g)) for ainv, a in kept for ginv, g in conj]
+        elements, seeds = _close(mult, G.identity, comms, G.max_order, conj)
         if len(elements) == len(descending[-1]):
             raise InternalInconsistency("lower central series stalled; input is not nilpotent")
         descending.append(EnumeratedSubgroup(elements))
+        kept = [(invert(a), a) for a in seeds]
     return CentralSeriesChain(G, tuple(reversed(descending)))
 
 
@@ -184,7 +185,8 @@ def _commutator_pass(G: FiniteGroup, chain: CentralSeriesChain) -> tuple:
     [x, gh] = [x, h] [x, g]^h closes the induction over generators.  It
     links layers iff for m >= 2 each x has some [x, g] outside G_(m-2):
     y -> [x, y] G_(m-2) is then a homomorphism into G_(m-1)/G_(m-2), which
-    is nontrivial iff it moves a generator.
+    is nontrivial iff it moves a generator.  Each x and each generator is
+    inverted once.
     """
     sets = [t.as_set for t in chain.terms]
     ascends = sets and sets[0] == {G.identity} and sets[-1] == enumerate_group(G).as_set
@@ -192,11 +194,13 @@ def _commutator_pass(G: FiniteGroup, chain: CentralSeriesChain) -> tuple:
         return False, False
     if any(len(subgroup_closure(G, t)) != len(t) for t in sets[1:-1]):
         return False, False
-    gens = [g for _, g in G.generators]
+    mult, invert = G.multiply, G.invert
+    conj = [(invert(g), g) for _, g in G.generators]
     linked = True
     for m in range(1, len(sets)):
         for x in sets[m] - sets[m - 1]:
-            comms = [commutator(G, x, g) for g in gens]
+            xinv = invert(x)
+            comms = [mult(mult(xinv, ginv), mult(x, g)) for ginv, g in conj]
             if not sets[m - 1].issuperset(comms):
                 return False, False
             linked = linked and (m == 1 or not sets[m - 2].issuperset(comms))

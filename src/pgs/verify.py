@@ -151,7 +151,8 @@ def verify_regularity_power(G: FiniteGroup, seed: int = DEFAULT_SEED) -> dict:
     central z, y runs over the tuple-order minima of the cosets of the
     center only, which finds the same first counterexample in canonical
     order.  Otherwise checks ``_SAMPLE_PAIRS`` seeded random pairs.
-    ``pairs`` counts the (x, y) pairs the check covers.
+    ``pairs`` counts the (x, y) pairs the check covers.  The exhaustive scan
+    inverts each element it meets once.
     """
     p = G.prime
     cls = nilpotence_class(G)
@@ -163,7 +164,9 @@ def verify_regularity_power(G: FiniteGroup, seed: int = DEFAULT_SEED) -> dict:
     exhaustive = len(small) * len(elems) <= _EXHAUSTIVE_PAIRS
     if exhaustive:
         reps = enumerate_group(QuotientGroup(G, center(G))).elements  # the center is normal
-        pairs = ((x, y) for x in small for y in reps)
+        inverse = {g: G.invert(g) for g in {*small, *reps}}
+        mult = G.multiply
+        comms = ((x, y, mult(mult(inverse[x], inverse[y]), mult(x, y))) for x in small for y in reps)
         checked = len(small) * len(elems)
     else:
         rng = random.Random(seed)
@@ -171,10 +174,10 @@ def verify_regularity_power(G: FiniteGroup, seed: int = DEFAULT_SEED) -> dict:
             (small[rng.randrange(len(small))], elems[rng.randrange(len(elems))])
             for _ in range(_SAMPLE_PAIRS)
         )
+        comms = ((x, y, commutator(G, x, y)) for x, y in pairs)
         checked = _SAMPLE_PAIRS
     order_p = frozenset(small)
-    for x, y in pairs:
-        c = commutator(G, x, y)
+    for x, y, c in comms:
         if c != identity and c not in order_p:
             return {"passed": False, "counterexample": (x, y), "exhaustive": exhaustive, "pairs": checked}
     return {"passed": True, "counterexample": None, "exhaustive": exhaustive, "pairs": checked}

@@ -64,3 +64,34 @@ def quotient_index_products(monkeypatch):
 
     monkeypatch.setattr(QuotientGroup, "_index_product", counting)
     return calls
+
+
+@pytest.fixture
+def quotient_inverts(monkeypatch):
+    """The list every ``QuotientGroup.invert`` call appends to."""
+    calls = []
+
+    def counting(self, a, real=QuotientGroup.invert):
+        calls.append(1)
+        return real(self, a)
+
+    monkeypatch.setattr(QuotientGroup, "invert", counting)
+    return calls
+
+
+@pytest.fixture
+def inverted(monkeypatch):
+    """inverted(G): the list of the elements G.invert is called on from
+    then on, through G's own attribute."""
+
+    def watch(G):
+        calls = []
+
+        def counting(a, real=G.invert):
+            calls.append(a)
+            return real(a)
+
+        monkeypatch.setattr(G, "invert", counting)
+        return calls
+
+    return watch

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -322,9 +324,67 @@ def test_deeply_nested_descriptions_exit_2(tmp_path, write_desc, capsys):
 
 
 def test_prop_same_word_shape_exits_2(write_desc, capsys):
-    swapped = dict(K_DESC, word="f1.d^3*f0.x^3")
-    assert main(["verify", write_desc(swapped), "--check", "prop_same"]) == 2
+    one_factor = dict(K_DESC, word="f0.x^3*f0.y^3")
+    assert main(["verify", write_desc(one_factor), "--check", "prop_same"]) == 2
     assert "f0.<w>*f1.<w>" in capsys.readouterr().err
+
+
+def test_prop_same_word_terms_in_either_order(write_desc, capsys):
+    """f1.d^3*f0.x^3 names the same z as f0.x^3*f1.d^3, so pgs verify gives
+    the same records for both, apart from the word param."""
+    records = []
+    for word in ("f0.x^3*f1.d^3", "f1.d^3*f0.x^3"):
+        assert main(["verify", write_desc(dict(K_DESC, word=word)), "--json"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        (prop,) = [r for r in out["records"] if r["check"] == "prop_same"]
+        assert prop["params"].pop("word") == word
+        records.append(out)
+    assert records[0] == records[1]
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its file descriptor is a pipe the test owns."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_141_quietly(write_desc, capsys, monkeypatch):
+    """Code 1 means a failed check, so a reader that leaves early gets 141
+    (128 + SIGPIPE), no traceback, and stdout pointed at devnull so the
+    interpreter's final flush writes nowhere."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        monkeypatch.setattr("sys.stdout", _ClosedStdout(write_end))
+        assert main(["spectrum", write_desc({"family": "Dc", "p": 3, "c": 2}), "--json"]) == 141
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    finally:
+        os.close(write_end)
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_exits_141_quietly(write_desc):
+    """The same through a real pipe: ``pgs spectrum X --json | true``."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pgs.cli.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before pgs writes
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "pgs.cli", "spectrum", write_desc({"family": "Dc", "p": 3, "c": 2}), "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert run.returncode == 141 and run.stderr == b""
 
 
 def test_verify_builds_the_ucs_once(write_desc, capsys, monkeypatch):

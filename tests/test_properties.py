@@ -632,7 +632,7 @@ def reference_direct_factor_search(G, decompose_bound=DEFAULT_DECOMPOSE_BOUND):
                 cache[key] = idx[G.multiply(elems[i], elems[j])]
             return cache[key]
 
-    inv_of = [table.inverse(G, i) for i in range(n)]
+    inv_of = [idx[G.invert(e)] for e in elems]
     gen_idx = sorted({idx[g] for _, g in G.generators if g != G.identity})
     atoms = {}
     for cls in _conjugacy_classes_idx(n, mul, inv_of, gen_idx):
@@ -691,7 +691,7 @@ def unskipped_direct_factor_search(G, decompose_bound=DEFAULT_DECOMPOSE_BOUND):
         return None, [], [], 0, 0
     table = _index_table(G)
     elems, idx = table.elements, table.index
-    inv_of = [table.inverse(G, i) for i in range(n)]
+    inv_of = [idx[G.invert(e)] for e in elems]
     gen_idx = sorted({idx[g] for _, g in G.generators if g != G.identity})
     mul = partial(table.product, G)
     atoms = {}
@@ -1371,7 +1371,7 @@ def test_rows_fill_what_per_element_scans_fill(monkeypatch, native_multiplies, i
         native_multiplies.clear()
         index_products.clear()
         result = (center(G).elements, upper_central_series(G).terms, spectrum(G))
-        fills = [(t.products, t.inverses) for t in map(_index_table, P.factors)]
+        fills = [t.products for t in map(_index_table, P.factors)]
         return result, fills, len(native_multiplies), len(index_products)
 
     *by_rows, fewer = run()

@@ -281,6 +281,26 @@ def test_lcs_cost_grows_with_its_generators(native_multiplies, build, bound):
     assert len(native_multiplies) <= bound
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_B2(7, 3),
+        lambda: make_Mc(3, 8),
+        lambda: make_second_example(3, 2, 2),
+        lambda: direct_product([make_Mc(3, 2), make_Dc(3, 2)]),
+    ],
+    ids=["B2(7,3)", "Mc(3,8)", "second_example(3,2,2)", "Mc(3,2)xDc(3,2)"],
+)
+def test_lcs_inverts_each_element_once(inverted, build):
+    """G's generators first, then each term's kept seeds: each inverted
+    once, not once per (a, g) pair."""
+    G = build()
+    gens = [g for _, g in G.generators]
+    calls = inverted(G)
+    lower_central_series(G)
+    assert calls[: len(gens)] == gens and len(calls) == len(set(calls))
+
+
 def test_ucs_quotients_are_formed_from_the_last(native_multiplies):
     # each G/Z_(i+1) costs the center scan of G/Z_i and takes its coset
     # numbering over: 13,156 on Mc(3,7); numbering each quotient's cosets

@@ -17,6 +17,7 @@ from pgs.errors import NotCentral, PreconditionFailed
 from pgs.groups import (
     DEFAULT_DECOMPOSE_BOUND,
     DEFAULT_MAX_ORDER,
+    QuotientGroup,
     center,
     commutator,
     direct_product,
@@ -104,6 +105,18 @@ def test_ucs_characterization_pass_multiplies(native_multiplies, index_products)
     assert len(index_products) == 17_869
 
 
+def test_ucs_characterization_pass_inverts(quotient_inverts):
+    """The same check inverts each element its commutators meet once:
+    11,672 quotient inverts while each (x, g) pair inverted x and g."""
+    (thunk,) = [
+        t
+        for name, params, t in _suite_checks(DEFAULT_MAX_ORDER, DEFAULT_DECOMPOSE_BOUND, DEFAULT_SEED, 0)
+        if name == "ucs_characterization" and params["family"] == "second_example"
+    ]
+    assert thunk() == (True, None, {"lcs_equals_ucs": False})
+    assert len(quotient_inverts) == 1_469
+
+
 def test_question_witness_second_example():
     assert find_question_witness(make_second_example(3, 2, 2)) is not None
 
@@ -142,6 +155,28 @@ def full_regularity_scan(G):
 )
 def test_regularity_power_matches_the_full_scan(make):
     assert verify_regularity_power(make()) == full_regularity_scan(make())
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_Mc(3, 2),
+        lambda: make_B2(5, 2),
+        lambda: direct_product([make_Mc(3, 2), make_Dc(3, 2)]),
+        lambda: make_Dc(3, 2),
+    ],
+    ids=["Mc(3,2)", "B2(5,2)", "Mc(3,2)xDc(3,2)", "Dc(3,2)"],
+)
+def test_exhaustive_regularity_scan_inverts_each_element_once(make, inverted):
+    """Each x of order p and each coset minimum y is inverted once, not
+    once per (x, y) pair."""
+    G = make()
+    calls = inverted(G)
+    report = verify_regularity_power(G)
+    assert report["passed"] and report["exhaustive"]
+    small = order_p_elements(G)
+    reps = enumerate_group(QuotientGroup(G, center(G))).elements
+    assert sorted(calls) == sorted({*small, *reps})
 
 
 @pytest.mark.parametrize("make", [lambda: make_Mc(3, 4), lambda: make_Mc(2, 3)], ids=["Mc(3,4)", "Mc(2,3)"])
